@@ -240,13 +240,16 @@ def wavefunction(
         Normalized initial internal state.
     grid : QuadratureGrid, optional
         Momentum grid; defaults to the package default. Must have at least
-        ``MIN_GRID_SIZE`` nodes.
+        ``MIN_GRID_SIZE`` nodes, and more than ``t + |n|``: the midpoint rule
+        is exact only for integrand frequencies below the grid size.
     """
     grid = _require_grid(grid)
     if grid.size < MIN_GRID_SIZE:
         raise ValueError(f"quadrature grid too small (need >= {MIN_GRID_SIZE} nodes)")
     if t < 0:
         raise ValueError("step count must be non-negative")
+    if t + abs(n) >= grid.size:
+        raise ValueError(f"quadrature grid too small (need > t + |n| = {t + abs(n)} nodes)")
     k, theta, vectors = _eigen_tableau(grid.size)
     q_arr = q.as_array()
     branch_phases = (np.zeros_like(theta), theta, -theta)

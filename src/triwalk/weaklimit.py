@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from . import stationary, walk
 from .walk import QubitState
@@ -87,24 +86,13 @@ def limit_density() -> LimitDensity:
 def continuous_mass(lower: float = -SUPPORT_EDGE, upper: float = SUPPORT_EDGE) -> float:
     """Integral of the continuous density over [lower, upper].
 
-    The endpoint singularities are removed by substituting
-    x = sin(u)/sqrt(3): the transformed integrand sqrt(8)/(sqrt(3) pi
-    (3 - sin^2 u)) is smooth and bounded, so adaptive quadrature converges
-    cleanly. Bounds outside the support are clipped to it.
+    The difference of the closed-form antiderivative used by ``limit_cdf``,
+    which clips bounds outside the support to it. An empty or reversed
+    interval has mass 0.
     """
-    lo = max(lower, -SUPPORT_EDGE)
-    hi = min(upper, SUPPORT_EDGE)
-    if lo >= hi:
+    if lower >= upper:
         return 0.0
-    u_lo = math.asin(max(-1.0, min(1.0, lo * math.sqrt(3.0))))
-    u_hi = math.asin(max(-1.0, min(1.0, hi * math.sqrt(3.0))))
-
-    def transformed(u: float) -> float:
-        s = math.sin(u)
-        return math.sqrt(8.0) / (math.sqrt(3.0) * math.pi * (3.0 - s * s))
-
-    value, _ = integrate.quad(transformed, u_lo, u_hi, epsabs=1e-12, epsrel=1e-12)
-    return value
+    return _continuous_cdf(upper) - _continuous_cdf(lower)
 
 
 def hadamard_density(x: float) -> float:
@@ -116,25 +104,27 @@ def hadamard_density(x: float) -> float:
     return 1.0 / (math.pi * (1.0 - x * x) * math.sqrt(1.0 - 2.0 * x * x))
 
 
+def _hadamard_cdf(x: float) -> float:
+    """Antiderivative (1 / pi) arctan(x / sqrt(1 - 2 x^2)), clipped to +-1/2.
+
+    The clip comes first: at x = HADAMARD_EDGE, 1 - 2 x^2 rounds to 2.2e-16
+    instead of 0 and the arctan falls short of pi/2 by about 2e-8.
+    """
+    if abs(x) >= HADAMARD_EDGE:
+        return math.copysign(0.5, x)
+    return math.atan(x / math.sqrt(1.0 - 2.0 * x * x)) / math.pi
+
+
 def hadamard_mass(lower: float = -HADAMARD_EDGE, upper: float = HADAMARD_EDGE) -> float:
     """Integral of the Hadamard comparison density over [lower, upper].
 
-    Uses the substitution x = sin(u)/sqrt(2), the analogue of the one in
-    ``continuous_mass``.
+    The difference of the closed-form antiderivative ``_hadamard_cdf``,
+    which clips bounds outside the support to it. An empty or reversed
+    interval has mass 0.
     """
-    lo = max(lower, -HADAMARD_EDGE)
-    hi = min(upper, HADAMARD_EDGE)
-    if lo >= hi:
+    if lower >= upper:
         return 0.0
-    u_lo = math.asin(max(-1.0, min(1.0, lo * math.sqrt(2.0))))
-    u_hi = math.asin(max(-1.0, min(1.0, hi * math.sqrt(2.0))))
-
-    def transformed(u: float) -> float:
-        s = math.sin(u)
-        return math.sqrt(2.0) / (math.pi * (2.0 - s * s))
-
-    value, _ = integrate.quad(transformed, u_lo, u_hi, epsabs=1e-12, epsrel=1e-12)
-    return value
+    return _hadamard_cdf(upper) - _hadamard_cdf(lower)
 
 
 def localization_mass() -> float:
@@ -146,26 +136,31 @@ def localization_mass() -> float:
     return total / 3.0
 
 
-def limit_cdf(x: float) -> float:
-    """CDF of the limit distribution, point mass included as a jump at 0.
+def _continuous_cdf(x: float) -> float:
+    """Mass of the continuous density on (-inf, x]: 0 below the support, 2/3 above.
 
-    Closed form: the continuous part integrates to
-    (2 / 3 pi) arctan(sqrt(2) x / sqrt(1 - 3 x^2)) + 1/3 inside the support
-    (differentiating recovers the density), and the jump adds 1/3 for
-    x >= 0.
+    Closed form (2 / 3 pi) arctan(sqrt(2) x / sqrt(1 - 3 x^2)) + 1/3 inside
+    the support; differentiating recovers the density.
     """
     if x <= -SUPPORT_EDGE:
         return 0.0
     if x >= SUPPORT_EDGE:
-        return 1.0
+        return 2.0 * POINT_MASS
     inner = 1.0 - 3.0 * x * x
     if inner <= 0.0:
-        continuous = POINT_MASS + math.copysign(POINT_MASS, x)
-    else:
-        continuous = POINT_MASS + (2.0 / (3.0 * math.pi)) * math.atan(
-            math.sqrt(2.0) * x / math.sqrt(inner)
-        )
-    return continuous + (POINT_MASS if x >= 0.0 else 0.0)
+        return POINT_MASS + math.copysign(POINT_MASS, x)
+    return POINT_MASS + (2.0 / (3.0 * math.pi)) * math.atan(
+        math.sqrt(2.0) * x / math.sqrt(inner)
+    )
+
+
+def limit_cdf(x: float) -> float:
+    """CDF of the limit distribution, point mass included as a jump at 0.
+
+    The continuous part is ``_continuous_cdf`` and the jump adds 1/3 for
+    x >= 0.
+    """
+    return _continuous_cdf(x) + (POINT_MASS if x >= 0.0 else 0.0)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import triwalk
 from triwalk import (
     QubitState,
     cdf_distance,
@@ -358,3 +362,15 @@ class TestTopLevel:
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; importing scipy would take
+        # most of the CLI start-up time.
+        src = Path(triwalk.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import sys, triwalk.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert "'triwalk'" in result.stdout
+        assert "'scipy'" not in result.stdout

@@ -170,6 +170,18 @@ class TestWavefunction:
         with pytest.raises(ValueError):
             wavefunction(0, -1, FIGURE_STATE, GRID)
 
+    def test_rejects_aliasing_grid(self):
+        # The integrand's frequencies span [n - t, n + t]; 256 midpoint nodes
+        # are exact up to t + |n| = 255 and alias from 256 on (off by 6.5e-2
+        # at n = -140, t = 200 before the guard).
+        grid = QuadratureGrid(256)
+        direct = evolve_line(FIGURE_STATE, 127)
+        psi = wavefunction(-128, 127, FIGURE_STATE, grid)
+        assert np.allclose(psi.as_array(), direct.amplitude(-128).as_array(), atol=1e-12)
+        for n, t in ((-129, 127), (-140, 200), (0, 256)):
+            with pytest.raises(ValueError):
+                wavefunction(n, t, FIGURE_STATE, grid)
+
 
 class TestStationaryIntegral:
     def test_middle_component_value(self):

@@ -25,6 +25,20 @@ from triwalk import (
 POINT_MASS = 1.0 / 3.0
 
 
+def gauss_mass(f, scale: float, lower: float, upper: float) -> float:
+    """Integral of ``f`` over [lower, upper] by 40-node Gauss-Legendre.
+
+    A reference independent of the closed-form antiderivatives. The
+    substitution x = sin(u) / scale, with ``scale`` the inverse support edge,
+    removes the inverse-square-root blowup of the density at the edge.
+    """
+    u_lo, u_hi = math.asin(lower * scale), math.asin(upper * scale)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    u = 0.5 * (u_hi - u_lo) * nodes + 0.5 * (u_hi + u_lo)
+    values = np.array([f(float(x)) for x in np.sin(u) / scale]) * np.cos(u) / scale
+    return 0.5 * (u_hi - u_lo) * float(weights @ values)
+
+
 class TestDensity:
     def test_value_at_origin(self):
         assert density(0.0) == pytest.approx(
@@ -129,12 +143,21 @@ class TestLimitCdf:
             assert numeric == pytest.approx(density(x), rel=1e-5)
 
     def test_increments_match_quadrature(self):
+        sqrt3, sqrt2 = math.sqrt(3.0), math.sqrt(2.0)
+        reference = gauss_mass(density, sqrt3, -0.2, 0.2)
         gap = limit_cdf(0.2) - limit_cdf(-0.2)
-        assert gap == pytest.approx(
-            continuous_mass(-0.2, 0.2) + POINT_MASS, abs=1e-9
-        )
+        assert gap == pytest.approx(reference + POINT_MASS, abs=1e-9)
+        assert continuous_mass(-0.2, 0.2) == pytest.approx(reference, abs=1e-9)
+        reference = gauss_mass(density, sqrt3, 0.1, 0.5)
         gap_positive = limit_cdf(0.5) - limit_cdf(0.1)
-        assert gap_positive == pytest.approx(continuous_mass(0.1, 0.5), abs=1e-9)
+        assert gap_positive == pytest.approx(reference, abs=1e-9)
+        assert continuous_mass(0.1, 0.5) == pytest.approx(reference, abs=1e-9)
+        assert hadamard_mass(-0.5, 0.3) == pytest.approx(
+            gauss_mass(hadamard_density, sqrt2, -0.5, 0.3), abs=1e-9
+        )
+        assert hadamard_mass(0.1, 0.6) == pytest.approx(
+            gauss_mass(hadamard_density, sqrt2, 0.1, 0.6), abs=1e-9
+        )
 
 
 class TestEmpiricalRescaled:

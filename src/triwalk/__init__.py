@@ -48,7 +48,6 @@ from .spectral import (
 from .stationary import (
     GEOMETRIC_RATIO,
     GeometricKernel,
-    StationaryProfile,
     limit_amplitude,
     limit_component,
     limit_probability,
@@ -141,7 +140,6 @@ __all__ = [
     "oscillatory_remainder",
     "GEOMETRIC_RATIO",
     "GeometricKernel",
-    "StationaryProfile",
     "limit_amplitude",
     "limit_component",
     "limit_probability",

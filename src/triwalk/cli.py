@@ -76,6 +76,8 @@ def _grid_size() -> int:
     try:
         size = int(raw)
         QuadratureGrid(size)
+        if size < spectral.MIN_GRID_SIZE:
+            raise ValueError(f"quadrature grid size must be at least {spectral.MIN_GRID_SIZE}")
     except ValueError as exc:
         raise UsageError(f"bad TRIWALK_GRID value {raw!r}: {exc}") from None
     return size
@@ -120,11 +122,8 @@ def _finish(out_dir: Path, manifest: RunManifest, files: list[Path]) -> None:
 
 
 def _distribution_rows(dist: walk.Distribution) -> list[list]:
-    rows = []
-    for n in dist.sites():
-        entry = dist[n]
-        rows.append([n, entry.total, entry.left, entry.zero, entry.right])
-    return rows
+    rows = zip(dist.sites(), dist.totals.tolist(), dist.probabilities.tolist())
+    return [[n, total, *parts] for n, total, parts in rows]
 
 
 _DISTRIBUTION_HEADER = ["n", "p_total", "p_L", "p_0", "p_R"]
@@ -146,13 +145,15 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         state = walk.initial_cycle_state(q, args.cycle)
         stepper = walk.step_cycle
 
-    trace = [walk.distribution(state).total(0)]
-    heat_rows = [walk.distribution(state)] if args.heatmap else None
+    dist = walk.distribution(state)
+    trace = [dist.total(0)]
+    heat_rows = [dist] if args.heatmap else None
     for _ in range(args.steps):
         state = stepper(state)
-        trace.append(walk.distribution(state).total(0))
+        dist = walk.distribution(state)
+        trace.append(dist.total(0))
         if heat_rows is not None:
-            heat_rows.append(walk.distribution(state))
+            heat_rows.append(dist)
 
     final = walk.distribution(state)
     files = []
@@ -176,16 +177,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         files.append(svg_path)
     if args.heatmap:
         heat_path = Path(args.heatmap)
-        sites = final.sites()
-        x0 = sites[0]
-        grid = np.zeros((len(heat_rows), len(sites)))
-        for t_idx, dist in enumerate(heat_rows):
-            for col, n in enumerate(sites):
-                grid[t_idx, col] = dist.total(n)
+        grid = np.zeros((len(heat_rows), len(final)))
+        for row, dist in zip(grid, heat_rows):
+            start = dist.first_site - final.first_site
+            row[start : start + len(dist)] = dist.totals
         _svg.heatmap(
             heat_path,
             grid,
-            x0=x0,
+            x0=final.first_site,
             title="Space-time probability density",
             x_label="n",
             y_label="t",
@@ -218,22 +217,17 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     profile = stationary.stationary_profile(q, args.window)
-    rows = []
-    for n in range(-args.window, args.window + 1):
-        left, zero, right = profile.components[n]
-        rows.append([n, left + zero + right, left, zero, right])
+    mass = stationary.total_mass(q)
     files = []
     csv_path = out_dir / "stationary.csv"
-    _write_csv(csv_path, _DISTRIBUTION_HEADER, rows)
+    _write_csv(csv_path, _DISTRIBUTION_HEADER, _distribution_rows(profile))
     files.append(csv_path)
 
     if args.svg:
         svg_path = Path(args.svg)
-        ns = np.arange(-args.window, args.window + 1)
-        totals = np.array([profile.probability(n) for n in ns])
         _svg.line_chart(
             svg_path,
-            [(ns, totals, "limit P(n)")],
+            [(np.array(profile.sites()), profile.totals, "limit P(n)")],
             title="Stationary profile (log scale)",
             x_label="n",
             y_label="P(n)",
@@ -249,12 +243,12 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
             "window": args.window,
             "grid_size": args.grid_size,
             "svg": args.svg,
-            "total_mass": profile.mass,
+            "total_mass": mass,
         },
     )
     _finish(out_dir, manifest, files)
-    print(f"P(0) = {_fmt(profile.probability(0))}")
-    print(f"total localized mass = {_fmt(profile.mass)}")
+    print(f"P(0) = {_fmt(profile.total(0))}")
+    print(f"total localized mass = {_fmt(mass)}")
     return EXIT_OK
 
 
@@ -296,24 +290,22 @@ def _cmd_weaklimit(args: argparse.Namespace) -> int:
 
     empirical = weaklimit.empirical_rescaled(args.steps)
     distance = weaklimit.cdf_distance(empirical)
+    xs = empirical.positions
     cumulative = np.cumsum(empirical.masses)
-    rows = [
-        [float(x), float(c), weaklimit.limit_cdf(float(x))]
-        for x, c in zip(empirical.positions, cumulative)
-    ]
+    limit = np.array([weaklimit.limit_cdf(float(x)) for x in xs])
     csv_path = out_dir / "weaklimit.csv"
-    _write_csv(csv_path, ["x", "cdf_empirical", "cdf_limit"], rows)
+    _write_csv(
+        csv_path,
+        ["x", "cdf_empirical", "cdf_limit"],
+        np.column_stack((xs, cumulative, limit)).tolist(),
+    )
     files = [csv_path]
 
     if args.svg:
         svg_path = Path(args.svg)
-        xs = empirical.positions
         _svg.line_chart(
             svg_path,
-            [
-                (xs, cumulative, "empirical CDF"),
-                (xs, np.array([weaklimit.limit_cdf(float(x)) for x in xs]), "limit CDF"),
-            ],
+            [(xs, cumulative, "empirical CDF"), (xs, limit, "limit CDF")],
             title=f"Rescaled position CDF at t = {args.steps}",
             x_label="x = n / t",
             y_label="CDF",

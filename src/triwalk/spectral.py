@@ -117,6 +117,16 @@ def default_grid() -> QuadratureGrid:
     return QuadratureGrid(DEFAULT_GRID_SIZE)
 
 
+def _dispersion_terms(k: float | np.ndarray) -> tuple:
+    """cos k, 1 - cos k, cos theta, sin theta and theta at scalar or array ``k``."""
+    cos_k = np.cos(k)
+    # 1 - cos k written as 2 sin^2(k/2) to avoid cancellation near k = 0.
+    one_minus = 2.0 * np.sin(0.5 * k) ** 2
+    cos_theta = -(2.0 + cos_k) / 3.0
+    sin_theta = np.sqrt((5.0 + cos_k) * one_minus) / 3.0
+    return cos_k, one_minus, cos_theta, sin_theta, np.arctan2(sin_theta, cos_theta)
+
+
 def dispersion(k: float) -> DispersionPoint:
     """Evaluate the dispersion relation at momentum ``k``.
 
@@ -125,12 +135,7 @@ def dispersion(k: float) -> DispersionPoint:
     ``theta`` is the angle with those cosine and sine, landing in (0, pi].
     The relation is 2 pi periodic, so any real ``k`` is accepted.
     """
-    cos_k = np.cos(k)
-    # 1 - cos k written as 2 sin^2(k/2) to avoid cancellation near k = 0.
-    one_minus = 2.0 * np.sin(0.5 * k) ** 2
-    cos_theta = -(2.0 + cos_k) / 3.0
-    sin_theta = np.sqrt((5.0 + cos_k) * one_minus) / 3.0
-    theta = np.arctan2(sin_theta, cos_theta)
+    _, _, cos_theta, sin_theta, theta = _dispersion_terms(k)
     return DispersionPoint(
         momentum=float(k),
         cos_theta=float(cos_theta),
@@ -189,9 +194,7 @@ def eigensystem(k: float) -> EigenSystem:
 def _eigen_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached per-grid eigendata: nodes k, phases theta, vectors V[j, node, :]."""
     k = QuadratureGrid(size).nodes()
-    cos_k = np.cos(k)
-    one_minus = 2.0 * np.sin(0.5 * k) ** 2
-    theta = np.arctan2(np.sqrt((5.0 + cos_k) * one_minus) / 3.0, -(2.0 + cos_k) / 3.0)
+    *_, theta = _dispersion_terms(k)
     vectors = np.stack(
         [
             _eigenvector_components(np.zeros_like(k), k),
@@ -207,12 +210,11 @@ def _eigen_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=8)
 def _kernel_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cached per-grid kernel data: nodes, phases, and integrand weights."""
-    k, theta, _ = _eigen_tableau(size)
-    cos_k = np.cos(k)
-    one_minus = 2.0 * np.sin(0.5 * k) ** 2
+    k = QuadratureGrid(size).nodes()
+    cos_k, one_minus, _, _, theta = _dispersion_terms(k)
     inv_five = 1.0 / (5.0 + cos_k)
     inv_root = 1.0 / np.sqrt((5.0 + cos_k) * one_minus)
-    for a in (inv_five, inv_root):
+    for a in (k, theta, inv_five, inv_root):
         a.setflags(write=False)
     return k, theta, inv_five, inv_root
 

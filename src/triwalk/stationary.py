@@ -14,12 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .walk import QubitState
+import numpy as np
+
+from .walk import Distribution, QubitState
 
 __all__ = [
     "GEOMETRIC_RATIO",
     "GeometricKernel",
-    "StationaryProfile",
     "kernel",
     "limit_amplitude",
     "limit_component",
@@ -133,29 +134,13 @@ def total_mass(q: QubitState) -> float:
     return center + (left + right) / (1.0 - c * c)
 
 
-@dataclass(frozen=True)
-class StationaryProfile:
-    """Limit probabilities over a site window, with the all-site total."""
+def stationary_profile(q: QubitState, window: int) -> Distribution:
+    """Limit probabilities per chirality for all sites with |n| <= window.
 
-    window: int
-    components: dict[int, tuple[float, float, float]]
-    mass: float
-
-    def probability(self, n: int) -> float:
-        entry = self.components.get(n)
-        return sum(entry) if entry is not None else 0.0
-
-
-def stationary_profile(q: QubitState, window: int) -> StationaryProfile:
-    """Evaluate the limit profile for all sites with |n| <= window.
-
-    ``mass`` is the closed-form total over the whole line, not just the
-    requested window.
+    The all-site total of the profile is ``total_mass(q)``.
     """
     if window < 1:
         raise ValueError("window must be a positive site count")
-    components = {
-        n: tuple(limit_component(n, l, q) for l in (1, 2, 3))
-        for n in range(-window, window + 1)
-    }
-    return StationaryProfile(window=window, components=components, mass=total_mass(q))
+    sites = range(-window, window + 1)
+    table = np.array([[limit_component(n, l, q) for l in (1, 2, 3)] for n in sites])
+    return Distribution(first_site=-window, probabilities=table)

@@ -22,6 +22,8 @@ from triwalk import (
     empirical_rescaled,
     evolve_line,
     infinite_time_average_total,
+    limit_cdf,
+    stationary_profile,
     total_mass,
 )
 from triwalk.cli import RunManifest, main
@@ -118,6 +120,14 @@ class TestEvolve:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_accepts_qubit_within_norm_tolerance(self, tmp_path):
+        # |q|^2 = 1.00000000016: accepted as input, so evolving it must not
+        # trip the conservation check.
+        code = main(
+            ["evolve", "--qubit=0.6,0,0.8000000001i", "--steps", "3", "--out", str(tmp_path)]
+        )
+        assert code == 0
+
     def test_rejects_unnormalized_qubit(self, tmp_path, capsys):
         code = main(
             ["evolve", "--qubit", "0.5,0.5,0.5", "--steps", "1", "--out", str(tmp_path)]
@@ -204,13 +214,17 @@ class TestStationary:
         q = QubitState(1j * INV_SQRT2, 0.0, INV_SQRT2)
         center = next(r for r in rows if int(r[0]) == 0)
         assert float(center[1]) == pytest.approx(10.0 - 4.0 * math.sqrt(6.0), abs=1e-12)
+        profile = stationary_profile(q, 3)
         for row in rows:
+            n = int(row[0])
             parts = float(row[2]) + float(row[3]) + float(row[4])
-            assert float(row[1]) == pytest.approx(parts, abs=1e-15)
+            assert float(row[1]) == parts
+            assert float(row[1]) == profile.total(n)
+            assert float(row[2]) == profile[n].left
+            assert float(row[3]) == profile[n].zero
+            assert float(row[4]) == profile[n].right
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["parameters"]["total_mass"] == pytest.approx(
-            total_mass(q), abs=1e-15
-        )
+        assert manifest["parameters"]["total_mass"] == total_mass(q)
 
     def test_prints_summary(self, tmp_path, capsys):
         main(
@@ -309,6 +323,8 @@ class TestWeaklimit:
         assert float(rows[0][0]) == -1.0
         assert float(rows[-1][0]) == 1.0
         assert float(rows[-1][1]) == pytest.approx(1.0, abs=1e-12)
+        for row in rows:
+            assert float(row[2]) == limit_cdf(float(row[0]))
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         expected = cdf_distance(empirical_rescaled(100))
         assert manifest["parameters"]["kolmogorov_distance"] == pytest.approx(
@@ -348,7 +364,7 @@ class TestGridOverride:
         assert manifest["parameters"]["grid_size"] == 2048
 
     def test_rejects_bad_values(self, tmp_path, monkeypatch):
-        for bad in ("abc", "999", "-4"):
+        for bad in ("abc", "999", "-4", "64"):
             monkeypatch.setenv("TRIWALK_GRID", bad)
             code = main(
                 ["timeavg", "--qubit", "1,0,0", "--sites", "5", "--out", str(tmp_path)]

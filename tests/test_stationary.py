@@ -152,12 +152,18 @@ class TestTotalMass:
 class TestProfile:
     def test_window_contents(self):
         profile = stationary_profile(FIGURE_STATE, 4)
-        assert sorted(profile.components) == list(range(-4, 5))
-        assert profile.probability(0) == pytest.approx(
-            limit_probability(0, FIGURE_STATE), abs=1e-15
-        )
-        assert profile.probability(99) == 0.0
-        assert profile.mass == total_mass(FIGURE_STATE)
+        assert list(profile.sites()) == list(range(-4, 5))
+        for n in profile.sites():
+            assert profile.total(n) == limit_probability(n, FIGURE_STATE)
+            entry = profile[n]
+            assert (entry.left, entry.zero, entry.right) == tuple(
+                limit_component(n, l, FIGURE_STATE) for l in (1, 2, 3)
+            )
+        for n in (-5, 5, 99):
+            assert profile.total(n) == 0.0
+        # The window misses only the tail beyond |n| = 4, below c^10 ~ 1e-10.
+        assert profile.sum_total() < total_mass(FIGURE_STATE)
+        assert profile.sum_total() == pytest.approx(total_mass(FIGURE_STATE), abs=1e-8)
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):

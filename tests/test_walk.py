@@ -12,6 +12,8 @@ from conftest import FIGURE_STATE, TEST_STATES, mirrored, qubit_states
 from triwalk import (
     ChiralVector,
     CycleState,
+    Distribution,
+    LineState,
     QubitState,
     coin_matrix,
     distribution,
@@ -60,6 +62,13 @@ class TestQubitState:
     def test_accepts_unit_norm(self):
         q = QubitState(0.6, 0.0, 0.8j)
         assert q.as_array().shape == (3,)
+
+    def test_norm_slack_survives_evolution(self):
+        # |q|^2 = 1.00000000016 is inside NORM_TOLERANCE; the state checks
+        # after each step must admit the same slack.
+        q = QubitState(0.6, 0.0, 0.8000000001j)
+        assert evolve_line(q, 3).time == 3
+        assert evolve_cycle(q, 5, 3).time == 3
 
     def test_as_array_is_copy(self):
         q = FIGURE_STATE
@@ -137,6 +146,31 @@ class TestLineEvolution:
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
+class TestConservationCheck:
+    @staticmethod
+    def _single_site(total: float) -> np.ndarray:
+        return np.array([[math.sqrt(total), 0.0, 0.0]], dtype=complex)
+
+    def test_accepts_roundoff_drift_at_long_times(self):
+        # Stepping drifts the norm by about 1.07e-16 per step.
+        state = LineState(0, self._single_site(1.0 - 1.07e-12), time=10000)
+        assert state.time == 10000
+        ring = np.zeros((3, 3), dtype=complex)
+        ring[0] = self._single_site(1.0 - 1.07e-12)[0]
+        assert CycleState(3, ring, time=10000).time == 10000
+
+    def test_rejects_real_loss(self):
+        for time in (0, 10000):
+            with pytest.raises(ValueError, match="conservation"):
+                LineState(0, self._single_site(1.0 - 1e-6), time=time)
+            with pytest.raises(ValueError, match="conservation"):
+                LineState(0, self._single_site(1.0 + 1e-6), time=time)
+        ring = np.zeros((3, 3), dtype=complex)
+        ring[0] = self._single_site(1.0 - 1e-6)[0]
+        with pytest.raises(ValueError, match="conservation"):
+            CycleState(3, ring, time=10000)
+
+
 class TestCycleEvolution:
     def test_rejects_even_or_tiny_rings(self):
         with pytest.raises(ValueError):
@@ -205,6 +239,61 @@ class TestDistribution:
     def test_total_defaults_to_zero_outside_window(self):
         dist = distribution(evolve_line(FIGURE_STATE, 3))
         assert dist.total(100) == 0.0
+
+    def test_line_window(self):
+        state = evolve_line(FIGURE_STATE, 5)
+        dist = distribution(state)
+        assert dist.first_site == -5
+        assert list(dist.sites()) == list(range(-5, 6))
+        assert list(dist) == list(range(-5, 6))
+        assert len(dist) == 11
+        assert np.array_equal(dist.probabilities, np.abs(state.amplitudes) ** 2)
+        for i, n in enumerate(dist.sites()):
+            entry = dist[n]
+            assert (entry.left, entry.zero, entry.right) == tuple(dist.probabilities[i])
+
+    def test_cycle_window(self):
+        state = evolve_cycle(FIGURE_STATE, 7, 4)
+        dist = distribution(state)
+        assert dist.first_site == 0
+        assert list(dist.sites()) == list(range(7))
+        assert np.array_equal(dist.probabilities, np.abs(state.amplitudes) ** 2)
+
+    def test_totals_are_left_to_right_component_sums(self):
+        for state in (evolve_line(FIGURE_STATE, 9), evolve_cycle(TEST_STATES[7], 9, 12)):
+            dist = distribution(state)
+            p = dist.probabilities
+            assert np.array_equal(dist.totals, p[:, 0] + p[:, 1] + p[:, 2])
+            for n in dist.sites():
+                entry = dist[n]
+                assert dist.total(n) == entry.left + entry.zero + entry.right
+                assert entry.total == dist.total(n)
+                assert isinstance(dist.total(n), float)
+
+    def test_zero_outside_line_and_cycle_windows(self):
+        line = distribution(evolve_line(FIGURE_STATE, 4))
+        ring = distribution(evolve_cycle(FIGURE_STATE, 7, 4))
+        for dist, outside in ((line, (-5, 5, -100)), (ring, (-1, 7, 14))):
+            for n in outside:
+                assert dist.total(n) == 0.0
+                with pytest.raises(KeyError):
+                    dist[n]
+
+    def test_arrays_are_read_only_copies(self):
+        table = np.full((2, 3), 1.0 / 6.0)
+        dist = Distribution(first_site=3, probabilities=table)
+        table[0, 0] = 1.0
+        assert dist.total(3) == 0.5
+        for a in (dist.probabilities, dist.totals):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        state_dist = distribution(evolve_line(FIGURE_STATE, 2))
+        assert not state_dist.probabilities.flags.writeable
+        assert not state_dist.totals.flags.writeable
+
+    def test_rejects_bad_shape(self):
+        with pytest.raises(ValueError):
+            Distribution(first_site=0, probabilities=np.zeros((4, 2)))
 
     def test_chiral_vector_roundtrip(self):
         vec = ChiralVector(0.1 + 0.2j, -0.3, 0.4j)

@@ -56,7 +56,7 @@ __all__ = [
 #: Default number of momentum quadrature nodes.
 DEFAULT_GRID_SIZE = 16384
 
-#: Smallest grid accepted by the wavefunction quadratures.
+#: Smallest grid accepted by the wavefunction and kernel quadratures.
 MIN_GRID_SIZE = 256
 
 
@@ -220,7 +220,10 @@ def _kernel_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 
 
 def _require_grid(grid: QuadratureGrid | None) -> QuadratureGrid:
-    return grid if grid is not None else default_grid()
+    grid = grid if grid is not None else default_grid()
+    if grid.size < MIN_GRID_SIZE:
+        raise ValueError(f"quadrature grid too small (need >= {MIN_GRID_SIZE} nodes)")
+    return grid
 
 
 def wavefunction(
@@ -246,8 +249,6 @@ def wavefunction(
         is exact only for integrand frequencies below the grid size.
     """
     grid = _require_grid(grid)
-    if grid.size < MIN_GRID_SIZE:
-        raise ValueError(f"quadrature grid too small (need >= {MIN_GRID_SIZE} nodes)")
     if t < 0:
         raise ValueError("step count must be non-negative")
     if t + abs(n) >= grid.size:
@@ -275,8 +276,6 @@ def stationary_component_integral(
     limit probability component.
     """
     grid = _require_grid(grid)
-    if grid.size < MIN_GRID_SIZE:
-        raise ValueError(f"quadrature grid too small (need >= {MIN_GRID_SIZE} nodes)")
     if l not in (1, 2, 3):
         raise ValueError("chirality index must be 1, 2, or 3")
     k, _, vectors = _eigen_tableau(grid.size)
@@ -300,6 +299,8 @@ def j_kernel(n: int, t: int, grid: QuadratureGrid | None = None) -> float:
     time-free integral 1/(2 sqrt 6) for n = 0.
     """
     grid = _require_grid(grid)
+    if t < 0:
+        raise ValueError("step count must be non-negative")
     k, theta, inv_five, _ = _kernel_tableau(grid.size)
     return float(np.mean(np.cos(k * n) * np.cos(theta * t) * inv_five))
 

@@ -33,10 +33,6 @@ __all__ = [
     "infinite_time_average_total",
 ]
 
-#: Two eigenphases closer than this are treated as the same eigenvalue.
-PHASE_TOLERANCE = 1e-9
-
-
 @dataclass(frozen=True)
 class MomentumBlock:
     """Spectral data of one momentum block of the cycle evolution.
@@ -100,32 +96,6 @@ def momentum_blocks(n_sites: int) -> tuple[MomentumBlock, ...]:
     return tuple(blocks)
 
 
-def _check_group_structure(
-    groups: list[tuple[float, list[tuple[int, int]], np.ndarray]], n_sites: int
-) -> None:
-    # The odd-cycle spectrum is known exactly: one eigenvalue 1 collecting the
-    # stationary branch of every mode, the doubly degenerate -1 at mode 0, and
-    # the moving phases pairing modes +-m. Anything else means the phase
-    # clustering misfired, so fail loudly rather than return a wrong average.
-    if len(groups) != n_sites + 1:
-        raise RuntimeError("unexpected number of eigenvalue groups on the cycle")
-    for phase, members, _ in groups:
-        if phase < PHASE_TOLERANCE:
-            ok = len(members) == n_sites and all(j == 1 for _, j in members)
-        elif abs(phase - math.pi) < PHASE_TOLERANCE:
-            ok = sorted(members) == [(0, 2), (0, 3)]
-        else:
-            modes = sorted(mode for mode, _ in members)
-            branches = {j for _, j in members}
-            ok = (
-                len(members) == 2
-                and modes[0] == -modes[1]
-                and len(branches) == 1
-            )
-        if not ok:
-            raise RuntimeError("eigenvalue group structure does not match the cycle spectrum")
-
-
 def eigenvalue_groups(
     n_sites: int, q: QubitState, site: int = 0
 ) -> tuple[EigenvalueGroup, ...]:
@@ -134,36 +104,38 @@ def eigenvalue_groups(
     The initial state sits at site 0, so every momentum block receives the
     same internal vector; the projected amplitude of block m at the target
     site carries the plane-wave factor e^{i k_m site} / n_sites.
+
+    The odd-cycle spectrum is known exactly, so the groups are read off it
+    instead of found by comparing phases: eigenvalue 1 collects the
+    stationary branch of every mode, mode 0 alone carries the doubly
+    degenerate -1, and modes -m and +m share each moving phase +-theta.
+    theta falls strictly as |k| grows, which fixes the ascending phase order
+    0, theta (m = half..1), pi, 2 pi - theta (m = 1..half).
     """
     q_arr = q.as_array()
-    items = []
+    # Per mode, the projected amplitude of each pair; mode 0 has two pairs,
+    # the second being its rank-2 projection at -1.
+    amp, theta = {}, {}
     for block in momentum_blocks(n_sites):
         wave = np.exp(1j * block.momentum * site) / n_sites
-        for branch, (phase, projector) in enumerate(block.pairs, start=1):
-            canonical = float(np.remainder(phase, 2.0 * math.pi))
-            amplitude = wave * (projector @ q_arr)
-            if block.mode == 0 and branch == 2:
-                members = [(0, 2), (0, 3)]
-            else:
-                members = [(block.mode, branch)]
-            items.append((canonical, members, amplitude))
-    items.sort(key=lambda item: item[0])
+        amp[block.mode] = [wave * (projector @ q_arr) for _, projector in block.pairs]
+        theta[block.mode] = block.pairs[1][0]
+    half = n_sites // 2
+    modes = range(-half, half + 1)
 
-    grouped: list[tuple[float, list[tuple[int, int]], np.ndarray]] = []
-    for canonical, members, amplitude in items:
-        if grouped and canonical - grouped[-1][0] < PHASE_TOLERANCE:
-            grouped[-1][1].extend(members)
-            grouped[-1][2][:] += amplitude
-        else:
-            grouped.append((canonical, list(members), amplitude.copy()))
-    _check_group_structure(grouped, n_sites)
-    return tuple(
-        EigenvalueGroup(
-            phase=phase,
-            members=tuple(members),
-            amplitude=ChiralVector.from_array(amplitude),
+    def group(phase: float, members: tuple, amplitude: np.ndarray) -> EigenvalueGroup:
+        return EigenvalueGroup(
+            phase=phase, members=members, amplitude=ChiralVector.from_array(amplitude)
         )
-        for phase, members, amplitude in grouped
+
+    return (
+        group(0.0, tuple((m, 1) for m in modes), sum(amp[m][0] for m in modes)),
+        *(group(theta[m], ((-m, 2), (m, 2)), amp[-m][1] + amp[m][1]) for m in range(half, 0, -1)),
+        group(math.pi, ((0, 2), (0, 3)), amp[0][1]),
+        *(
+            group(2.0 * math.pi - theta[m], ((-m, 3), (m, 3)), amp[-m][2] + amp[m][2])
+            for m in range(1, half + 1)
+        ),
     )
 
 

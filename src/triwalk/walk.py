@@ -76,7 +76,7 @@ class QubitState:
 
     def __post_init__(self) -> None:
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2 + abs(self.gamma) ** 2
-        if abs(norm_sq - 1.0) > NORM_TOLERANCE:
+        if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:  # also rejects NaN
             raise ValueError(
                 f"initial state is not normalized: |state|^2 = {norm_sq!r}"
             )
@@ -113,7 +113,7 @@ def _check_total_probability(amplitudes: np.ndarray, time: int, what: str) -> No
     # The initial state may be off by NORM_TOLERANCE; every step, plus the
     # re-evaluation of the initial norm here, adds at most STEP_ROUNDOFF.
     total = float(np.sum(np.abs(amplitudes) ** 2))
-    if abs(total - 1.0) > NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF:
+    if not abs(total - 1.0) <= NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF:
         raise ValueError(f"{what} breaks probability conservation: total = {total!r}")
 
 

@@ -134,6 +134,16 @@ class TestEvolve:
         )
         assert code == 3
         assert "error" in capsys.readouterr().err
+        # NaN amplitudes used to pass the norm check and write NaN tables.
+        for argv in (
+            ["evolve", "--qubit=nan,0,0", "--steps", "3"],
+            ["stationary", "--qubit=1,nan,0"],
+            ["timeavg", "--qubit=0,0,nan", "--sites", "5"],
+        ):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--out", str(out)]) == 3
+            assert "error" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_rejects_unparseable_qubit(self, tmp_path):
         assert (

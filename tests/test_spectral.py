@@ -165,10 +165,22 @@ class TestWavefunction:
             )
 
     def test_rejects_small_grid_and_negative_time(self):
-        with pytest.raises(ValueError):
-            wavefunction(0, 1, FIGURE_STATE, QuadratureGrid(128))
-        with pytest.raises(ValueError):
-            wavefunction(0, -1, FIGURE_STATE, GRID)
+        small = QuadratureGrid(128)
+        calls = [
+            lambda: wavefunction(0, 1, FIGURE_STATE, small),
+            lambda: wavefunction(0, -1, FIGURE_STATE, GRID),
+            lambda: stationary_component_integral(0, 1, FIGURE_STATE, small),
+            # An 8-node grid used to give k_kernel(0, 3) = 0.333 silently.
+            lambda: j_kernel(0, 3, QuadratureGrid(8)),
+            lambda: k_kernel(0, 3, QuadratureGrid(8)),
+            lambda: remainder_matrix(0, 3, small),
+            # j_kernel(0, -1) used to equal j_kernel(0, 1) silently.
+            lambda: j_kernel(0, -1, GRID),
+            lambda: k_kernel(0, -1, GRID),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
 
     def test_rejects_aliasing_grid(self):
         # The integrand's frequencies span [n - t, n + t]; 256 midpoint nodes

@@ -11,6 +11,7 @@ from hypothesis import given
 from conftest import (
     FIGURE_STATE,
     TEST_STATES,
+    UNIFORM_STATE,
     ZERO_LOCALIZATION_STATE,
     qubit_states,
 )
@@ -65,30 +66,87 @@ class TestMomentumBlocks:
         )
 
 
+def eig_reference_average(n_sites: int, q: QubitState, site: int) -> float:
+    """Cesaro average at ``site`` from NumPy ``eig`` of every 3x3 momentum block.
+
+    Each block is diag(e^{ik}, 1, e^{-ik}) times the coin, built here
+    independently of the library. Per block the branches are ordered: the
+    eigenvalue nearest 1 (stationary), then the other two by ascending
+    Im(eigenvalue). Every stationary branch shares eigenvalue 1, the other
+    two mode-0 branches share -1, and modes -m and +m share each moving
+    branch.
+    """
+    coin = np.full((3, 3), 2.0 / 3.0) - np.eye(3)
+    half = n_sites // 2
+    k = 2.0 * math.pi * np.arange(-half, half + 1) / n_sites
+    blocks = np.exp(1j * np.outer(k, [1.0, 0.0, -1.0]))[:, :, None] * coin
+    values, vectors = np.linalg.eig(blocks)
+    stationary = np.abs(values - 1.0) == np.min(np.abs(values - 1.0), axis=1, keepdims=True)
+    order = np.argsort(np.where(stationary, -np.inf, values.imag), axis=1)
+    values = np.take_along_axis(values, order, axis=1)
+    vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    # parts[mode, :, branch]: the initial state's component along each
+    # eigenvector, carried to ``site`` by the plane wave.
+    state = np.broadcast_to(q.as_array()[:, None], (len(k), 3, 1))
+    coefficients = np.linalg.solve(vectors, state)[:, :, 0]
+    parts = vectors * coefficients[:, None, :] * (np.exp(1j * k * site) / n_sites)[:, None, None]
+    assert np.allclose(values[:, 0], 1.0, atol=1e-12)
+    assert np.allclose(values[half, 1:], -1.0, atol=1e-12)
+    assert np.allclose(values[:half][::-1], values[half + 1 :], atol=1e-12)
+    groups = [parts[:, :, 0].sum(axis=0), parts[half, :, 1] + parts[half, :, 2]]
+    for branch in (1, 2):
+        groups += list(parts[:half][::-1, :, branch] + parts[half + 1 :, :, branch])
+    return float(sum(np.sum(np.abs(g) ** 2) for g in groups))
+
+
 class TestEigenvalueGroups:
     def test_group_structure(self):
-        n_sites = 9
-        groups = eigenvalue_groups(n_sites, FIGURE_STATE)
-        assert len(groups) == n_sites + 1
-        stationary = [g for g in groups if g.phase < 1e-9]
-        assert len(stationary) == 1
-        assert len(stationary[0].members) == n_sites
-        flipped = [g for g in groups if abs(g.phase - math.pi) < 1e-9]
-        assert sorted(flipped[0].members) == [(0, 2), (0, 3)]
-        for g in groups:
-            if g is stationary[0] or g is flipped[0]:
-                continue
-            modes = sorted(m for m, _ in g.members)
-            assert modes[0] == -modes[1]
+        for n_sites in (9, 101):
+            groups = eigenvalue_groups(n_sites, FIGURE_STATE)
+            assert len(groups) == n_sites + 1
+            stationary = [g for g in groups if g.phase < 1e-9]
+            assert len(stationary) == 1
+            assert len(stationary[0].members) == n_sites
+            assert all(branch == 1 for _, branch in stationary[0].members)
+            flipped = [g for g in groups if abs(g.phase - math.pi) < 1e-9]
+            assert len(flipped) == 1
+            assert sorted(flipped[0].members) == [(0, 2), (0, 3)]
+            for g in groups:
+                if g is stationary[0] or g is flipped[0]:
+                    continue
+                modes = sorted(m for m, _ in g.members)
+                assert len(modes) == 2 and modes[0] == -modes[1] != 0
+                assert len({branch for _, branch in g.members}) == 1
+            # Every (mode, branch) label lands in exactly one group, at its
+            # own block eigenphase taken into [0, 2 pi); mode 0's rank-2 pair
+            # is labelled (0, 2) and (0, 3).
+            labels = [member for g in groups for member in g.members]
+            assert len(labels) == len(set(labels)) == 3 * n_sites
+            phase_of = {member: g.phase for g in groups for member in g.members}
+            for block in momentum_blocks(n_sites):
+                for branch, (phase, _) in enumerate(block.pairs, start=1):
+                    assert phase_of[block.mode, branch] == pytest.approx(
+                        phase % (2.0 * math.pi), abs=1e-15
+                    )
 
     def test_phases_sorted_and_distinct(self):
-        groups = eigenvalue_groups(7, FIGURE_STATE)
-        phases = [g.phase for g in groups]
-        assert phases == sorted(phases)
-        assert min(np.diff(phases)) > 1e-6
+        for n_sites in (7, 101):
+            phases = [g.phase for g in eigenvalue_groups(n_sites, FIGURE_STATE)]
+            assert phases == sorted(phases)
+            assert min(np.diff(phases)) > 1e-6
+            assert phases[0] == 0.0 and phases[-1] < 2.0 * math.pi
 
 
 class TestCycleTimeAverage:
+    def test_matches_eig_reference(self):
+        for n_sites in (3, 9, 101, 1001):
+            for q in (FIGURE_STATE, UNIFORM_STATE, ZERO_LOCALIZATION_STATE, TEST_STATES[-1]):
+                for site in {0, 1, n_sites // 3}:
+                    reference = eig_reference_average(n_sites, q, site)
+                    assert cycle_time_average(n_sites, q, site) == pytest.approx(
+                        reference, abs=1e-12
+                    )
+
     def test_matches_brute_force_on_periodic_cycle(self):
         # On three sites every eigenphase is a multiple of pi/3, so the walk
         # is exactly periodic with period 6; a running average over whole

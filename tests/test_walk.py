@@ -58,6 +58,11 @@ class TestQubitState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             QubitState(0.6, 0.8, 0.1)
+        # A NaN norm compares False against any bound, so it must be
+        # rejected explicitly rather than slip through.
+        for bad in ((math.nan, 0.0, 0.0), (1.0, complex(0.0, math.nan), 0.0)):
+            with pytest.raises(ValueError):
+                QubitState(*bad)
 
     def test_accepts_unit_norm(self):
         q = QubitState(0.6, 0.0, 0.8j)
@@ -169,6 +174,8 @@ class TestConservationCheck:
         ring[0] = self._single_site(1.0 - 1e-6)[0]
         with pytest.raises(ValueError, match="conservation"):
             CycleState(3, ring, time=10000)
+        with pytest.raises(ValueError, match="conservation"):
+            LineState(0, self._single_site(math.nan), time=0)
 
 
 class TestCycleEvolution:

@@ -25,79 +25,15 @@ cli
 """
 
 from . import spectral, stationary, timeavg, walk, weaklimit
-from .spectral import (
-    DEFAULT_GRID_SIZE,
-    DispersionPoint,
-    EigenSystem,
-    OscillatoryKernels,
-    QuadratureGrid,
-    RemainderMatrix,
-    SingularMomentumError,
-    default_grid,
-    dispersion,
-    eigensystem,
-    fourier_operator,
-    j_kernel,
-    k_kernel,
-    oscillatory_kernels,
-    oscillatory_remainder,
-    remainder_matrix,
-    stationary_component_integral,
-    wavefunction,
-)
-from .stationary import (
-    GEOMETRIC_RATIO,
-    GeometricKernel,
-    limit_amplitude,
-    limit_component,
-    limit_probability,
-    stationary_profile,
-    total_mass,
-)
-from .timeavg import (
-    EigenvalueGroup,
-    MomentumBlock,
-    cycle_time_average,
-    eigenvalue_groups,
-    infinite_time_average_component,
-    infinite_time_average_total,
-    momentum_blocks,
-)
-from .walk import (
-    ChiralVector,
-    CycleState,
-    Distribution,
-    LineState,
-    QubitState,
-    SiteProbability,
-    coin_matrix,
-    distribution,
-    evolve_cycle,
-    evolve_line,
-    initial_cycle_state,
-    initial_line_state,
-    projector_matrices,
-    step_cycle,
-    step_line,
-)
-from .weaklimit import (
-    HADAMARD_EDGE,
-    SUPPORT_EDGE,
-    EmpiricalRescaled,
-    LimitDensity,
-    cdf_distance,
-    continuous_mass,
-    density,
-    empirical_rescaled,
-    hadamard_density,
-    hadamard_mass,
-    limit_cdf,
-    limit_density,
-    localization_mass,
-)
+from .spectral import *  # noqa: F403
+from .stationary import *  # noqa: F403
+from .timeavg import *  # noqa: F403
+from .walk import *  # noqa: F403
+from .weaklimit import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each submodule's ``__all__`` is the one list of its public names.
 __all__ = [
     "__version__",
     "walk",
@@ -105,64 +41,9 @@ __all__ = [
     "stationary",
     "timeavg",
     "weaklimit",
-    "QubitState",
-    "ChiralVector",
-    "LineState",
-    "CycleState",
-    "Distribution",
-    "SiteProbability",
-    "coin_matrix",
-    "projector_matrices",
-    "initial_line_state",
-    "step_line",
-    "evolve_line",
-    "initial_cycle_state",
-    "step_cycle",
-    "evolve_cycle",
-    "distribution",
-    "DEFAULT_GRID_SIZE",
-    "SingularMomentumError",
-    "DispersionPoint",
-    "EigenSystem",
-    "QuadratureGrid",
-    "OscillatoryKernels",
-    "RemainderMatrix",
-    "dispersion",
-    "fourier_operator",
-    "eigensystem",
-    "default_grid",
-    "wavefunction",
-    "stationary_component_integral",
-    "j_kernel",
-    "k_kernel",
-    "oscillatory_kernels",
-    "remainder_matrix",
-    "oscillatory_remainder",
-    "GEOMETRIC_RATIO",
-    "GeometricKernel",
-    "limit_amplitude",
-    "limit_component",
-    "limit_probability",
-    "total_mass",
-    "stationary_profile",
-    "MomentumBlock",
-    "EigenvalueGroup",
-    "momentum_blocks",
-    "eigenvalue_groups",
-    "cycle_time_average",
-    "infinite_time_average_component",
-    "infinite_time_average_total",
-    "SUPPORT_EDGE",
-    "HADAMARD_EDGE",
-    "LimitDensity",
-    "EmpiricalRescaled",
-    "density",
-    "continuous_mass",
-    "hadamard_density",
-    "hadamard_mass",
-    "localization_mass",
-    "limit_cdf",
-    "limit_density",
-    "empirical_rescaled",
-    "cdf_distance",
+    *walk.__all__,
+    *spectral.__all__,
+    *stationary.__all__,
+    *timeavg.__all__,
+    *weaklimit.__all__,
 ]

@@ -13,6 +13,7 @@ physical input (non-normalized state, even cycle size).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -74,13 +75,9 @@ def _grid_size() -> int:
     if raw is None:
         return DEFAULT_GRID_SIZE
     try:
-        size = int(raw)
-        QuadratureGrid(size)
-        if size < spectral.MIN_GRID_SIZE:
-            raise ValueError(f"quadrature grid size must be at least {spectral.MIN_GRID_SIZE}")
+        return spectral._require_grid(QuadratureGrid(int(raw))).size
     except ValueError as exc:
         raise UsageError(f"bad TRIWALK_GRID value {raw!r}: {exc}") from None
-    return size
 
 
 @dataclass
@@ -128,6 +125,15 @@ def _distribution_rows(dist: walk.Distribution) -> list[list]:
 
 _DISTRIBUTION_HEADER = ["n", "p_total", "p_L", "p_0", "p_R"]
 
+#: The localizing state of the paper's probability-trace figure.
+_FIGURE_STATE = QubitState(1j / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))
+
+#: Limit of P(0, t) for the figure state: 10 - 4 sqrt 6.
+_ORIGIN_LIMIT = 10.0 - 4.0 * math.sqrt(6.0)
+
+#: Long-run average of P(0, t) for every state without stayer amplitude.
+_NO_STAYER_LEVEL = 2.0 * (5.0 - 2.0 * math.sqrt(6.0))
+
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     q = _parse_qubit(args.qubit)
@@ -172,7 +178,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             title="Probability at the origin",
             x_label="t",
             y_label="P(0, t)",
-            hline=2.0 * (5.0 - 2.0 * math.sqrt(6.0)),
+            hline=_NO_STAYER_LEVEL,
         )
         files.append(svg_path)
     if args.heatmap:
@@ -327,226 +333,192 @@ def _cmd_weaklimit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check(name: str, passed: bool, detail: str) -> tuple[str, bool, str]:
-    return name, passed, detail
+# Verification checks: one table row (suite, name, bound, measure) each. A
+# measure returns (value, detail) and the check passes when value < bound.
+# Every measure computes the routes it compares (direct evolution, momentum
+# quadrature, closed forms) on its own; no route is fed another's output.
 
 
-def _suite_paper_constants() -> list[tuple[str, bool, str]]:
-    checks = []
+def _worst(gap: float, label: str = "worst gap") -> tuple[float, str]:
+    return gap, f"{label} {gap:.2e}"
+
+
+def _versus(value: float, expected: float) -> tuple[float, str]:
+    return abs(value - expected), f"{value:.13f} vs {expected:.13f}"
+
+
+def _shown(value: float, expected: float, digits: int) -> tuple[float, str]:
+    return abs(value - expected), f"{value:.{digits}f}"
+
+
+@functools.lru_cache(maxsize=8)
+def _figure_line(t: int) -> walk.LineState:
+    """The figure state evolved directly on the line (several checks share t)."""
+    return walk.evolve_line(_FIGURE_STATE, t)
+
+
+@functools.cache
+def _eigen_gaps() -> tuple[float, float]:
+    """Worst orthonormality and eigen-residual gaps on every 8th node of 1024."""
+    ortho_gap = residual_gap = 0.0
+    for k in QuadratureGrid(1024).nodes()[::8].tolist():
+        system = spectral.eigensystem(k)
+        vectors = np.stack([v.as_array() for v in system.vectors])
+        gram = vectors.conj() @ vectors.T
+        ortho_gap = max(ortho_gap, float(np.max(np.abs(gram - np.eye(3)))))
+        op = spectral.fourier_operator(k)
+        for phase, vec in zip(system.phases, vectors):
+            residual = np.max(np.abs(op @ vec - np.exp(1j * phase) * vec))
+            residual_gap = max(residual_gap, float(residual))
+    return ortho_gap, residual_gap
+
+
+def _coin_unitarity() -> tuple[float, str]:
     coin = walk.coin_matrix()
-    residual = float(np.max(np.abs(coin @ coin.conj().T - np.eye(3))))
-    checks.append(_check("coin unitarity", residual < 1e-15, f"residual {residual:.2e}"))
+    return _worst(float(np.max(np.abs(coin @ coin.conj().T - np.eye(3)))), "residual")
 
-    figure_state = QubitState(1j / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))
-    origin = stationary.limit_probability(0, figure_state)
-    expected = 10.0 - 4.0 * math.sqrt(6.0)
-    checks.append(
-        _check(
-            "stationary origin value",
-            abs(origin - expected) < 1e-12,
-            f"{origin:.13f} vs {expected:.13f}",
-        )
-    )
 
-    mass_cases = [
-        (figure_state, 1.0 / math.sqrt(6.0)),
-        (QubitState(*(1.0 / math.sqrt(3.0),) * 3), 3.0 - math.sqrt(6.0)),
-        (
-            QubitState(
-                1.0 / math.sqrt(3.0), -1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)
-            ),
-            (3.0 - math.sqrt(6.0)) / 9.0,
-        ),
+def _total_masses() -> tuple[float, str]:
+    third = 1.0 / math.sqrt(3.0)
+    cases = [
+        (_FIGURE_STATE, 1.0 / math.sqrt(6.0)),
+        (QubitState(third, third, third), 3.0 - math.sqrt(6.0)),
+        (QubitState(third, -third, third), (3.0 - math.sqrt(6.0)) / 9.0),
     ]
-    worst = max(abs(stationary.total_mass(q) - want) for q, want in mass_cases)
-    checks.append(_check("localized total masses", worst < 1e-12, f"worst gap {worst:.2e}"))
+    return _worst(max(abs(stationary.total_mass(q) - want) for q, want in cases))
 
+
+def _ratio_root() -> tuple[float, str]:
     c = stationary.GEOMETRIC_RATIO
-    root_residual = abs(c * c + 10.0 * c + 1.0)
-    checks.append(
-        _check("decay ratio root identity", root_residual < 1e-14, f"residual {root_residual:.2e}")
-    )
+    return _worst(abs(c * c + 10.0 * c + 1.0), "residual")
 
-    top = timeavg.infinite_time_average_total(figure_state)
-    top_expected = 2.0 * (5.0 - 2.0 * math.sqrt(6.0))
-    checks.append(
-        _check(
-            "time-average level without stayer amplitude",
-            abs(top - top_expected) < 1e-12,
-            f"{top:.13f} vs {top_expected:.13f}",
-        )
-    )
 
+def _time_average_vs_stationary() -> tuple[float, str]:
     sample = [
-        figure_state,
+        _FIGURE_STATE,
         QubitState(1.0, 0.0, 0.0),
         QubitState(0.0, 1.0, 0.0),
         QubitState(0.5, 0.5j, math.sqrt(0.5)),
     ]
-    gap = max(
-        abs(
-            timeavg.infinite_time_average_component(l, q)
-            - stationary.limit_component(0, l, q)
-        )
+    gaps = (
+        abs(timeavg.infinite_time_average_component(l, q) - stationary.limit_component(0, l, q))
         for q in sample
         for l in (1, 2, 3)
     )
-    checks.append(
-        _check("time average equals stationary at origin", gap < 1e-12, f"worst gap {gap:.2e}")
-    )
-
-    d0 = weaklimit.density(0.0)
-    d0_expected = math.sqrt(8.0) / (3.0 * math.pi)
-    checks.append(
-        _check("limit density at 0", abs(d0 - d0_expected) < 1e-12, f"{d0:.10f}")
-    )
-
-    lm = weaklimit.localization_mass()
-    checks.append(
-        _check("localization mass 1/3", abs(lm - 1.0 / 3.0) < 1e-12, f"{lm:.15f}")
-    )
-
-    cm = weaklimit.continuous_mass()
-    checks.append(
-        _check("continuous mass 2/3", abs(cm - 2.0 / 3.0) < 1e-6, f"{cm:.10f}")
-    )
-    return checks
+    return _worst(max(gaps))
 
 
-def _suite_evolution() -> list[tuple[str, bool, str]]:
-    checks = []
+def _single_step() -> tuple[float, str]:
     one_step = walk.distribution(walk.evolve_line(QubitState(1.0, 0.0, 0.0), 1))
     oracle = {-1: 1.0 / 9.0, 0: 4.0 / 9.0, 1: 4.0 / 9.0}
-    gap = max(abs(one_step.total(n) - p) for n, p in oracle.items())
-    checks.append(_check("single step from a pure left mover", gap < 1e-15, f"worst gap {gap:.2e}"))
+    return _worst(max(abs(one_step.total(n) - p) for n, p in oracle.items()))
 
-    figure_state = QubitState(1j / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))
-    state = walk.evolve_line(figure_state, 1000)
-    total = float(np.sum(np.abs(state.amplitudes) ** 2))
-    checks.append(
-        _check("probability conservation at t = 1000", abs(total - 1.0) < 1e-12, f"total {total:.15f}")
-    )
-    p0 = walk.distribution(state).total(0)
-    expected = 10.0 - 4.0 * math.sqrt(6.0)
-    checks.append(
-        _check(
-            "origin probability near the localized limit",
-            abs(p0 - expected) < 0.01,
-            f"P(0, 1000) = {p0:.6f}, limit {expected:.6f}",
-        )
-    )
 
+def _conservation() -> tuple[float, str]:
+    total = float(np.sum(np.abs(_figure_line(1000).amplitudes) ** 2))
+    return abs(total - 1.0), f"total {total:.15f}"
+
+
+def _origin_near_limit() -> tuple[float, str]:
+    p0 = walk.distribution(_figure_line(1000)).total(0)
+    return abs(p0 - _ORIGIN_LIMIT), f"P(0, 1000) = {p0:.6f}, limit {_ORIGIN_LIMIT:.6f}"
+
+
+def _zero_localization_decay() -> tuple[float, str]:
     s6 = math.sqrt(6.0)
     zero_state = QubitState(1.0 / s6, -2.0 / s6, 1.0 / s6)
-    p0_zero = walk.distribution(walk.evolve_line(zero_state, 1000)).total(0)
-    checks.append(
-        _check("zero-localization state decays", p0_zero < 0.01, f"P(0, 1000) = {p0_zero:.2e}")
-    )
+    p0 = walk.distribution(walk.evolve_line(zero_state, 1000)).total(0)
+    return p0, f"P(0, 1000) = {p0:.2e}"
 
+
+def _cycle_wraparound() -> tuple[float, str]:
     wrap = walk.distribution(walk.evolve_cycle(QubitState(1.0, 0.0, 0.0), 5, 1))
-    wrap_gap = max(
-        abs(wrap.total(4) - 1.0 / 9.0),
-        abs(wrap.total(0) - 4.0 / 9.0),
-        abs(wrap.total(1) - 4.0 / 9.0),
-    )
-    checks.append(_check("cycle wraparound after one step", wrap_gap < 1e-15, f"worst gap {wrap_gap:.2e}"))
-
-    line = walk.evolve_line(figure_state, 9)
-    ring = walk.evolve_cycle(figure_state, 21, 9)
-    agreement = max(
-        abs(walk.distribution(line).total(n) - walk.distribution(ring).total(n % 21))
-        for n in range(-9, 10)
-    )
-    checks.append(
-        _check("cycle matches line before wraparound", agreement < 1e-14, f"worst gap {agreement:.2e}")
-    )
-    return checks
+    oracle = {4: 1.0 / 9.0, 0: 4.0 / 9.0, 1: 4.0 / 9.0}
+    return _worst(max(abs(wrap.total(n) - p) for n, p in oracle.items()))
 
 
-def _suite_spectral() -> list[tuple[str, bool, str]]:
-    checks = []
-    grid = QuadratureGrid(1024)
-    nodes = grid.nodes()
-    identity_gap = 0.0
-    ortho_gap = 0.0
-    residual_gap = 0.0
-    for k in nodes:
-        point = spectral.dispersion(float(k))
-        identity_gap = max(
-            identity_gap, abs(point.cos_theta**2 + point.sin_theta**2 - 1.0)
-        )
-    sample = nodes[::8]
-    for k in sample:
-        system = spectral.eigensystem(float(k))
-        vectors = np.stack([v.as_array() for v in system.vectors])
-        gram = vectors.conj() @ vectors.T
-        ortho_gap = max(ortho_gap, float(np.max(np.abs(gram - np.eye(3)))))
-        op = spectral.fourier_operator(float(k))
-        for phase, vec in zip(system.phases, vectors):
-            residual = np.max(np.abs(op @ vec - np.exp(1j * phase) * vec))
-            residual_gap = max(residual_gap, float(residual))
-    checks.append(
-        _check("dispersion identity on a 1024-node grid", identity_gap < 1e-14, f"worst {identity_gap:.2e}")
-    )
-    checks.append(_check("eigenvector orthonormality", ortho_gap < 1e-12, f"worst {ortho_gap:.2e}"))
-    checks.append(_check("eigenvector residuals", residual_gap < 1e-12, f"worst {residual_gap:.2e}"))
+def _cycle_vs_line() -> tuple[float, str]:
+    line = walk.distribution(_figure_line(9))
+    ring = walk.distribution(walk.evolve_cycle(_FIGURE_STATE, 21, 9))
+    return _worst(max(abs(line.total(n) - ring.total(n % 21)) for n in range(-9, 10)))
 
+
+def _dispersion_identity() -> tuple[float, str]:
+    points = map(spectral.dispersion, QuadratureGrid(1024).nodes().tolist())
+    return _worst(max(abs(c * c + s * s - 1.0) for c, s, _ in points), "worst")
+
+
+def _quadrature_vs_direct() -> tuple[float, str]:
     # Quadrature checks honor the TRIWALK_GRID override.
-    quad_grid = QuadratureGrid(_grid_size())
-    figure_state = QubitState(1j / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))
+    grid = QuadratureGrid(_grid_size())
     worst = 0.0
     for t in (1, 5, 20):
-        state = walk.evolve_line(figure_state, t)
         for n in range(-5, 6):
-            direct = state.amplitude(n).as_array()
-            via_quad = spectral.wavefunction(n, t, figure_state, quad_grid).as_array()
+            direct = _figure_line(t).amplitude(n).as_array()
+            via_quad = spectral.wavefunction(n, t, _FIGURE_STATE, grid).as_array()
             worst = max(worst, float(np.max(np.abs(direct - via_quad))))
-    checks.append(
-        _check("quadrature matches direct evolution", worst < 1e-6, f"worst gap {worst:.2e}")
-    )
+    return _worst(worst)
 
-    j0 = spectral.j_kernel(0, 0, quad_grid)
-    expected = 1.0 / (2.0 * math.sqrt(6.0))
-    checks.append(
-        _check("kernel normalization at t = 0", abs(j0 - expected) < 1e-12, f"{j0:.15f}")
-    )
 
-    worst_rec = 0.0
+def _reconstruction() -> tuple[float, str]:
+    grid = QuadratureGrid(_grid_size())
+    worst = 0.0
     for t in (0, 5, 20):
-        state = walk.evolve_line(figure_state, t)
         for n in range(-2, 3):
-            remainder = spectral.oscillatory_remainder(n, t, figure_state, quad_grid).as_array()
+            remainder = spectral.oscillatory_remainder(n, t, _FIGURE_STATE, grid).as_array()
             localized = np.array(
-                [stationary.limit_amplitude(n, l, figure_state) for l in (1, 2, 3)]
+                [stationary.limit_amplitude(n, l, _FIGURE_STATE) for l in (1, 2, 3)]
             )
-            direct = state.amplitude(n).as_array()
-            worst_rec = max(worst_rec, float(np.max(np.abs(remainder + localized - direct))))
-    checks.append(
-        _check("stationary plus remainder reconstructs the walk", worst_rec < 1e-6, f"worst gap {worst_rec:.2e}")
-    )
-    return checks
+            direct = _figure_line(t).amplitude(n).as_array()
+            worst = max(worst, float(np.max(np.abs(remainder + localized - direct))))
+    return _worst(worst)
 
 
-_SUITES = {
-    "paper-constants": _suite_paper_constants,
-    "evolution": _suite_evolution,
-    "spectral": _suite_spectral,
-}
+_CHECKS = (
+    ("paper-constants", "coin unitarity", 1e-15, _coin_unitarity),
+    ("paper-constants", "stationary origin value", 1e-12,
+     lambda: _versus(stationary.limit_probability(0, _FIGURE_STATE), _ORIGIN_LIMIT)),
+    ("paper-constants", "localized total masses", 1e-12, _total_masses),
+    ("paper-constants", "decay ratio root identity", 1e-14, _ratio_root),
+    ("paper-constants", "time-average level without stayer amplitude", 1e-12,
+     lambda: _versus(timeavg.infinite_time_average_total(_FIGURE_STATE), _NO_STAYER_LEVEL)),
+    ("paper-constants", "time average equals stationary at origin", 1e-12,
+     _time_average_vs_stationary),
+    ("paper-constants", "limit density at 0", 1e-12,
+     lambda: _shown(weaklimit.density(0.0), math.sqrt(8.0) / (3.0 * math.pi), 10)),
+    ("paper-constants", "localization mass 1/3", 1e-12,
+     lambda: _shown(weaklimit.localization_mass(), 1.0 / 3.0, 15)),
+    ("paper-constants", "continuous mass 2/3", 1e-6,
+     lambda: _shown(weaklimit.continuous_mass(), 2.0 / 3.0, 10)),
+    ("evolution", "single step from a pure left mover", 1e-15, _single_step),
+    ("evolution", "probability conservation at t = 1000", 1e-12, _conservation),
+    ("evolution", "origin probability near the localized limit", 0.01, _origin_near_limit),
+    ("evolution", "zero-localization state decays", 0.01, _zero_localization_decay),
+    ("evolution", "cycle wraparound after one step", 1e-15, _cycle_wraparound),
+    ("evolution", "cycle matches line before wraparound", 1e-14, _cycle_vs_line),
+    ("spectral", "dispersion identity on a 1024-node grid", 1e-14, _dispersion_identity),
+    ("spectral", "eigenvector orthonormality", 1e-12, lambda: _worst(_eigen_gaps()[0], "worst")),
+    ("spectral", "eigenvector residuals", 1e-12, lambda: _worst(_eigen_gaps()[1], "worst")),
+    ("spectral", "quadrature matches direct evolution", 1e-6, _quadrature_vs_direct),
+    ("spectral", "kernel normalization at t = 0", 1e-12,
+     lambda: _shown(spectral.j_kernel(0, 0, QuadratureGrid(_grid_size())),
+                    1.0 / (2.0 * math.sqrt(6.0)), 15)),
+    ("spectral", "stationary plus remainder reconstructs the walk", 1e-6, _reconstruction),
+)
+
+_SUITES = tuple(dict.fromkeys(suite for suite, *_ in _CHECKS))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "all":
-        names = list(_SUITES)
-    elif args.suite in _SUITES:
-        names = [args.suite]
-    else:
-        known = ", ".join([*(_SUITES), "all"])
+    if args.suite not in (*_SUITES, "all"):
+        known = ", ".join([*_SUITES, "all"])
         raise UsageError(f"unknown suite {args.suite!r}; available: {known}")
     failures = 0
-    for name in names:
-        for check_name, passed, detail in _SUITES[name]():
-            tag = "PASS" if passed else "FAIL"
-            print(f"{tag} [{name}] {check_name}: {detail}")
+    for suite, name, bound, measure in _CHECKS:
+        if args.suite in ("all", suite):
+            value, detail = measure()
+            passed = value < bound
+            print(f"{'PASS' if passed else 'FAIL'} [{suite}] {name}: {detail}")
             failures += 0 if passed else 1
     if failures:
         print(f"{failures} check(s) failed")

@@ -12,7 +12,6 @@ escapes ballistically and belongs to the continuous part of the weak limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +19,6 @@ from .walk import Distribution, QubitState
 
 __all__ = [
     "GEOMETRIC_RATIO",
-    "GeometricKernel",
-    "kernel",
     "limit_amplitude",
     "limit_component",
     "limit_probability",
@@ -48,64 +45,22 @@ def _sequence_value(n: int) -> float:
     return 2.0 * c ** (abs(n) + 1) / (c * c - 1.0)
 
 
-@dataclass(frozen=True)
-class GeometricKernel:
-    """Geometric-sequence weights entering the localized amplitudes at one site.
-
-    ``value`` is the base sequence at the site itself, ``value_next`` and
-    ``value_prev`` the same sequence one site to the right and left. The
-    derived sums below are the exact weight combinations multiplying the
-    initial-state components in the three chirality amplitudes.
-    """
-
-    site: int
-    ratio: float
-    value: float
-    value_next: float
-    value_prev: float
-
-    @property
-    def sum_next(self) -> float:
-        """value + value_next (weights the stayer in the left-mover amplitude)."""
-        return self.value + self.value_next
-
-    @property
-    def sum_prev(self) -> float:
-        """value_prev + value (weights the stayer in the right-mover amplitude)."""
-        return self.value_prev + self.value
-
-    @property
-    def window(self) -> float:
-        """value_prev + 2 value + value_next (weights the stayer amplitude)."""
-        return self.value_prev + 2.0 * self.value + self.value_next
-
-
-def kernel(n: int) -> GeometricKernel:
-    """Exact geometric weights at site ``n``."""
-    return GeometricKernel(
-        site=n,
-        ratio=GEOMETRIC_RATIO,
-        value=_sequence_value(n),
-        value_next=_sequence_value(n + 1),
-        value_prev=_sequence_value(n - 1),
-    )
-
-
 def limit_amplitude(n: int, l: int, q: QubitState) -> complex:
     """Stationary amplitude at site ``n`` for chirality ``l`` in {1, 2, 3}.
 
     These are the closed forms whose squared moduli are the limit
     probabilities; they equal the stationary-branch quadrature integral
-    exactly (up to quadrature error on the integral side).
+    exactly (up to quadrature error on the integral side). Each weighs the
+    initial components with the geometric sequence at sites n - 1, n, n + 1.
     """
-    ker = kernel(n)
+    here, right, left = (_sequence_value(n + d) for d in (0, 1, -1))
     a, b, g = q.alpha, q.beta, q.gamma
     if l == 1:
-        return 2.0 * a * ker.value + b * ker.sum_next + 2.0 * g * ker.value_next
+        return 2.0 * a * here + b * (here + right) + 2.0 * g * right
     if l == 2:
-        return a * ker.sum_prev + 0.5 * b * ker.window + g * ker.sum_next
+        return a * (left + here) + 0.5 * b * (left + 2.0 * here + right) + g * (here + right)
     if l == 3:
-        return 2.0 * a * ker.value_prev + b * ker.sum_prev + 2.0 * g * ker.value
+        return 2.0 * a * left + b * (left + here) + 2.0 * g * here
     raise ValueError("chirality index must be 1, 2, or 3")
 
 

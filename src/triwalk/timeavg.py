@@ -80,7 +80,7 @@ def momentum_blocks(n_sites: int) -> tuple[MomentumBlock, ...]:
                 (math.pi, np.eye(3, dtype=complex) - p_stationary),
             )
         else:
-            theta = dispersion(momentum).theta
+            _, _, theta = dispersion(momentum)
             moving = [
                 _eigenvector_components(np.float64(phase), np.float64(momentum))
                 for phase in (theta, -theta)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .walk import QubitState
 __all__ = [
     "SUPPORT_EDGE",
     "HADAMARD_EDGE",
-    "LimitDensity",
     "EmpiricalRescaled",
     "density",
     "continuous_mass",
@@ -34,7 +32,6 @@ __all__ = [
     "hadamard_mass",
     "localization_mass",
     "limit_cdf",
-    "limit_density",
     "empirical_rescaled",
     "cdf_distance",
 ]
@@ -47,15 +44,6 @@ HADAMARD_EDGE = 1.0 / math.sqrt(2.0)
 
 #: Weight of the point mass at the origin.
 POINT_MASS = 1.0 / 3.0
-
-
-@dataclass(frozen=True)
-class LimitDensity:
-    """The limit distribution: a point mass at 0 plus a continuous density."""
-
-    point_mass_weight: float
-    point_mass_location: float
-    continuous_density: Callable[[float], float]
 
 
 def density(x: float) -> float:
@@ -74,13 +62,6 @@ def density(x: float) -> float:
     if abs(x) >= SUPPORT_EDGE:
         return 0.0
     return math.sqrt(8.0) / (3.0 * math.pi * (1.0 - x * x) * math.sqrt(1.0 - 3.0 * x * x))
-
-
-def limit_density() -> LimitDensity:
-    """The full limit distribution object."""
-    return LimitDensity(
-        point_mass_weight=POINT_MASS, point_mass_location=0.0, continuous_density=density
-    )
 
 
 def continuous_mass(lower: float = -SUPPORT_EDGE, upper: float = SUPPORT_EDGE) -> float:

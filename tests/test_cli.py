@@ -345,12 +345,65 @@ class TestWeaklimit:
         assert main(["weaklimit", "--steps", "50", "--out", str(tmp_path)]) == 2
 
 
+#: The line prefixes ``verify --suite all`` prints, in order.
+VERIFY_PREFIXES = [
+    "PASS [paper-constants] coin unitarity:",
+    "PASS [paper-constants] stationary origin value:",
+    "PASS [paper-constants] localized total masses:",
+    "PASS [paper-constants] decay ratio root identity:",
+    "PASS [paper-constants] time-average level without stayer amplitude:",
+    "PASS [paper-constants] time average equals stationary at origin:",
+    "PASS [paper-constants] limit density at 0:",
+    "PASS [paper-constants] localization mass 1/3:",
+    "PASS [paper-constants] continuous mass 2/3:",
+    "PASS [evolution] single step from a pure left mover:",
+    "PASS [evolution] probability conservation at t = 1000:",
+    "PASS [evolution] origin probability near the localized limit:",
+    "PASS [evolution] zero-localization state decays:",
+    "PASS [evolution] cycle wraparound after one step:",
+    "PASS [evolution] cycle matches line before wraparound:",
+    "PASS [spectral] dispersion identity on a 1024-node grid:",
+    "PASS [spectral] eigenvector orthonormality:",
+    "PASS [spectral] eigenvector residuals:",
+    "PASS [spectral] quadrature matches direct evolution:",
+    "PASS [spectral] kernel normalization at t = 0:",
+    "PASS [spectral] stationary plus remainder reconstructs the walk:",
+]
+
+
+def verify_lines(suite: str, capsys) -> list[str]:
+    assert main(["verify", "--suite", suite]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
 class TestVerify:
     def test_paper_constants_suite_passes(self, capsys):
         assert main(["verify", "--suite", "paper-constants"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_all_suites_in_order(self, capsys):
+        lines = verify_lines("all", capsys)
+        assert len(lines) == len(VERIFY_PREFIXES) + 1 == 22
+        for line, prefix in zip(lines, VERIFY_PREFIXES):
+            assert line.startswith(prefix + " ")
+        assert lines[-1] == "all checks passed"
+
+    def test_each_suite_prints_its_own_checks(self, capsys):
+        for suite in ("paper-constants", "evolution", "spectral"):
+            lines = verify_lines(suite, capsys)
+            own = [p for p in VERIFY_PREFIXES if p.startswith(f"PASS [{suite}] ")]
+            assert len(lines) == len(own) + 1
+            for line, prefix in zip(lines, own):
+                assert line.startswith(prefix + " ")
+            assert lines[-1] == "all checks passed"
+
+    def test_spectral_suite_on_smallest_grid(self, capsys, monkeypatch):
+        # The kernel alias guard must accept verify's own (n, t) on 256 nodes.
+        monkeypatch.setenv("TRIWALK_GRID", "256")
+        lines = verify_lines("spectral", capsys)
+        assert len(lines) == 7 and lines[-1] == "all checks passed"
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
@@ -383,6 +436,19 @@ class TestGridOverride:
 
 
 class TestTopLevel:
+    def test_package_all_is_the_module_lists(self):
+        modules = ("walk", "spectral", "stationary", "timeavg", "weaklimit")
+        listed = [name for m in modules for name in getattr(triwalk, m).__all__]
+        assert len(set(listed)) == len(listed)
+        assert sorted(triwalk.__all__) == sorted(["__version__", *modules, *listed])
+        assert len(set(triwalk.__all__)) == len(triwalk.__all__)
+        for name in triwalk.__all__:
+            assert getattr(triwalk, name) is not None
+        for m in modules:
+            module = getattr(triwalk, m)
+            for name in module.__all__:
+                assert getattr(triwalk, name) is getattr(module, name)
+
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
 

@@ -21,7 +21,6 @@ from triwalk import (
     j_kernel,
     k_kernel,
     limit_amplitude,
-    oscillatory_kernels,
     oscillatory_remainder,
     remainder_matrix,
     stationary_component_integral,
@@ -33,31 +32,37 @@ GRID = QuadratureGrid(4096)
 
 class TestDispersion:
     def test_at_pi(self):
-        point = dispersion(math.pi)
-        assert point.cos_theta == pytest.approx(-1.0 / 3.0, abs=1e-15)
-        assert point.sin_theta == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-15)
+        cos_theta, sin_theta, theta = dispersion(math.pi)
+        assert cos_theta == pytest.approx(-1.0 / 3.0, abs=1e-15)
+        assert sin_theta == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-15)
+        assert theta == pytest.approx(math.acos(-1.0 / 3.0), abs=1e-15)
 
     def test_at_zero(self):
-        point = dispersion(0.0)
-        assert point.cos_theta == -1.0
-        assert point.sin_theta == 0.0
-        assert point.theta == pytest.approx(math.pi, abs=1e-15)
+        cos_theta, sin_theta, theta = dispersion(0.0)
+        assert cos_theta == -1.0
+        assert sin_theta == 0.0
+        assert theta == pytest.approx(math.pi, abs=1e-15)
+
+    def test_returns_plain_floats(self):
+        point = dispersion(np.float64(1.3))
+        assert len(point) == 3
+        assert all(type(value) is float for value in point)
 
     @given(st.floats(min_value=-10.0, max_value=10.0))
     def test_point_lies_on_unit_circle(self, k):
-        point = dispersion(k)
-        assert point.cos_theta**2 + point.sin_theta**2 == pytest.approx(
-            1.0, abs=1e-12
-        )
-        assert point.sin_theta >= 0.0
-        assert 0.0 < point.theta <= math.pi
+        cos_theta, sin_theta, theta = dispersion(k)
+        assert cos_theta**2 + sin_theta**2 == pytest.approx(1.0, abs=1e-12)
+        assert cos_theta == pytest.approx(-(2.0 + math.cos(k)) / 3.0, abs=1e-15)
+        assert sin_theta >= 0.0
+        assert 0.0 < theta <= math.pi
+        assert math.cos(theta) == pytest.approx(cos_theta, abs=1e-12)
 
     @given(st.floats(min_value=-3.0, max_value=3.0))
     def test_periodicity(self, k):
         a = dispersion(k)
         b = dispersion(k + 2.0 * math.pi)
-        assert a.cos_theta == pytest.approx(b.cos_theta, abs=1e-12)
-        assert a.theta == pytest.approx(b.theta, abs=1e-12)
+        assert a[0] == pytest.approx(b[0], abs=1e-12)
+        assert a[2] == pytest.approx(b[2], abs=1e-12)
 
 
 class TestFourierOperator:
@@ -73,8 +78,8 @@ class TestFourierOperator:
         # numpy's general eigensolver serves as an independent oracle here.
         k = math.pi / 2.0
         numeric = np.sort(np.angle(np.linalg.eigvals(fourier_operator(k))))
-        point = dispersion(k)
-        closed = np.sort([0.0, point.theta, -point.theta])
+        *_, theta = dispersion(k)
+        closed = np.sort([0.0, theta, -theta])
         assert np.allclose(numeric, closed, atol=1e-12)
 
 
@@ -86,7 +91,7 @@ class TestEigenSystem:
 
     def test_phases_are_zero_and_dispersion_pair(self):
         system = eigensystem(1.3)
-        theta = dispersion(1.3).theta
+        *_, theta = dispersion(1.3)
         assert system.phases == (0.0, theta, -theta)
 
     def test_matches_numeric_eigenvector(self):
@@ -244,20 +249,45 @@ class TestOscillatoryKernels:
         late = abs(k_kernel(0, 1000) - k_kernel(1, 1000))
         assert late < early
 
-    def test_kernels_pair(self):
-        pair = oscillatory_kernels(2, 5, GRID)
-        assert pair.j_value == j_kernel(2, 5, GRID)
-        assert pair.k_value == k_kernel(2, 5, GRID)
-
     def test_grid_independence(self):
         coarse = j_kernel(0, 50, QuadratureGrid(4096))
         fine = j_kernel(0, 50, QuadratureGrid(16384))
         assert coarse == pytest.approx(fine, abs=1e-12)
 
+    def test_rejects_aliasing_grid(self):
+        # At n = 0, t = 1000 a 576-node grid was off by 0.28 in K and 2.1e-2
+        # in J before the guard; the kernels need t/sqrt(3) + |n| nodes plus a
+        # margin that grows like t^(1/3).
+        coarse = QuadratureGrid(576)
+        for call in (j_kernel, k_kernel, remainder_matrix):
+            with pytest.raises(ValueError):
+                call(0, 1000, coarse)
+        with pytest.raises(ValueError):
+            oscillatory_remainder(0, 1000, FIGURE_STATE, coarse)
+
+    def test_smallest_accepted_grid_matches_fine_grid(self):
+        fine = QuadratureGrid(16384)
+        for n, t in ((0, 1000), (0, 100), (40, 1000), (0, 4000)):
+            size = 256
+            while True:
+                try:
+                    j_kernel(n, t, QuadratureGrid(size))
+                    break
+                except ValueError:
+                    size += 2
+            assert size > t / math.sqrt(3.0) + abs(n)
+            smallest = QuadratureGrid(size)
+            assert k_kernel(n, t, smallest) == pytest.approx(k_kernel(n, t, fine), abs=1e-12)
+            assert j_kernel(n, t, smallest) == pytest.approx(j_kernel(n, t, fine), abs=1e-12)
+            if size > 256:
+                with pytest.raises(ValueError):
+                    k_kernel(n, t, QuadratureGrid(size - 2))
+
 
 class TestRemainder:
     def test_structural_identities(self):
-        m = remainder_matrix(3, 17, GRID).entries
+        m = remainder_matrix(3, 17, GRID)
+        assert isinstance(m, np.ndarray) and m.shape == (3, 3) and m.dtype == complex
         assert m[1, 1] == pytest.approx(4.0 * j_kernel(3, 17, GRID), abs=1e-15)
         assert m[0, 2] == pytest.approx(-2.0 * j_kernel(4, 17, GRID), abs=1e-15)
         assert m[2, 0] == pytest.approx(-2.0 * j_kernel(2, 17, GRID), abs=1e-15)

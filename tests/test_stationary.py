@@ -25,7 +25,7 @@ from triwalk import (
     stationary_profile,
     total_mass,
 )
-from triwalk.stationary import kernel
+from triwalk.stationary import _sequence_value
 
 SQRT6 = math.sqrt(6.0)
 
@@ -44,29 +44,34 @@ class TestGeometricRatio:
 
 class TestKernel:
     def test_origin_value(self):
-        assert kernel(0).value == pytest.approx(1.0 / (2.0 * SQRT6), abs=1e-14)
+        assert _sequence_value(0) == pytest.approx(1.0 / (2.0 * SQRT6), abs=1e-14)
 
     def test_first_site_value(self):
-        assert kernel(1).value == pytest.approx(-0.0206207, abs=1e-7)
+        assert _sequence_value(1) == pytest.approx(-0.0206207, abs=1e-7)
 
     def test_even_in_site(self):
         for n in (1, 2, 5):
-            assert kernel(-n).value == kernel(n).value
+            assert _sequence_value(-n) == _sequence_value(n)
 
     def test_geometric_decay(self):
         for n in range(0, 6):
-            ratio = kernel(n + 1).value / kernel(n).value
+            ratio = _sequence_value(n + 1) / _sequence_value(n)
             assert ratio == pytest.approx(GEOMETRIC_RATIO, abs=1e-12)
 
-    def test_neighbor_fields_consistent(self):
-        ker = kernel(3)
-        assert ker.value_next == kernel(4).value
-        assert ker.value_prev == kernel(2).value
-        assert ker.window == pytest.approx(
-            ker.value_prev + 2.0 * ker.value + ker.value_next, abs=1e-18
-        )
-        assert ker.sum_next == ker.value + ker.value_next
-        assert ker.sum_prev == ker.value_prev + ker.value
+    def test_amplitude_weights_of_pure_states(self):
+        # Each pure initial component picks out one weight combination of the
+        # sequence at sites n - 1, n, n + 1; the sums are exact.
+        for n in (-4, -1, 0, 1, 3):
+            here, right, left = (_sequence_value(n + d) for d in (0, 1, -1))
+            weights = {
+                (1, 0, 0): (2.0 * here, left + here, 2.0 * left),
+                (0, 1, 0): (here + right, 0.5 * (left + 2.0 * here + right), left + here),
+                (0, 0, 1): (2.0 * right, here + right, 2.0 * here),
+            }
+            for components, expected in weights.items():
+                q = QubitState(*(float(c) for c in components))
+                amplitudes = tuple(limit_amplitude(n, l, q) for l in (1, 2, 3))
+                assert amplitudes == expected
 
 
 class TestLimitValues:

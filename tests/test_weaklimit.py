@@ -18,7 +18,6 @@ from triwalk import (
     hadamard_density,
     hadamard_mass,
     limit_cdf,
-    limit_density,
     localization_mass,
 )
 
@@ -61,12 +60,6 @@ class TestDensity:
             density(1.2)
         with pytest.raises(ValueError):
             density(-1.0001)
-
-    def test_limit_density_bundle(self):
-        bundle = limit_density()
-        assert bundle.point_mass_weight == POINT_MASS
-        assert bundle.point_mass_location == 0.0
-        assert bundle.continuous_density(0.2) == density(0.2)
 
 
 class TestContinuousMass:

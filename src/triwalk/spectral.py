@@ -213,7 +213,10 @@ def _require_grid(
     Fourier coefficients fall off over a transition zone that widens like
     t^(1/3). Measured against 2^17 nodes for t up to 60000, the aliasing
     error drops below 1e-12 within 4.4 t^(1/3) + 13 nodes of the slope, so
-    the kernels ask for a margin of 5 t^(1/3) + 16 nodes beyond it.
+    the kernels ask for a margin of 5 t^(1/3) + 16 nodes beyond it. The
+    stationary-branch integrand's Fourier tail falls like c^|m| with
+    c = -5 + 2 sqrt 6, as the kernels' does at t = 0, so
+    ``stationary_component_integral`` takes the kernel rule at t = 0.
     """
     grid = grid if grid is not None else default_grid()
     if grid.size < MIN_GRID_SIZE:
@@ -275,9 +278,9 @@ def stationary_component_integral(
     Quadrature of the eigenphase-0 branch alone. The phase factor e^{i 0 t}
     is identically 1, so the result carries no time dependence and the
     operation takes no time argument. Its squared modulus is the localized
-    limit probability component.
+    limit probability component. The grid needs at least |n| + 16 nodes.
     """
-    grid = _require_grid(grid)
+    grid = _require_grid(grid, n, kernel=True)
     if l not in (1, 2, 3):
         raise ValueError("chirality index must be 1, 2, or 3")
     k, _, vectors = _eigen_tableau(grid.size)

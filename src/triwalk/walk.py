@@ -6,10 +6,17 @@ internal state and then routes each component one site left, nowhere, or one
 site right. Evolution is implemented on a finite window of the infinite line
 (the window grows with the light cone, so no amplitude is ever truncated) and
 on cycles with an odd number of sites.
+
+The coin and the shifts are real, so the real and imaginary parts of a state
+evolve independently. One private kernel steps them in place as float64
+arrays of shape (rows, sites, 3), one row for a real state and two otherwise;
+``evolve_*`` advance one buffer and build the frozen state once, at the end,
+and ``step_*`` are one-step wrappers on the same kernel.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -37,12 +44,13 @@ __all__ = [
 NORM_TOLERANCE = 1e-9
 
 #: Roundoff allowance per step for the probability-conservation check. The
-#: shifts are exact; each new amplitude is three complex products of a coin row
-#: with old amplitudes and their sum, under 8 roundings of u = eps/2 each. So
-#: the error vector has ||delta|| <= 8u ||B||, B being the step taken with the
-#: entrywise moduli |A| and |psi|; |A| is symmetric with row sums 5/3, so
-#: ||B|| <= 5/3 ||psi||, and with ||psi|| ~ 1 the squared norm moves by at most
-#: 2||delta|| + ||delta||^2 < 14 eps. Measured: 0.5 eps per step (1.07e-16).
+#: shifts are exact; each new real (or imaginary) component is a three-term real
+#: dot product of a coin row with old components, under at most 5 roundings of
+#: u = eps/2 (3 products, 2 sums). So the error vector has ||delta|| <= 5u ||B||,
+#: B being the step taken with the entrywise moduli |A| and |psi|; |A| is
+#: symmetric with row sums 5/3, so ||B|| <= 5/3 ||psi||, and with ||psi|| ~ 1
+#: the squared norm moves by at most 2||delta|| + ||delta||^2 < 5 eps. The
+#: 16 eps allowance keeps that margin. Measured: 0.5 eps per step (1.07e-16).
 STEP_ROUNDOFF = 16.0 * float(np.finfo(float).eps)
 
 
@@ -266,33 +274,57 @@ def projector_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pieces[0], pieces[1], pieces[2]
 
 
+@functools.lru_cache(maxsize=1)
+def _coin_t() -> np.ndarray:
+    # The real transposed coin for the kernel, built once per process.
+    u_l, u_0, u_r = projector_matrices()
+    coin_t = np.ascontiguousarray((u_l + u_0 + u_r).real.T)
+    coin_t.setflags(write=False)
+    return coin_t
+
+
+def _parts(amplitudes: np.ndarray, pad: int = 0) -> np.ndarray:
+    # (rows, pad + sites + pad, 3) float64 copy: the real part, then the
+    # imaginary part unless it is all zero; the pad sites are zero.
+    rows = 2 if np.any(amplitudes.imag) else 1
+    parts = np.zeros((rows, amplitudes.shape[0] + 2 * pad, 3))
+    parts[:, pad : pad + amplitudes.shape[0]] = (amplitudes.real, amplitudes.imag)[:rows]
+    return parts
+
+
+def _amplitudes(parts: np.ndarray) -> np.ndarray:
+    amplitudes = parts[0].astype(complex)
+    if len(parts) == 2:
+        amplitudes.imag = parts[1]
+    return amplitudes
+
+
+def _advance(parts: np.ndarray, cycle: bool) -> None:
+    # One step in place: the coin at every site, then the left mover one site
+    # left, the stayer in place and the right mover one site right. On the
+    # cycle the edge movers wrap around. A line window must start with empty
+    # edge sites; nothing moves into them from beyond, so they keep their 0.
+    coined = parts @ _coin_t()
+    parts[:, :, 1] = coined[:, :, 1]
+    parts[:, :-1, 0] = coined[:, 1:, 0]
+    parts[:, 1:, 2] = coined[:, :-1, 2]
+    if cycle:
+        parts[:, -1, 0] = coined[:, 0, 0]
+        parts[:, 0, 2] = coined[:, -1, 2]
+
+
 def initial_line_state(q: QubitState) -> LineState:
     """Place the walker at the origin of the line with internal state ``q``."""
     return LineState(origin_offset=0, amplitudes=q.as_array()[None, :], time=0)
 
 
-def _shifted_update(amplitudes: np.ndarray, up: np.ndarray, down: np.ndarray) -> np.ndarray:
-    # One step of the local rule: new(n) = U_L old(n+1) + U_0 old(n) + U_R old(n-1),
-    # with `up` holding old(n+1) and `down` holding old(n-1) row-aligned to n.
-    # Right-multiplying row-stacked states by the transposed operator applies
-    # the operator to each site's column vector at once.
-    u_l, u_0, u_r = projector_matrices()
-    return up @ u_l.T + amplitudes @ u_0.T + down @ u_r.T
-
-
 def step_line(s: LineState) -> LineState:
     """Advance a line state by one step, widening the window by one site per side."""
-    w = s.amplitudes.shape[0]
-    padded = np.zeros((w + 2, 3), dtype=complex)
-    padded[1:-1] = s.amplitudes
-    up = np.zeros_like(padded)
-    up[:-1] = padded[1:]
-    down = np.zeros_like(padded)
-    down[1:] = padded[:-1]
-    new_amplitudes = _shifted_update(padded, up, down)
+    parts = _parts(s.amplitudes, pad=1)
+    _advance(parts, cycle=False)
     return LineState(
         origin_offset=s.origin_offset - 1,
-        amplitudes=new_amplitudes,
+        amplitudes=_amplitudes(parts),
         time=s.time + 1,
     )
 
@@ -314,10 +346,13 @@ def evolve_line(q: QubitState, t: int) -> LineState:
     """
     if t < 0:
         raise ValueError("step count must be non-negative")
-    state = initial_line_state(q)
-    for _ in range(t):
-        state = step_line(state)
-    return state
+    parts = _parts(q.as_array()[None, :], pad=t)
+    for s in range(1, t + 1):
+        # The light cone after s steps covers the sites -s..s.
+        window = parts[:, t - s : t + s + 1]
+        _advance(window, cycle=False)
+        _check_total_probability(window, s, "line state")
+    return LineState(origin_offset=-t, amplitudes=_amplitudes(parts), time=t)
 
 
 def initial_cycle_state(q: QubitState, n_sites: int) -> CycleState:
@@ -331,20 +366,20 @@ def initial_cycle_state(q: QubitState, n_sites: int) -> CycleState:
 
 def step_cycle(s: CycleState) -> CycleState:
     """Advance a cycle state by one step (site indices wrap modulo the size)."""
-    up = np.roll(s.amplitudes, -1, axis=0)
-    down = np.roll(s.amplitudes, 1, axis=0)
-    new_amplitudes = _shifted_update(s.amplitudes, up, down)
-    return CycleState(n_sites=s.n_sites, amplitudes=new_amplitudes, time=s.time + 1)
+    parts = _parts(s.amplitudes)
+    _advance(parts, cycle=True)
+    return CycleState(n_sites=s.n_sites, amplitudes=_amplitudes(parts), time=s.time + 1)
 
 
 def evolve_cycle(q: QubitState, n_sites: int, t: int) -> CycleState:
     """Evolve the walker for ``t`` steps on a cycle of ``n_sites`` sites."""
     if t < 0:
         raise ValueError("step count must be non-negative")
-    state = initial_cycle_state(q, n_sites)
-    for _ in range(t):
-        state = step_cycle(state)
-    return state
+    parts = _parts(initial_cycle_state(q, n_sites).amplitudes)
+    for s in range(1, t + 1):
+        _advance(parts, cycle=True)
+        _check_total_probability(parts, s, "cycle state")
+    return CycleState(n_sites=n_sites, amplitudes=_amplitudes(parts), time=t)
 
 
 def distribution(s: LineState | CycleState) -> Distribution:

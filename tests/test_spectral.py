@@ -225,6 +225,17 @@ class TestStationaryIntegral:
         with pytest.raises(ValueError):
             stationary_component_integral(0, 4, FIGURE_STATE, GRID)
 
+    def test_rejects_aliasing_grid(self):
+        # The integrand's Fourier tail falls like c^|m|, as the kernels' at
+        # t = 0: G = 256 gave 3.1e-6 at n = 250 and 0.29 at n = 255 before
+        # the |n| + 16 rule, where the exact amplitude is below 1e-250.
+        grid = QuadratureGrid(256)
+        for n in (250, 255, -255):
+            with pytest.raises(ValueError):
+                stationary_component_integral(n, 1, FIGURE_STATE, grid)
+        value = stationary_component_integral(240, 1, FIGURE_STATE, grid)
+        assert abs(value - limit_amplitude(240, 1, FIGURE_STATE)) < 1e-14
+
 
 class TestOscillatoryKernels:
     def test_time_free_value_at_origin(self):

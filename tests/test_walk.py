@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import FIGURE_STATE, TEST_STATES, mirrored, qubit_states
+from triwalk import walk
 from triwalk import (
     ChiralVector,
     CycleState,
@@ -229,6 +230,114 @@ class TestCycleEvolution:
         assert isinstance(state, CycleState)
         assert state.amplitudes.shape == (9, 3)
         assert state.time == 4
+
+
+def reference_line(q: QubitState, t: int) -> np.ndarray:
+    """t steps of (2/3)J - I and the shifts, on the 2t + 1 sites of [-t, t]."""
+    psi = np.zeros((2 * t + 1, 3), dtype=complex)
+    psi[t] = q.as_array()
+    for _ in range(t):
+        coined = (2.0 / 3.0) * psi.sum(axis=1, keepdims=True) - psi
+        psi = np.zeros_like(psi)
+        psi[:-1, 0] = coined[1:, 0]
+        psi[:, 1] = coined[:, 1]
+        psi[1:, 2] = coined[:-1, 2]
+    return psi
+
+
+def reference_cycle(q: QubitState, n_sites: int, t: int) -> np.ndarray:
+    """t steps of (2/3)J - I and the shifts on a cycle of n_sites sites."""
+    psi = np.zeros((n_sites, 3), dtype=complex)
+    psi[0] = q.as_array()
+    for _ in range(t):
+        coined = (2.0 / 3.0) * psi.sum(axis=1, keepdims=True) - psi
+        psi = np.stack(
+            [np.roll(coined[:, 0], -1), coined[:, 1], np.roll(coined[:, 2], 1)], axis=1
+        )
+    return psi
+
+
+#: Real basis states, which the kernel steps as one real part, and
+#: complex states, which it steps as a real and an imaginary part.
+STEPPER_STATES = (
+    QubitState(1.0, 0.0, 0.0),
+    QubitState(0.0, 1.0, 0.0),
+    QubitState(0.0, 0.0, 1.0),
+    FIGURE_STATE,
+    TEST_STATES[8],
+    TEST_STATES[9],
+)
+
+
+class TestStepper:
+    def test_evolve_line_is_chained_step_line(self):
+        checkpoints = (0, 1, 2, 37, 300)
+        for q in STEPPER_STATES:
+            state = initial_line_state(q)
+            for t in range(checkpoints[-1] + 1):
+                if t in checkpoints:
+                    out = evolve_line(q, t)
+                    assert (out.origin_offset, out.time) == (state.origin_offset, t)
+                    assert np.array_equal(out.amplitudes, state.amplitudes)
+                state = step_line(state)
+
+    def test_evolve_cycle_is_chained_step_cycle(self):
+        # Every run goes past the wrap, at t > (n_sites - 1) / 2.
+        for n_sites, t in ((3, 7), (7, 20), (101, 230)):
+            for q in STEPPER_STATES:
+                state = initial_cycle_state(q, n_sites)
+                for _ in range(t):
+                    state = step_cycle(state)
+                out = evolve_cycle(q, n_sites, t)
+                assert out.time == state.time == t
+                assert np.array_equal(out.amplitudes, state.amplitudes)
+
+    def test_matches_reference_stepper(self):
+        for q in STEPPER_STATES:
+            for t in (1, 37, 300):
+                out = evolve_line(q, t)
+                assert np.max(np.abs(out.amplitudes - reference_line(q, t))) < 1e-13
+            for n_sites, t in ((3, 7), (7, 20), (101, 230)):
+                out = evolve_cycle(q, n_sites, t)
+                gap = np.max(np.abs(out.amplitudes - reference_cycle(q, n_sites, t)))
+                assert gap < 1e-13
+
+    def test_steps_leave_input_unchanged_and_return_read_only(self):
+        for q in (QubitState(0.0, 1.0, 0.0), FIGURE_STATE):
+            for state, step in (
+                (evolve_line(q, 5), step_line),
+                (evolve_cycle(q, 7, 5), step_cycle),
+            ):
+                before = state.amplitudes.copy()
+                after = step(state)
+                assert np.array_equal(state.amplitudes, before)
+                assert not state.amplitudes.flags.writeable
+                assert not after.amplitudes.flags.writeable
+                assert not np.shares_memory(after.amplitudes, state.amplitudes)
+
+    def test_conservation_checked_after_every_step(self, monkeypatch):
+        # On the active window [-s, s] of the line, then once more on the
+        # frozen result; the cycle's initial state is checked as well.
+        seen = []
+        check = walk._check_total_probability
+
+        def record(values, time, what):
+            seen.append((what, time, values.shape[-2]))
+            check(values, time, what)
+
+        monkeypatch.setattr(walk, "_check_total_probability", record)
+        evolve_line(FIGURE_STATE, 3)
+        assert seen == [("line state", s, 2 * s + 1) for s in (1, 2, 3, 3)]
+        seen.clear()
+        evolve_cycle(FIGURE_STATE, 5, 2)
+        assert seen == [("cycle state", s, 5) for s in (0, 1, 2, 2)]
+
+    def test_evolve_line_window_is_the_light_cone(self):
+        for q in STEPPER_STATES:
+            for t in (0, 1):
+                out = evolve_line(q, t)
+                assert out.amplitudes.shape == (2 * t + 1, 3)
+                assert list(out.sites) == list(range(-t, t + 1))
 
 
 class TestDistribution:

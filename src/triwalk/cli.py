@@ -6,8 +6,9 @@ of every produced file. All numeric CSV fields use 17 significant digits, so
 parsing them back reproduces the in-memory doubles exactly and identical
 invocations produce identical bytes.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 invalid
-physical input (non-normalized state, even cycle size).
+Exit codes: 0 success, 1 verification failure, 2 usage error (an output
+path that cannot be written included), 3 invalid physical input
+(non-normalized state, even cycle size).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from . import __version__, _svg, spectral, stationary, timeavg, walk, weaklimit
 from .spectral import DEFAULT_GRID_SIZE, QuadratureGrid
 from .walk import QubitState
 
-__all__ = ["RunManifest", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -80,25 +80,6 @@ def _grid_size() -> int:
         raise UsageError(f"bad TRIWALK_GRID value {raw!r}: {exc}") from None
 
 
-@dataclass
-class RunManifest:
-    """Record of one CLI invocation: inputs, tool version, output checksums."""
-
-    command: str
-    argv: list[str]
-    parameters: dict
-    version: str = __version__
-    outputs: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        data = json.loads(text)
-        return cls(**data)
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -112,10 +93,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _finish(out_dir: Path, manifest: RunManifest, files: list[Path]) -> None:
-    for f in files:
-        manifest.outputs[f.name] = _sha256(f)
-    (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+def _finish(out_dir: Path, args: argparse.Namespace, files: list[Path], **parameters) -> None:
+    """Write ``manifest.json``: command, argv, parameters, version, output checksums."""
+    manifest = {
+        "command": args.command,
+        "argv": args.raw_argv,
+        "parameters": {**parameters, "grid_size": args.grid_size},
+        "version": __version__,
+        "outputs": {f.name: _sha256(f) for f in files},
+    }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (out_dir / "manifest.json").write_text(text, encoding="utf-8")
 
 
 def _distribution_rows(dist: walk.Distribution) -> list[list]:
@@ -197,19 +185,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         )
         files.append(heat_path)
 
-    manifest = RunManifest(
-        command="evolve",
-        argv=list(args.raw_argv),
-        parameters={
-            "qubit": args.qubit,
-            "steps": args.steps,
-            "cycle": args.cycle,
-            "grid_size": args.grid_size,
-            "svg": args.svg,
-            "heatmap": args.heatmap,
-        },
+    _finish(
+        out_dir, args, files, qubit=args.qubit, steps=args.steps, cycle=args.cycle,
+        svg=args.svg, heatmap=args.heatmap,
     )
-    _finish(out_dir, manifest, files)
     print(f"final P(0, {args.steps}) = {_fmt(trace[-1])}")
     print(f"wrote {', '.join(f.name for f in files)} and manifest.json in {out_dir}")
     return EXIT_OK
@@ -241,18 +220,10 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
         )
         files.append(svg_path)
 
-    manifest = RunManifest(
-        command="stationary",
-        argv=list(args.raw_argv),
-        parameters={
-            "qubit": args.qubit,
-            "window": args.window,
-            "grid_size": args.grid_size,
-            "svg": args.svg,
-            "total_mass": mass,
-        },
+    _finish(
+        out_dir, args, files, qubit=args.qubit, window=args.window, svg=args.svg,
+        total_mass=mass,
     )
-    _finish(out_dir, manifest, files)
     print(f"P(0) = {_fmt(profile.total(0))}")
     print(f"total localized mass = {_fmt(mass)}")
     return EXIT_OK
@@ -273,16 +244,7 @@ def _cmd_timeavg(args: argparse.Namespace) -> int:
         ["n_sites", "site", "cycle_average", "limit_average"],
         [[args.sites, 0, cycle_value, limit_value]],
     )
-    manifest = RunManifest(
-        command="timeavg",
-        argv=list(args.raw_argv),
-        parameters={
-            "qubit": args.qubit,
-            "sites": args.sites,
-            "grid_size": args.grid_size,
-        },
-    )
-    _finish(out_dir, manifest, [csv_path])
+    _finish(out_dir, args, [csv_path], qubit=args.qubit, sites=args.sites)
     print(f"cycle average at origin (N = {args.sites}): {_fmt(cycle_value)}")
     print(f"infinite-cycle limit at origin:            {_fmt(limit_value)}")
     return EXIT_OK
@@ -318,17 +280,9 @@ def _cmd_weaklimit(args: argparse.Namespace) -> int:
         )
         files.append(svg_path)
 
-    manifest = RunManifest(
-        command="weaklimit",
-        argv=list(args.raw_argv),
-        parameters={
-            "steps": args.steps,
-            "grid_size": args.grid_size,
-            "svg": args.svg,
-            "kolmogorov_distance": distance,
-        },
+    _finish(
+        out_dir, args, files, steps=args.steps, svg=args.svg, kolmogorov_distance=distance
     )
-    _finish(out_dir, manifest, files)
     print(f"Kolmogorov distance at t = {args.steps}: {_fmt(distance)}")
     return EXIT_OK
 
@@ -362,12 +316,11 @@ def _eigen_gaps() -> tuple[float, float]:
     """Worst orthonormality and eigen-residual gaps on every 8th node of 1024."""
     ortho_gap = residual_gap = 0.0
     for k in QuadratureGrid(1024).nodes()[::8].tolist():
-        system = spectral.eigensystem(k)
-        vectors = np.stack([v.as_array() for v in system.vectors])
+        phases, vectors = spectral.eigensystem(k)
         gram = vectors.conj() @ vectors.T
         ortho_gap = max(ortho_gap, float(np.max(np.abs(gram - np.eye(3)))))
         op = spectral.fourier_operator(k)
-        for phase, vec in zip(system.phases, vectors):
+        for phase, vec in zip(phases, vectors):
             residual = np.max(np.abs(op @ vec - np.exp(1j * phase) * vec))
             residual_gap = max(residual_gap, float(residual))
     return ortho_gap, residual_gap
@@ -585,7 +538,9 @@ def main(argv: list[str] | None = None) -> int:
         # Fail on a bad TRIWALK_GRID before any handler writes files.
         args.grid_size = _grid_size()
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
+        # The only I/O is writing outputs, so an OSError is an unwritable
+        # output path, such as --out naming a file or --svg in a missing directory.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidInputError as exc:

@@ -36,12 +36,10 @@ from .walk import ChiralVector, QubitState, coin_matrix
 __all__ = [
     "DEFAULT_GRID_SIZE",
     "SingularMomentumError",
-    "EigenSystem",
     "QuadratureGrid",
     "dispersion",
     "fourier_operator",
     "eigensystem",
-    "default_grid",
     "wavefunction",
     "stationary_component_integral",
     "j_kernel",
@@ -67,15 +65,6 @@ class SingularMomentumError(ValueError):
 
 
 @dataclass(frozen=True)
-class EigenSystem:
-    """Eigenphases and orthonormal eigenvectors at one momentum."""
-
-    momentum: float
-    phases: tuple[float, float, float]
-    vectors: tuple[ChiralVector, ChiralVector, ChiralVector]
-
-
-@dataclass(frozen=True)
 class QuadratureGrid:
     """Uniform midpoint grid over momentum space [-pi, pi).
 
@@ -93,11 +82,6 @@ class QuadratureGrid:
     def nodes(self) -> np.ndarray:
         """The midpoint momentum nodes, ascending."""
         return -np.pi + (np.arange(self.size) + 0.5) * (2.0 * np.pi / self.size)
-
-
-def default_grid() -> QuadratureGrid:
-    """The package-default quadrature grid."""
-    return QuadratureGrid(DEFAULT_GRID_SIZE)
 
 
 def _dispersion_terms(k: float | np.ndarray) -> tuple:
@@ -148,8 +132,11 @@ def _eigenvector_components(theta: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.sqrt(c) * np.exp(-1j * half) / (2.0 * cos_half)
 
 
-def eigensystem(k: float) -> EigenSystem:
+def eigensystem(k: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenphases and eigenvectors at momentum ``k``.
+
+    Returns ``(phases, vectors)``: the float array (0, theta, -theta) and a
+    (3, 3) complex array whose row j is the unit eigenvector for ``phases[j]``.
 
     Raises
     ------
@@ -161,12 +148,8 @@ def eigensystem(k: float) -> EigenSystem:
             "eigenvectors are singular at momentum 0 (degenerate -1 eigenvalue)"
         )
     *_, theta = dispersion(k)
-    phases = (0.0, theta, -theta)
-    vectors = tuple(
-        ChiralVector.from_array(_eigenvector_components(np.float64(phase), np.float64(k)))
-        for phase in phases
-    )
-    return EigenSystem(momentum=float(k), phases=phases, vectors=vectors)
+    phases = np.array([0.0, theta, -theta])
+    return phases, _eigenvector_components(phases, k)
 
 
 @functools.lru_cache(maxsize=8)
@@ -218,7 +201,7 @@ def _require_grid(
     c = -5 + 2 sqrt 6, as the kernels' does at t = 0, so
     ``stationary_component_integral`` takes the kernel rule at t = 0.
     """
-    grid = grid if grid is not None else default_grid()
+    grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_SIZE)
     if grid.size < MIN_GRID_SIZE:
         raise ValueError(f"quadrature grid too small (need >= {MIN_GRID_SIZE} nodes)")
     if t < 0:

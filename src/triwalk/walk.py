@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +26,6 @@ __all__ = [
     "ChiralVector",
     "LineState",
     "CycleState",
-    "SiteProbability",
     "Distribution",
     "coin_matrix",
     "projector_matrices",
@@ -52,13 +50,6 @@ NORM_TOLERANCE = 1e-9
 #: the squared norm moves by at most 2||delta|| + ||delta||^2 < 5 eps. The
 #: 16 eps allowance keeps that margin. Measured: 0.5 eps per step (1.07e-16).
 STEP_ROUNDOFF = 16.0 * float(np.finfo(float).eps)
-
-
-def _coin() -> np.ndarray:
-    # Diagonal -1/3, off-diagonal 2/3. Real orthogonal and symmetric.
-    m = np.full((3, 3), 2.0, dtype=complex)
-    np.fill_diagonal(m, -1.0)
-    return m / 3.0
 
 
 @dataclass(frozen=True)
@@ -194,16 +185,6 @@ class CycleState:
 
 
 @dataclass(frozen=True)
-class SiteProbability:
-    """Probability at one site, total and per chirality component."""
-
-    total: float
-    left: float
-    zero: float
-    right: float
-
-
-@dataclass(frozen=True)
 class Distribution:
     """Per-site, per-chirality probabilities over consecutive sites.
 
@@ -222,16 +203,6 @@ class Distribution:
         totals.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "totals", totals)
-
-    def __getitem__(self, n: int) -> SiteProbability:
-        i = n - self.first_site
-        if not 0 <= i < len(self):
-            raise KeyError(n)
-        left, zero, right = self.probabilities[i].tolist()
-        return SiteProbability(total=float(self.totals[i]), left=left, zero=zero, right=right)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.sites())
 
     def __len__(self) -> int:
         return self.probabilities.shape[0]
@@ -255,7 +226,9 @@ def coin_matrix() -> np.ndarray:
     2/3. It is unitary (real orthogonal) and each row sums to 1, so the
     uniform chirality vector is invariant.
     """
-    return _coin()
+    m = np.full((3, 3), 2.0, dtype=complex)
+    np.fill_diagonal(m, -1.0)
+    return m / 3.0
 
 
 def projector_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -265,7 +238,7 @@ def projector_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     to the left), U_0 the middle row (the component that stays), U_R the
     last row (routed right). They sum to the full coin matrix.
     """
-    coin = _coin()
+    coin = coin_matrix()
     pieces = []
     for row in range(3):
         p = np.zeros((3, 3), dtype=complex)

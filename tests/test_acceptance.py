@@ -25,13 +25,13 @@ from conftest import (
     mirrored,
 )
 from triwalk import (
+    DEFAULT_GRID_SIZE,
     CycleState,
     QuadratureGrid,
     QubitState,
     cdf_distance,
     continuous_mass,
     cycle_time_average,
-    default_grid,
     distribution,
     eigensystem,
     empirical_rescaled,
@@ -127,7 +127,7 @@ def test_criterion_5_spectral_direct_equivalence(criterion_detail):
 
 @pytest.mark.acceptance(6.1, "stationary plus remainder reconstructs the walk")
 def test_criterion_6_reconstruction(criterion_detail):
-    grid = default_grid()
+    grid = QuadratureGrid(DEFAULT_GRID_SIZE)
     worst = 0.0
     for q in (FIGURE_STATE, TEST_STATES[8]):
         for t in (0, 1, 5, 20, 50):
@@ -282,10 +282,10 @@ def test_criterion_10_property_sweep(criterion_detail):
     for q in (FIGURE_STATE, TEST_STATES[8]):
         dist = distribution(evolve_line(q, 50))
         flipped = distribution(evolve_line(mirrored(q), 50))
-        for n in dist.sites():
-            assert dist[n].left == pytest.approx(flipped[-n].right, abs=1e-12)
-            assert dist[n].zero == pytest.approx(flipped[-n].zero, abs=1e-12)
-            assert dist[n].right == pytest.approx(flipped[-n].left, abs=1e-12)
+        # Rows run over sites -50..50, columns (p_L, p_0, p_R): reversing
+        # both maps site n to -n and swaps the movers.
+        assert dist.first_site == flipped.first_site == -50
+        assert dist.probabilities == pytest.approx(flipped.probabilities[::-1, ::-1], abs=1e-12)
 
     # Support bound: after t steps nothing lives beyond |n| = t.
     out = evolve_line(TEST_STATES[9], 37)
@@ -297,12 +297,11 @@ def test_criterion_10_property_sweep(criterion_detail):
     worst_gram = 0.0
     worst_residual = 0.0
     for k in QuadratureGrid(1024).nodes():
-        system = eigensystem(float(k))
-        vectors = np.stack([v.as_array() for v in system.vectors])
+        phases, vectors = eigensystem(float(k))
         gram = vectors.conj() @ vectors.T
         worst_gram = max(worst_gram, float(np.max(np.abs(gram - np.eye(3)))))
         op = fourier_operator(float(k))
-        for phase, vec in zip(system.phases, vectors):
+        for phase, vec in zip(phases, vectors):
             residual = np.max(np.abs(op @ vec - np.exp(1j * phase) * vec))
             worst_residual = max(worst_residual, float(residual))
     criterion_detail(

@@ -26,7 +26,7 @@ from triwalk import (
     stationary_profile,
     total_mass,
 )
-from triwalk.cli import RunManifest, main
+from triwalk.cli import main
 
 # Written with repr so the CLI parses back the exact doubles used in-test.
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -75,9 +75,7 @@ class TestEvolve:
         for row in rows:
             n = int(row[0])
             assert float(row[1]) == dist.total(n)
-            assert float(row[2]) == dist[n].left
-            assert float(row[3]) == dist[n].zero
-            assert float(row[4]) == dist[n].right
+            assert [float(v) for v in row[2:]] == dist.probabilities[n - dist.first_site].tolist()
 
     def test_cycle_evolution(self, tmp_path):
         code = main(
@@ -230,9 +228,7 @@ class TestStationary:
             parts = float(row[2]) + float(row[3]) + float(row[4])
             assert float(row[1]) == parts
             assert float(row[1]) == profile.total(n)
-            assert float(row[2]) == profile[n].left
-            assert float(row[3]) == profile[n].zero
-            assert float(row[4]) == profile[n].right
+            assert [float(v) for v in row[2:]] == profile.probabilities[n + 3].tolist()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["parameters"]["total_mass"] == total_mass(q)
 
@@ -413,10 +409,27 @@ class TestManifest:
     def test_round_trip(self, tmp_path):
         main(["timeavg", "--qubit", "1,0,0", "--sites", "5", "--out", str(tmp_path)])
         text = (tmp_path / "manifest.json").read_text()
-        manifest = RunManifest.from_json(text)
-        assert manifest.to_json() == text
-        assert manifest.command == "timeavg"
-        assert manifest.version
+        manifest = json.loads(text)
+        assert json.dumps(manifest, indent=2, sort_keys=True) + "\n" == text
+        assert set(manifest) == {"argv", "command", "outputs", "parameters", "version"}
+        assert manifest["command"] == "timeavg"
+        assert manifest["version"] == triwalk.__version__
+
+
+class TestOutputPaths:
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["timeavg", "--qubit", "1,0,0", "--sites", "5", "--out", str(taken)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--svg", "--heatmap"])
+    def test_plot_in_missing_directory_exits_2(self, flag, tmp_path, capsys):
+        plot = tmp_path / "missing" / "plot.svg"
+        argv = ["evolve", "--qubit", "1,0,0", "--steps", "1", "--out", str(tmp_path), flag, str(plot)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestGridOverride:

@@ -158,12 +158,9 @@ class TestProfile:
     def test_window_contents(self):
         profile = stationary_profile(FIGURE_STATE, 4)
         assert list(profile.sites()) == list(range(-4, 5))
-        for n in profile.sites():
+        for row, n in zip(profile.probabilities.tolist(), profile.sites()):
             assert profile.total(n) == limit_probability(n, FIGURE_STATE)
-            entry = profile[n]
-            assert (entry.left, entry.zero, entry.right) == tuple(
-                limit_component(n, l, FIGURE_STATE) for l in (1, 2, 3)
-            )
+            assert row == [limit_component(n, l, FIGURE_STATE) for l in (1, 2, 3)]
         for n in (-5, 5, 99):
             assert profile.total(n) == 0.0
         # The window misses only the tail beyond |n| = 4, below c^10 ~ 1e-10.

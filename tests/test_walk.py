@@ -98,9 +98,12 @@ class TestLineEvolution:
         assert dist.total(-1) == pytest.approx(1.0 / 9.0, abs=1e-15)
         assert dist.total(0) == pytest.approx(4.0 / 9.0, abs=1e-15)
         assert dist.total(1) == pytest.approx(4.0 / 9.0, abs=1e-15)
-        assert dist[-1].left == pytest.approx(1.0 / 9.0, abs=1e-15)
-        assert dist[0].zero == pytest.approx(4.0 / 9.0, abs=1e-15)
-        assert dist[1].right == pytest.approx(4.0 / 9.0, abs=1e-15)
+        # Rows are sites -1, 0, 1; columns (p_L, p_0, p_R).
+        assert dist.first_site == -1
+        p = dist.probabilities
+        assert p[0, 0] == pytest.approx(1.0 / 9.0, abs=1e-15)
+        assert p[1, 1] == pytest.approx(4.0 / 9.0, abs=1e-15)
+        assert p[2, 2] == pytest.approx(4.0 / 9.0, abs=1e-15)
 
     def test_one_step_from_middle_basis(self):
         state = step_line(initial_line_state(QubitState(0.0, 1.0, 0.0)))
@@ -141,10 +144,9 @@ class TestLineEvolution:
         t = 6
         dist = distribution(evolve_line(q, t))
         flipped = distribution(evolve_line(mirrored(q), t))
-        for n in dist.sites():
-            assert dist[n].left == pytest.approx(flipped[-n].right, abs=1e-12)
-            assert dist[n].zero == pytest.approx(flipped[-n].zero, abs=1e-12)
-            assert dist[n].right == pytest.approx(flipped[-n].left, abs=1e-12)
+        # Reversing rows maps site n to -n; reversing columns swaps the movers.
+        assert dist.first_site == flipped.first_site == -t
+        assert dist.probabilities == pytest.approx(flipped.probabilities[::-1, ::-1], abs=1e-12)
 
     def test_determinism_bit_identical(self):
         a = evolve_line(FIGURE_STATE, 40)
@@ -343,14 +345,10 @@ class TestStepper:
 class TestDistribution:
     def test_entries_are_nonnegative_and_consistent(self):
         dist = distribution(evolve_line(FIGURE_STATE, 25))
-        for n in dist.sites():
-            entry = dist[n]
-            assert entry.left >= 0.0
-            assert entry.zero >= 0.0
-            assert entry.right >= 0.0
-            assert entry.total == pytest.approx(
-                entry.left + entry.zero + entry.right, abs=1e-15
-            )
+        p = dist.probabilities
+        assert np.all(p >= 0.0)
+        totals = [dist.total(n) for n in dist.sites()]
+        assert totals == pytest.approx(p.sum(axis=1).tolist(), abs=1e-15)
 
     def test_total_defaults_to_zero_outside_window(self):
         dist = distribution(evolve_line(FIGURE_STATE, 3))
@@ -361,12 +359,10 @@ class TestDistribution:
         dist = distribution(state)
         assert dist.first_site == -5
         assert list(dist.sites()) == list(range(-5, 6))
-        assert list(dist) == list(range(-5, 6))
         assert len(dist) == 11
         assert np.array_equal(dist.probabilities, np.abs(state.amplitudes) ** 2)
         for i, n in enumerate(dist.sites()):
-            entry = dist[n]
-            assert (entry.left, entry.zero, entry.right) == tuple(dist.probabilities[i])
+            assert dist.total(n) == dist.totals[i]
 
     def test_cycle_window(self):
         state = evolve_cycle(FIGURE_STATE, 7, 4)
@@ -380,10 +376,8 @@ class TestDistribution:
             dist = distribution(state)
             p = dist.probabilities
             assert np.array_equal(dist.totals, p[:, 0] + p[:, 1] + p[:, 2])
-            for n in dist.sites():
-                entry = dist[n]
-                assert dist.total(n) == entry.left + entry.zero + entry.right
-                assert entry.total == dist.total(n)
+            for i, n in enumerate(dist.sites()):
+                assert dist.total(n) == p[i, 0] + p[i, 1] + p[i, 2]
                 assert isinstance(dist.total(n), float)
 
     def test_zero_outside_line_and_cycle_windows(self):
@@ -392,8 +386,6 @@ class TestDistribution:
         for dist, outside in ((line, (-5, 5, -100)), (ring, (-1, 7, 14))):
             for n in outside:
                 assert dist.total(n) == 0.0
-                with pytest.raises(KeyError):
-                    dist[n]
 
     def test_arrays_are_read_only_copies(self):
         table = np.full((2, 3), 1.0 / 6.0)

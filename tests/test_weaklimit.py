@@ -196,6 +196,14 @@ class TestEmpiricalRescaled:
                 masses=np.array([0.5, 0.5]),
             )
 
+    def test_mass_tolerance_grows_with_time(self):
+        # The mixture's mass drifts with t like the walk's norm: it is off
+        # by -1.3e-12 at t = 12000, past a fixed 1e-12.
+        positions = np.array([-0.5, 0.5])
+        EmpiricalRescaled(time=12000, positions=positions, masses=np.array([0.5, 0.5 - 2e-12]))
+        with pytest.raises(ValueError):
+            EmpiricalRescaled(time=12000, positions=positions, masses=np.array([0.5, 0.5 - 1e-6]))
+
 
 class TestCdfDistance:
     def test_single_atom_at_origin(self):

@@ -117,10 +117,9 @@ def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False
         )
     for idx, (xs, ys, label) in enumerate(cleaned):
         color = _COLORS[idx % len(_COLORS)]
-        points = " ".join(
-            f"{_x_pix(x, x_lo, x_hi):.1f},{_y_pix(y, y_lo, y_hi):.1f}"
-            for x, y in zip(xs, ys)
-        )
+        px = _x_pix(xs, x_lo, x_hi).tolist()
+        py = _y_pix(ys, y_lo, y_hi).tolist()
+        points = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(px, py))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.3"/>'
         )
@@ -165,21 +164,17 @@ def heatmap(path, values, *, x0, title, x_label, y_label):
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    for r in range(rows):
-        # Time increases upward, matching the usual space-time orientation.
-        y = _HEIGHT - _MARGIN_B - (r + 1) * cell_h
-        for c in range(cols):
-            s = shade[r, c]
-            if s <= 0.0:
-                continue
-            red = round(255 - 247 * s)
-            green = round(255 - 207 * s)
-            blue = round(255 - 148 * s)
-            parts.append(
-                f'<rect x="{_MARGIN_L + c * cell_w:.2f}" y="{y:.2f}" '
-                f'width="{cell_w + 0.3:.2f}" height="{cell_h + 0.3:.2f}" '
-                f'fill="rgb({red},{green},{blue})"/>'
-            )
+    # Time increases upward, matching the usual space-time orientation.
+    ys = [f"{_HEIGHT - _MARGIN_B - (r + 1) * cell_h:.2f}" for r in range(rows)]
+    xs = [f"{_MARGIN_L + c * cell_w:.2f}" for c in range(cols)]
+    size = f'width="{cell_w + 0.3:.2f}" height="{cell_h + 0.3:.2f}"'
+    drawn = shade > 0.0
+    # np.rint rounds half to even, as round() does.
+    rgb = np.rint(255.0 - np.array([[247.0], [207.0], [148.0]]) * shade[drawn]).astype(int)
+    parts.extend(
+        f'<rect x="{xs[c]}" y="{ys[r]}" {size} fill="rgb({red},{green},{blue})"/>'
+        for r, c, red, green, blue in zip(*np.vstack((np.nonzero(drawn), rgb)).tolist())
+    )
     _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, title)
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -85,11 +85,10 @@ def _sha256(path: Path) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row)
-        )
+    # One %-format per table from the first row's column types: "%d" % n is
+    # str(n) and "%.17g" % x is _fmt(x).
+    row_fmt = ",".join("%d" if isinstance(v, int) else "%.17g" for v in rows[0])
+    lines = [",".join(header), *(row_fmt % tuple(row) for row in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -135,19 +134,23 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.cycle is None:
         state: walk.LineState | walk.CycleState = walk.initial_line_state(q)
         stepper = walk.step_line
+        first_site, width = -args.steps, 2 * args.steps + 1
     else:
         state = walk.initial_cycle_state(q, args.cycle)
         stepper = walk.step_cycle
+        first_site, width = 0, args.cycle
 
-    dist = walk.distribution(state)
-    trace = [dist.total(0)]
-    heat_rows = [dist] if args.heatmap else None
-    for _ in range(args.steps):
-        state = stepper(state)
+    # Row t of the heat grid holds the totals after t steps over the final window.
+    heat = np.zeros((args.steps + 1, width)) if args.heatmap else None
+    trace = []
+    for t in range(args.steps + 1):
+        if t:
+            state = stepper(state)
         dist = walk.distribution(state)
         trace.append(dist.total(0))
-        if heat_rows is not None:
-            heat_rows.append(dist)
+        if heat is not None:
+            start = dist.first_site - first_site
+            heat[t, start : start + len(dist)] = dist.totals
 
     final = walk.distribution(state)
     files = []
@@ -171,14 +174,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         files.append(svg_path)
     if args.heatmap:
         heat_path = Path(args.heatmap)
-        grid = np.zeros((len(heat_rows), len(final)))
-        for row, dist in zip(grid, heat_rows):
-            start = dist.first_site - final.first_site
-            row[start : start + len(dist)] = dist.totals
         _svg.heatmap(
             heat_path,
-            grid,
-            x0=final.first_site,
+            heat,
+            x0=first_site,
             title="Space-time probability density",
             x_label="n",
             y_label="t",

@@ -111,7 +111,7 @@ class ChiralVector:
 def _check_total_probability(amplitudes: np.ndarray, time: int, what: str) -> None:
     # The initial state may be off by NORM_TOLERANCE; every step, plus the
     # re-evaluation of the initial norm here, adds at most STEP_ROUNDOFF.
-    total = float(np.sum(np.abs(amplitudes) ** 2))
+    total = float(np.vdot(amplitudes, amplitudes).real)
     if not abs(total - 1.0) <= NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF:
         raise ValueError(f"{what} breaks probability conservation: total = {total!r}")
 

@@ -11,9 +11,12 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import triwalk
+from triwalk import _svg
 from triwalk import (
     QubitState,
     cdf_distance,
@@ -26,7 +29,7 @@ from triwalk import (
     stationary_profile,
     total_mass,
 )
-from triwalk.cli import main
+from triwalk.cli import _write_csv, main
 
 # Written with repr so the CLI parses back the exact doubles used in-test.
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -200,6 +203,125 @@ class TestEvolve:
         for path in (svg, heat):
             root = ET.fromstring(path.read_text())
             assert root.tag.endswith("svg")
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+S6 = 1.0 / math.sqrt(6.0)
+#: The zero-localization state: its stationary profile has exact zeros,
+#: which the log-scale plot drops.
+ZERO_LOCALIZATION_QUBIT = f"{S6!r},{-2 * S6!r},{S6!r}"
+
+#: SHA-256 of writer outputs the benchmark golden does not reach, recorded
+#: with the per-cell writers; each argv runs with ``--out .`` in a fresh
+#: directory.
+PINNED_OUTPUTS = {
+    "cycle heatmap, no block averaging": (
+        ["evolve", f"--qubit={FIGURE_QUBIT}", "--steps", "40", "--cycle", "21",
+         "--heatmap", "heat.svg"],
+        {
+            "distribution.csv": "f57fb1703c53000e0fff3e201cbeeb40d8059c5951cd3d025e3931205bf4985d",
+            "trace.csv": "09e047e451f3ad1d66c95214df48e1465acde3ca416f00bdab7d9eca5a06fb66",
+            "heat.svg": "9bd2d64e311124edae76c00a6ef1590c88065018ca844d35db9ce881290246fc",
+        },
+    ),
+    "zero steps, one-cell heatmap": (
+        ["evolve", f"--qubit={FIGURE_QUBIT}", "--steps", "0", "--svg", "trace.svg",
+         "--heatmap", "heat.svg"],
+        {
+            "distribution.csv": "5ec59bc30ebb5c8e704786d6e4761302a2fd7c2989bb07c694802ab13df9a519",
+            "trace.csv": "f7f0f3a3db41e17d7a6125e02853a02e062b6e34bc7abd9525a819ecb64031ca",
+            "trace.svg": "c63a757acb0faafb7d0f38f5323b053a47c699b05174b8f27fd231a436c537b0",
+            "heat.svg": "e6d9a77f611e18e4d270ad2332fefb51da42b8b3e151abf0dbe52b3961673228",
+        },
+    ),
+    "stationary log plot drops zeros": (
+        ["stationary", f"--qubit={ZERO_LOCALIZATION_QUBIT}", "--svg", "profile.svg"],
+        {
+            "stationary.csv": "6927406f2427d2c76c0cf3de2a53d3e9fa8a64d3ebb33730f2411ff6ccc00f9a",
+            "profile.svg": "3b3fe26fd09b6fabe48254f4edd31e65d0878a39d444c75dba8ada7841d96c45",
+        },
+    ),
+    "weaklimit two series": (
+        ["weaklimit", "--steps", "100", "--svg", "cdf.svg"],
+        {
+            "weaklimit.csv": "00e5f1555b4fe43ecfe17024d232157e56636a2220073b7d14a24a9f726d7c03",
+            "cdf.svg": "b9b57804bcb7d82e9b3d2ea58f802bb1d9bdf9ddfbfa25a1f8e6c6438408154e",
+        },
+    ),
+}
+
+
+class TestWriters:
+    @pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+    def test_pinned_output_bytes(self, case, tmp_path, monkeypatch):
+        argv, expected = PINNED_OUTPUTS[case]
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "."]) == 0
+        assert {name: sha256_of(tmp_path / name) for name in expected} == expected
+
+    def test_all_zero_heatmap_bytes(self, tmp_path):
+        # The peak falls back to 1.0 and no cell is drawn.
+        path = tmp_path / "zero.svg"
+        _svg.heatmap(path, np.zeros((3, 5)), x0=-2, title="empty", x_label="n", y_label="t")
+        assert path.read_text().count("<rect") == 2
+        assert sha256_of(path) == "a78ef88ff268f4b0c25abe3589bd18d84077a91f5f0684f8bbafb96143f19ebd"
+
+    def test_heatmap_draws_one_rect_per_positive_block(self, tmp_path):
+        rng = np.random.default_rng(3)
+        field = rng.random((301, 601)) * (rng.random((301, 601)) < 0.002)
+        blocked, row_step, col_step = _svg._downsample(field)
+        assert (row_step, col_step) == (2, 3)
+        path = tmp_path / "heat.svg"
+        _svg.heatmap(path, field, x0=-300, title="field", x_label="n", y_label="t")
+        text = path.read_text()
+        # The background and the plot frame, then one rect per positive block.
+        assert text.count("<rect") == 2 + int(np.count_nonzero(blocked > 0.0))
+        assert 0 < np.count_nonzero(blocked > 0.0) < blocked.size
+        peaks = int(np.count_nonzero(blocked == blocked.max()))
+        assert text.count('fill="rgb(8,48,107)"') == peaks
+
+    def test_heatmap_half_shade_rounds_to_even(self, tmp_path):
+        # Shade sqrt(0.25) = 0.5: red 131.5 and green 151.5 round to even.
+        path = tmp_path / "heat.svg"
+        _svg.heatmap(path, [[1.0, 0.25], [0.0, 0.25]], x0=0, title="half", x_label="n", y_label="t")
+        text = path.read_text()
+        assert text.count("<rect") == 2 + 3
+        assert text.count('fill="rgb(132,152,181)"') == 2
+        assert text.count('fill="rgb(8,48,107)"') == 1
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072014e-308 / 3.0)
+    @example(1e-05)
+    @example(1e16)
+    @example(0.1 + 0.2)
+    def test_percent_format_is_round_trip_format(self, x):
+        text = "%.17g" % x
+        assert text == format(x, ".17g")
+        back = float(text)
+        assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
+
+    def test_integer_columns_keep_str_int(self, tmp_path):
+        tables = [
+            (["n_sites", "site", "cycle_average", "limit_average"],
+             [[4001, 0, 0.10101951754089237, 1e-05]]),
+            (["n", "p_total", "p_L", "p_0", "p_R"],
+             [[-12, 0.0, 1e16, 5e-324, -0.0], [0, 0.25, 1.0 / 3.0, 2.0 / 3.0, 1.5],
+              # Beyond 17 digits "%.17g" would print an exponent.
+              [10**17 + 1, 1.0, 0.0, 0.0, 1.0]]),
+        ]
+        for header, rows in tables:
+            path = tmp_path / "table.csv"
+            _write_csv(path, header, rows)
+            expected = [",".join(header)] + [
+                ",".join(str(v) if isinstance(v, int) else format(v, ".17g") for v in row)
+                for row in rows
+            ]
+            assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
 
 class TestStationary:

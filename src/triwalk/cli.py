@@ -18,7 +18,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -70,16 +69,6 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _grid_size() -> int:
-    raw = os.environ.get("TRIWALK_GRID")
-    if raw is None:
-        return DEFAULT_GRID_SIZE
-    try:
-        return spectral._require_grid(QuadratureGrid(int(raw))).size
-    except ValueError as exc:
-        raise UsageError(f"bad TRIWALK_GRID value {raw!r}: {exc}") from None
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -97,7 +86,8 @@ def _finish(out_dir: Path, args: argparse.Namespace, files: list[Path], **parame
     manifest = {
         "command": args.command,
         "argv": args.raw_argv,
-        "parameters": {**parameters, "grid_size": args.grid_size},
+        # grid_size stays because perfbench/golden.json pins the manifest bytes.
+        "parameters": {**parameters, "grid_size": DEFAULT_GRID_SIZE},
         "version": __version__,
         "outputs": {f.name: _sha256(f) for f in files},
     }
@@ -401,23 +391,20 @@ def _dispersion_identity() -> tuple[float, str]:
 
 
 def _quadrature_vs_direct() -> tuple[float, str]:
-    # Quadrature checks honor the TRIWALK_GRID override.
-    grid = QuadratureGrid(_grid_size())
     worst = 0.0
     for t in (1, 5, 20):
         for n in range(-5, 6):
             direct = _figure_line(t).amplitude(n).as_array()
-            via_quad = spectral.wavefunction(n, t, _FIGURE_STATE, grid).as_array()
+            via_quad = spectral.wavefunction(n, t, _FIGURE_STATE).as_array()
             worst = max(worst, float(np.max(np.abs(direct - via_quad))))
     return _worst(worst)
 
 
 def _reconstruction() -> tuple[float, str]:
-    grid = QuadratureGrid(_grid_size())
     worst = 0.0
     for t in (0, 5, 20):
         for n in range(-2, 3):
-            remainder = spectral.oscillatory_remainder(n, t, _FIGURE_STATE, grid).as_array()
+            remainder = spectral.oscillatory_remainder(n, t, _FIGURE_STATE).as_array()
             localized = np.array(
                 [stationary.limit_amplitude(n, l, _FIGURE_STATE) for l in (1, 2, 3)]
             )
@@ -453,8 +440,7 @@ _CHECKS = (
     ("spectral", "eigenvector residuals", 1e-12, lambda: _worst(_eigen_gaps()[1], "worst")),
     ("spectral", "quadrature matches direct evolution", 1e-6, _quadrature_vs_direct),
     ("spectral", "kernel normalization at t = 0", 1e-12,
-     lambda: _shown(spectral.j_kernel(0, 0, QuadratureGrid(_grid_size())),
-                    1.0 / (2.0 * math.sqrt(6.0)), 15)),
+     lambda: _shown(spectral.j_kernel(0, 0), 1.0 / (2.0 * math.sqrt(6.0)), 15)),
     ("spectral", "stationary plus remainder reconstructs the walk", 1e-6, _reconstruction),
 )
 
@@ -515,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     weaklimit_cmd.set_defaults(handler=_cmd_weaklimit)
 
     verify = sub.add_parser("verify", help="run a named verification suite")
-    verify.add_argument("--suite", required=True, help="paper-constants, evolution, spectral, or all")
+    verify.add_argument("--suite", required=True, help=", ".join(_SUITES) + ", or all")
     verify.set_defaults(handler=_cmd_verify)
     return parser
 
@@ -534,8 +520,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     args.raw_argv = raw_argv
     try:
-        # Fail on a bad TRIWALK_GRID before any handler writes files.
-        args.grid_size = _grid_size()
         return args.handler(args)
     except (UsageError, OSError) as exc:
         # The only I/O is writing outputs, so an OSError is an unwritable

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import triwalk
-from triwalk import _svg
+from triwalk import _svg, cli
 from triwalk import (
+    DEFAULT_GRID_SIZE,
     QubitState,
     cdf_distance,
     cycle_time_average,
@@ -517,14 +518,43 @@ class TestVerify:
                 assert line.startswith(prefix + " ")
             assert lines[-1] == "all checks passed"
 
-    def test_spectral_suite_on_smallest_grid(self, capsys, monkeypatch):
-        # The kernel alias guard must accept verify's own (n, t) on 256 nodes.
-        monkeypatch.setenv("TRIWALK_GRID", "256")
-        lines = verify_lines("spectral", capsys)
-        assert len(lines) == 7 and lines[-1] == "all checks passed"
-
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
+
+    def test_help_names_every_suite(self, capsys):
+        assert main(["verify", "--help"]) == 0
+        out = capsys.readouterr().out
+        for suite in (*cli._SUITES, "all"):
+            assert suite in out
+
+    def test_failed_checks_exit_1(self, capsys, monkeypatch):
+        # A check passes only when value < bound: a value on the bound and a
+        # NaN value both fail.
+        checks = (
+            ("demo", "below bound", 1.0, lambda: (0.5, "value 0.5")),
+            ("demo", "on bound", 1.0, lambda: (1.0, "value 1.0")),
+            ("demo", "not a number", 1.0, lambda: (math.nan, "value nan")),
+        )
+        monkeypatch.setattr(cli, "_CHECKS", checks)
+        assert main(["verify", "--suite", "all"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "PASS [demo] below bound: value 0.5",
+            "FAIL [demo] on bound: value 1.0",
+            "FAIL [demo] not a number: value nan",
+            "2 check(s) failed",
+        ]
+
+    def test_ignores_grid_environment_variable(self, tmp_path, capsys, monkeypatch):
+        # The CLI always uses the default quadrature grid; a TRIWALK_GRID
+        # left in the environment changes neither verify nor the manifest.
+        monkeypatch.delenv("TRIWALK_GRID", raising=False)
+        plain = verify_lines("spectral", capsys)
+        for value in ("abc", "64", "256", "2048"):
+            monkeypatch.setenv("TRIWALK_GRID", value)
+            assert verify_lines("spectral", capsys) == plain
+        main(["timeavg", "--qubit", "1,0,0", "--sites", "5", "--out", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["parameters"]["grid_size"] == DEFAULT_GRID_SIZE == 16384
 
 
 class TestManifest:
@@ -552,22 +582,6 @@ class TestOutputPaths:
         argv = ["evolve", "--qubit", "1,0,0", "--steps", "1", "--out", str(tmp_path), flag, str(plot)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
-
-
-class TestGridOverride:
-    def test_recorded_in_manifest(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TRIWALK_GRID", "2048")
-        main(["timeavg", "--qubit", "1,0,0", "--sites", "5", "--out", str(tmp_path)])
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["parameters"]["grid_size"] == 2048
-
-    def test_rejects_bad_values(self, tmp_path, monkeypatch):
-        for bad in ("abc", "999", "-4", "64"):
-            monkeypatch.setenv("TRIWALK_GRID", bad)
-            code = main(
-                ["timeavg", "--qubit", "1,0,0", "--sites", "5", "--out", str(tmp_path)]
-            )
-            assert code == 2
 
 
 class TestTopLevel:

@@ -521,10 +521,11 @@ def main(argv: list[str] | None = None) -> int:
     args.raw_argv = raw_argv
     try:
         return args.handler(args)
-    except (UsageError, OSError) as exc:
-        # The only I/O is writing outputs, so an OSError is an unwritable
-        # output path, such as --out naming a file or --svg in a missing directory.
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, OSError, MemoryError) as exc:
+        # The only I/O is writing outputs, so an OSError is an unwritable output
+        # path (--out naming a file, --svg in a missing directory); a MemoryError
+        # is an input too large to hold, such as evolve --heatmap at t = 20000.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

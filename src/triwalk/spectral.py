@@ -153,8 +153,8 @@ def eigensystem(k: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _eigen_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached per-grid eigendata: nodes k, phases theta, vectors V[j, node, :]."""
+def _eigen_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cached per-grid eigendata: nodes k, phases theta, vectors V[j, node, :], conj(V)."""
     k = QuadratureGrid(size).nodes()
     *_, theta = _dispersion_terms(k)
     vectors = np.stack(
@@ -164,9 +164,10 @@ def _eigen_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             _eigenvector_components(-theta, k),
         ]
     )
-    for a in (k, theta, vectors):
+    conjugates = vectors.conj()
+    for a in (k, theta, vectors, conjugates):
         a.setflags(write=False)
-    return k, theta, vectors
+    return k, theta, vectors, conjugates
 
 
 @functools.lru_cache(maxsize=8)
@@ -241,12 +242,12 @@ def wavefunction(
         is exact only for integrand frequencies below the grid size.
     """
     grid = _require_grid(grid, n, t)
-    k, theta, vectors = _eigen_tableau(grid.size)
+    k, theta, vectors, conjugates = _eigen_tableau(grid.size)
     q_arr = q.as_array()
     branch_phases = (np.zeros_like(theta), theta, -theta)
     amplitude = np.zeros(3, dtype=complex)
     for j in range(3):
-        coefficients = vectors[j].conj() @ q_arr
+        coefficients = conjugates[j] @ q_arr
         factor = np.exp(1j * (branch_phases[j] * t + k * n))
         amplitude += (factor * coefficients) @ vectors[j]
     amplitude /= grid.size
@@ -266,8 +267,8 @@ def stationary_component_integral(
     grid = _require_grid(grid, n, kernel=True)
     if l not in (1, 2, 3):
         raise ValueError("chirality index must be 1, 2, or 3")
-    k, _, vectors = _eigen_tableau(grid.size)
-    coefficients = vectors[0].conj() @ q.as_array()
+    k, _, vectors, conjugates = _eigen_tableau(grid.size)
+    coefficients = conjugates[0] @ q.as_array()
     amplitude = (np.exp(1j * k * n) * coefficients) @ vectors[0] / grid.size
     return complex(amplitude[l - 1])
 

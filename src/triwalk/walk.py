@@ -8,10 +8,16 @@ site right. Evolution is implemented on a finite window of the infinite line
 on cycles with an odd number of sites.
 
 The coin and the shifts are real, so the real and imaginary parts of a state
-evolve independently. One private kernel steps them in place as float64
-arrays of shape (rows, sites, 3), one row for a real state and two otherwise;
-``evolve_*`` advance one buffer and build the frozen state once, at the end,
-and ``step_*`` are one-step wrappers on the same kernel.
+evolve independently, in float64 buffers of shape (rows, 3, sites): one row
+for a real state, two otherwise, three for the weak limit's pure states.
+Each step is one BLAS product ``coin @ window``, which ``evolve_*`` write into
+a second buffer through a landing view, ``landing[r, c, j] = buf[r, c, j + c]``,
+shifting each chirality as it lands. The buffers alternate, so cells nothing
+lands on keep the zeros of two steps back, when the light cone was narrower;
+the cycle's edge movers land in a spare end column and wrap around. A line
+window spans the new light cone with its zero neighbours, so it never shrinks
+to one column, whose product BLAS rounds differently, and ``evolve_*`` match
+the one-step wrappers ``step_*`` bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "QubitState",
@@ -108,12 +115,17 @@ class ChiralVector:
         return abs(self.left) ** 2 + abs(self.zero) ** 2 + abs(self.right) ** 2
 
 
-def _check_total_probability(amplitudes: np.ndarray, time: int, what: str) -> None:
+def _check_total_probability(values: np.ndarray, time: int, what: str) -> None:
     # The initial state may be off by NORM_TOLERANCE; every step, plus the
     # re-evaluation of the initial norm here, adds at most STEP_ROUNDOFF.
-    total = float(np.vdot(amplitudes, amplitudes).real)
-    if not abs(total - 1.0) <= NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF:
-        raise ValueError(f"{what} breaks probability conservation: total = {total!r}")
+    if values.dtype == complex:  # a frozen state: contiguous, so vdot copies nothing
+        totals = [float(np.vdot(values, values).real)]
+    else:  # a strided (states, m, n) stepping window: each state's parts along m and n
+        totals = np.einsum("sij,sij->s", values, values).tolist()
+    bound = NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF
+    for total in totals:
+        if not abs(total - 1.0) <= bound:  # also rejects NaN
+            raise ValueError(f"{what} breaks probability conservation: total = {total!r}")
 
 
 def _frozen_rows(values: np.ndarray, dtype: type) -> np.ndarray:
@@ -248,42 +260,59 @@ def projector_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=1)
-def _coin_t() -> np.ndarray:
-    # The real transposed coin for the kernel, built once per process.
-    u_l, u_0, u_r = projector_matrices()
-    coin_t = np.ascontiguousarray((u_l + u_0 + u_r).real.T)
-    coin_t.setflags(write=False)
-    return coin_t
+def _coin() -> np.ndarray:
+    # The real coin for the kernel, built once per process.
+    coin = sum(projector_matrices()).real.copy()
+    coin.setflags(write=False)
+    return coin
 
 
 def _parts(amplitudes: np.ndarray, pad: int = 0) -> np.ndarray:
-    # (rows, pad + sites + pad, 3) float64 copy: the real part, then the
-    # imaginary part unless it is all zero; the pad sites are zero.
-    rows = 2 if np.any(amplitudes.imag) else 1
-    parts = np.zeros((rows, amplitudes.shape[0] + 2 * pad, 3))
-    parts[:, pad : pad + amplitudes.shape[0]] = (amplitudes.real, amplitudes.imag)[:rows]
+    # (rows, 3, pad + sites + pad) copy of contiguous (sites, 3) amplitudes, zero
+    # in the pad: the real part, then the imaginary part unless it is all zero.
+    pairs = amplitudes.view(float).reshape(-1, 3, 2).T
+    rows = 2 if pairs[1].any() else 1
+    parts = np.zeros((rows, 3, len(amplitudes) + 2 * pad))
+    parts[:, :, pad : pad + len(amplitudes)] = pairs[:rows]
     return parts
 
 
 def _amplitudes(parts: np.ndarray) -> np.ndarray:
-    amplitudes = parts[0].astype(complex)
-    if len(parts) == 2:
-        amplitudes.imag = parts[1]
+    amplitudes = np.empty((parts.shape[2], 3), dtype=complex)
+    amplitudes.real = parts[0].T
+    amplitudes.imag = parts[1].T if len(parts) == 2 else 0.0
     return amplitudes
 
 
-def _advance(parts: np.ndarray, cycle: bool) -> None:
-    # One step in place: the coin at every site, then the left mover one site
-    # left, the stayer in place and the right mover one site right. On the
-    # cycle the edge movers wrap around. A line window must start with empty
-    # edge sites; nothing moves into them from beyond, so they keep their 0.
-    coined = parts @ _coin_t()
-    parts[:, :, 1] = coined[:, :, 1]
-    parts[:, :-1, 0] = coined[:, 1:, 0]
-    parts[:, 1:, 2] = coined[:, :-1, 2]
-    if cycle:
-        parts[:, -1, 0] = coined[:, 0, 0]
-        parts[:, 0, 2] = coined[:, -1, 2]
+def _step(amplitudes: np.ndarray, cycle: bool) -> np.ndarray:
+    # One step of frozen amplitudes: the coin over their parts (on the line with
+    # a zero site more per side), then the shifted chirality rows copied out.
+    coined = _coin() @ _parts(amplitudes, pad=0 if cycle else 1)
+    out = np.zeros((coined.shape[2], 3), dtype=complex)
+    for part, row in zip(coined, (out.real, out.imag)):
+        row[:-1, 0], row[:, 1], row[1:, 2] = part[0, 1:], part[1], part[2, :-1]
+        if cycle:
+            row[-1, 0], row[0, 2] = part[0, 0], part[2, -1]
+    return out
+
+
+def _evolve(parts: np.ndarray, t: int, cycle: bool, states: int = 1) -> np.ndarray:
+    # t steps of a (rows, 3, cols) buffer of ``states`` states, each checked every
+    # step; the line starts in column cols // 2 = t + 1. Drops the end columns.
+    cols = parts.shape[2]
+    bufs = (parts, np.zeros_like(parts))
+    r, c, j = parts.strides
+    landings = [as_strided(buf, (len(buf), 3, cols - 2), (r, c + j, j)) for buf in bufs]
+    for s in range(1, t + 1):
+        lo, hi = (1, cols - 1) if cycle else (cols // 2 - s, cols // 2 + s + 1)
+        dst = bufs[s % 2]
+        landing = landings[s % 2][:, :, lo - 1 : hi - 1]
+        np.matmul(_coin(), bufs[1 - s % 2][:, :, lo:hi], out=landing)
+        if cycle:
+            dst[:, 0, -2], dst[:, 2, 1] = dst[:, 0, 0], dst[:, 2, -1]
+        window = dst[:, :, lo:hi].reshape(states, -1, hi - lo)
+        _check_total_probability(window, s, "cycle state" if cycle else "line state")
+    return bufs[t % 2][:, :, 1:-1]
 
 
 def initial_line_state(q: QubitState) -> LineState:
@@ -293,13 +322,7 @@ def initial_line_state(q: QubitState) -> LineState:
 
 def step_line(s: LineState) -> LineState:
     """Advance a line state by one step, widening the window by one site per side."""
-    parts = _parts(s.amplitudes, pad=1)
-    _advance(parts, cycle=False)
-    return LineState(
-        origin_offset=s.origin_offset - 1,
-        amplitudes=_amplitudes(parts),
-        time=s.time + 1,
-    )
+    return LineState(s.origin_offset - 1, _step(s.amplitudes, cycle=False), s.time + 1)
 
 
 def evolve_line(q: QubitState, t: int) -> LineState:
@@ -319,12 +342,7 @@ def evolve_line(q: QubitState, t: int) -> LineState:
     """
     if t < 0:
         raise ValueError("step count must be non-negative")
-    parts = _parts(q.as_array()[None, :], pad=t)
-    for s in range(1, t + 1):
-        # The light cone after s steps covers the sites -s..s.
-        window = parts[:, t - s : t + s + 1]
-        _advance(window, cycle=False)
-        _check_total_probability(window, s, "line state")
+    parts = _evolve(_parts(q.as_array()[None, :], pad=t + 1), t, cycle=False)
     return LineState(origin_offset=-t, amplitudes=_amplitudes(parts), time=t)
 
 
@@ -339,19 +357,14 @@ def initial_cycle_state(q: QubitState, n_sites: int) -> CycleState:
 
 def step_cycle(s: CycleState) -> CycleState:
     """Advance a cycle state by one step (site indices wrap modulo the size)."""
-    parts = _parts(s.amplitudes)
-    _advance(parts, cycle=True)
-    return CycleState(n_sites=s.n_sites, amplitudes=_amplitudes(parts), time=s.time + 1)
+    return CycleState(s.n_sites, _step(s.amplitudes, cycle=True), s.time + 1)
 
 
 def evolve_cycle(q: QubitState, n_sites: int, t: int) -> CycleState:
     """Evolve the walker for ``t`` steps on a cycle of ``n_sites`` sites."""
     if t < 0:
         raise ValueError("step count must be non-negative")
-    parts = _parts(initial_cycle_state(q, n_sites).amplitudes)
-    for s in range(1, t + 1):
-        _advance(parts, cycle=True)
-        _check_total_probability(parts, s, "cycle state")
+    parts = _evolve(_parts(initial_cycle_state(q, n_sites).amplitudes, pad=1), t, cycle=True)
     return CycleState(n_sites=n_sites, amplitudes=_amplitudes(parts), time=t)
 
 

@@ -181,11 +181,11 @@ def empirical_rescaled(t: int) -> EmpiricalRescaled:
     """
     if t < 1:
         raise ValueError("step count must be at least 1")
-    mixture = np.zeros(2 * t + 1)
-    for components in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        state = walk.evolve_line(QubitState(*components), t)
-        mixture += np.sum(np.abs(state.amplitudes) ** 2, axis=1)
-    mixture /= 3.0
+    # Row i of one real buffer holds the pure state i, at the origin in column
+    # t + 1; each state's sum comes first, as in three separate evolutions.
+    parts = np.zeros((3, 3, 2 * t + 3))
+    parts[:, :, t + 1] = np.eye(3)
+    mixture = (walk._evolve(parts, t, cycle=False, states=3) ** 2).sum(axis=1).sum(axis=0) / 3.0
     positions = np.arange(-t, t + 1, dtype=float) / t
     return EmpiricalRescaled(time=t, positions=positions, masses=mixture)
 

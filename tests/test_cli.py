@@ -583,6 +583,26 @@ class TestOutputPaths:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "message, printed",
+        [
+            ("Unable to allocate 5.96 GiB for an array", "Unable to allocate 5.96 GiB for an array"),
+            ("", "out of memory"),
+        ],
+    )
+    def test_out_of_memory_exits_2(self, message, printed, tmp_path, capsys, monkeypatch):
+        # evolve --steps 20000 --heatmap would ask for a 5.96 GiB heat grid; a
+        # callee raising MemoryError stands in for that allocation.
+        def no_memory(q):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.walk, "initial_line_state", no_memory)
+        argv = ["evolve", "--qubit", "1,0,0", "--steps", "20000", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {printed}\n"
+        assert captured.out == ""
+
 
 class TestTopLevel:
     def test_package_all_is_the_module_lists(self):

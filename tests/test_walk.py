@@ -283,6 +283,17 @@ class TestStepper:
                     assert np.array_equal(out.amplitudes, state.amplitudes)
                 state = step_line(state)
 
+    def test_first_steps_keep_the_zero_neighbours(self):
+        # Under OpenBLAS the coin's product over a lone column rounds this
+        # state differently from the same column inside a wider window, so
+        # evolve_line matches the padded one-step wrapper bit for bit at
+        # t = 1 and 2 only if no window shrinks to the previous light cone.
+        q = TEST_STATES[11]
+        state = initial_line_state(q)
+        for t in (1, 2):
+            state = step_line(state)
+            assert np.array_equal(evolve_line(q, t).amplitudes, state.amplitudes)
+
     def test_evolve_cycle_is_chained_step_cycle(self):
         # Every run goes past the wrap, at t > (n_sites - 1) / 2.
         for n_sites, t in ((3, 7), (7, 20), (101, 230)):
@@ -318,21 +329,44 @@ class TestStepper:
                 assert not np.shares_memory(after.amplitudes, state.amplitudes)
 
     def test_conservation_checked_after_every_step(self, monkeypatch):
-        # On the active window [-s, s] of the line, then once more on the
-        # frozen result; the cycle's initial state is checked as well.
+        # Each state's total on the active window [-s, s] of the line after
+        # every step s, then once more on the frozen result; the cycle's
+        # initial state is checked as well. Each window holds the real and
+        # imaginary parts of exactly the state after s steps.
+        q = FIGURE_STATE
+        line = {s: evolve_line(q, s).amplitudes for s in (1, 2, 3)}
+        ring = {s: evolve_cycle(q, 5, s).amplitudes for s in (0, 1, 2)}
         seen = []
         check = walk._check_total_probability
 
         def record(values, time, what):
-            seen.append((what, time, values.shape[-2]))
+            seen.append((what, time, values.shape, np.array(values)))
             check(values, time, what)
 
+        def complex_window(values):
+            parts = values.reshape(2, 3, -1)
+            return parts[0].T + 1j * parts[1].T
+
         monkeypatch.setattr(walk, "_check_total_probability", record)
-        evolve_line(FIGURE_STATE, 3)
-        assert seen == [("line state", s, 2 * s + 1) for s in (1, 2, 3, 3)]
+        evolve_line(q, 3)
+        assert [entry[:3] for entry in seen] == [
+            *(("line state", s, (1, 6, 2 * s + 1)) for s in (1, 2, 3)),
+            ("line state", 3, (7, 3)),
+        ]
+        for s, entry in zip((1, 2, 3), seen):
+            assert np.array_equal(complex_window(entry[3]), line[s])
+        assert np.array_equal(seen[-1][3], line[3])
         seen.clear()
-        evolve_cycle(FIGURE_STATE, 5, 2)
-        assert seen == [("cycle state", s, 5) for s in (0, 1, 2, 2)]
+        evolve_cycle(q, 5, 2)
+        assert [entry[:3] for entry in seen] == [
+            ("cycle state", 0, (5, 3)),
+            *(("cycle state", s, (1, 6, 5)) for s in (1, 2)),
+            ("cycle state", 2, (5, 3)),
+        ]
+        assert np.array_equal(seen[0][3], ring[0])
+        for s in (1, 2):
+            assert np.array_equal(complex_window(seen[s][3]), ring[s])
+        assert np.array_equal(seen[-1][3], ring[2])
 
     def test_evolve_line_window_is_the_light_cone(self):
         for q in STEPPER_STATES:

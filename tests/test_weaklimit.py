@@ -7,14 +7,17 @@ import math
 import numpy as np
 import pytest
 
+from triwalk import walk
 from triwalk import (
     HADAMARD_EDGE,
     SUPPORT_EDGE,
     EmpiricalRescaled,
+    QubitState,
     cdf_distance,
     continuous_mass,
     density,
     empirical_rescaled,
+    evolve_line,
     hadamard_density,
     hadamard_mass,
     limit_cdf,
@@ -177,6 +180,36 @@ class TestEmpiricalRescaled:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             empirical_rescaled(0)
+
+    def test_equals_three_separate_evolutions_exactly(self):
+        # The batched evolution reproduces the per-state route bit for bit,
+        # including the one- and two-step windows.
+        for t in (1, 2, 3, 50, 2000):
+            mixture = np.zeros(2 * t + 1)
+            for components in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+                amplitudes = evolve_line(QubitState(*components), t).amplitudes
+                mixture += np.sum(np.abs(amplitudes) ** 2, axis=1)
+            mixture /= 3.0
+            assert np.array_equal(empirical_rescaled(t).masses, mixture)
+
+    def test_each_state_is_checked_every_step(self, monkeypatch):
+        # The window of each pure state is checked on its own: a coin that
+        # moves norm from the first basis state to the second fails on the
+        # first step, although the mixture keeps its total.
+        coin = np.asarray(walk._coin()) * np.sqrt([1.0 + 1e-6, 1.0 - 1e-6, 1.0])
+        assert float(np.sum(coin**2)) / 3.0 == pytest.approx(1.0, abs=1e-15)
+        monkeypatch.setattr(walk, "_coin", lambda: coin)
+        seen = []
+        check = walk._check_total_probability
+
+        def record(values, time, what):
+            seen.append((time, values.shape))
+            check(values, time, what)
+
+        monkeypatch.setattr(walk, "_check_total_probability", record)
+        with pytest.raises(ValueError, match=r"conservation: total = 1\.000001"):
+            empirical_rescaled(100)
+        assert seen == [(1, (3, 3, 3))]
 
     def test_validation_of_hand_built_atoms(self):
         with pytest.raises(ValueError):

@@ -8,16 +8,15 @@ site right. Evolution is implemented on a finite window of the infinite line
 on cycles with an odd number of sites.
 
 The coin and the shifts are real, so the real and imaginary parts of a state
-evolve independently, in float64 buffers of shape (rows, 3, sites): one row
-for a real state, two otherwise, three for the weak limit's pure states.
-Each step is one BLAS product ``coin @ window``, which ``evolve_*`` write into
-a second buffer through a landing view, ``landing[r, c, j] = buf[r, c, j + c]``,
-shifting each chirality as it lands. The buffers alternate, so cells nothing
-lands on keep the zeros of two steps back, when the light cone was narrower;
-the cycle's edge movers land in a spare end column and wrap around. A line
-window spans the new light cone with its zero neighbours, so it never shrinks
-to one column, whose product BLAS rounds differently, and ``evolve_*`` match
-the one-step wrappers ``step_*`` bit for bit.
+evolve apart, as float64 buffers (rows, 3, sites): one row for a real state,
+two otherwise, three for the weak limit's pure states. Each step is one BLAS
+product ``coin @ window``, which ``evolve_*`` write into a second buffer
+through a landing view ``landing[r, c, j] = buf[r, c, j + c]`` that shifts
+each chirality as it lands. The buffers alternate, so cells that nothing lands
+on keep the zeros of the narrower light cone two steps back; the cycle's edge
+movers land in a spare end column and wrap around. Line windows span the new
+light cone with its zero neighbours, never one column, whose product BLAS
+rounds differently, so ``evolve_*`` and ``step_*`` agree bitwise.
 """
 
 from __future__ import annotations
@@ -122,9 +121,8 @@ def _check_total_probability(values: np.ndarray, time: int, what: str) -> None:
         totals = [float(np.vdot(values, values).real)]
     else:  # a strided (states, m, n) stepping window: each state's parts along m and n
         totals = np.einsum("sij,sij->s", values, values).tolist()
-    bound = NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF
     for total in totals:
-        if not abs(total - 1.0) <= bound:  # also rejects NaN
+        if not abs(total - 1.0) <= NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF:  # and NaN
             raise ValueError(f"{what} breaks probability conservation: total = {total!r}")
 
 
@@ -286,14 +284,17 @@ def _amplitudes(parts: np.ndarray) -> np.ndarray:
 
 def _step(amplitudes: np.ndarray, cycle: bool) -> np.ndarray:
     # One step of frozen amplitudes: the coin over their parts (on the line with
-    # a zero site more per side), then the shifted chirality rows copied out.
+    # a zero site more per side), then each part landing shifted in the output.
     coined = _coin() @ _parts(amplitudes, pad=0 if cycle else 1)
-    out = np.zeros((coined.shape[2], 3), dtype=complex)
-    for part, row in zip(coined, (out.real, out.imag)):
-        row[:-1, 0], row[:, 1], row[1:, 2] = part[0, 1:], part[1], part[2, :-1]
-        if cycle:
-            row[-1, 0], row[0, 2] = part[0, 0], part[2, -1]
-    return out
+    n = coined.shape[2]
+    out = np.zeros((n + 2, 3), dtype=complex)
+    site, item = out.strides
+    landing = np.ndarray((len(coined), 3, n), float, out, strides=(item // 2, site + item, site))
+    for r, part in enumerate(coined):
+        landing[r] = part
+    if cycle:
+        out[n, 0], out[1, 2] = out[0, 0], out[n + 1, 2]
+    return out[1:-1]
 
 
 def _evolve(parts: np.ndarray, t: int, cycle: bool, states: int = 1) -> np.ndarray:
@@ -305,9 +306,8 @@ def _evolve(parts: np.ndarray, t: int, cycle: bool, states: int = 1) -> np.ndarr
     landings = [as_strided(buf, (len(buf), 3, cols - 2), (r, c + j, j)) for buf in bufs]
     for s in range(1, t + 1):
         lo, hi = (1, cols - 1) if cycle else (cols // 2 - s, cols // 2 + s + 1)
-        dst = bufs[s % 2]
-        landing = landings[s % 2][:, :, lo - 1 : hi - 1]
-        np.matmul(_coin(), bufs[1 - s % 2][:, :, lo:hi], out=landing)
+        src, dst, landing = bufs[1 - s % 2], bufs[s % 2], landings[s % 2]
+        np.matmul(_coin(), src[:, :, lo:hi], out=landing[:, :, lo - 1 : hi - 1])
         if cycle:
             dst[:, 0, -2], dst[:, 2, 1] = dst[:, 0, 0], dst[:, 2, -1]
         window = dst[:, :, lo:hi].reshape(states, -1, hi - lo)

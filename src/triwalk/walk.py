@@ -25,7 +25,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "QubitState",
@@ -283,8 +282,8 @@ def _amplitudes(parts: np.ndarray) -> np.ndarray:
 
 
 def _step(amplitudes: np.ndarray, cycle: bool) -> np.ndarray:
-    # One step of frozen amplitudes: the coin over their parts (on the line with
-    # a zero site more per side), then each part landing shifted in the output.
+    # One step of frozen amplitudes: the coin over their parts (the line's padded by
+    # a zero site per side), landing shifted in an output with a spare end site.
     coined = _coin() @ _parts(amplitudes, pad=0 if cycle else 1)
     n = coined.shape[2]
     out = np.zeros((n + 2, 3), dtype=complex)
@@ -303,7 +302,7 @@ def _evolve(parts: np.ndarray, t: int, cycle: bool, states: int = 1) -> np.ndarr
     cols = parts.shape[2]
     bufs = (parts, np.zeros_like(parts))
     r, c, j = parts.strides
-    landings = [as_strided(buf, (len(buf), 3, cols - 2), (r, c + j, j)) for buf in bufs]
+    landings = [np.ndarray((len(b), 3, cols - 2), float, b, strides=(r, c + j, j)) for b in bufs]
     for s in range(1, t + 1):
         lo, hi = (1, cols - 1) if cycle else (cols // 2 - s, cols // 2 + s + 1)
         src, dst, landing = bufs[1 - s % 2], bufs[s % 2], landings[s % 2]

@@ -121,12 +121,12 @@ def _check_total_probability(values: np.ndarray, time: int, what: str) -> None:
     else:  # a strided (states, m, n) stepping window: each state's parts along m and n
         totals = np.einsum("sij,sij->s", values, values).tolist()
     for total in totals:
-        if not abs(total - 1.0) <= NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF:  # and NaN
+        if not abs(total - 1.0) <= NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF:  # NaN fails too
             raise ValueError(f"{what} breaks probability conservation: total = {total!r}")
 
 
 def _frozen_rows(values: np.ndarray, dtype: type) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
+    a = np.array(values, dtype=dtype, order="C")
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError("per-site table must have shape (sites, 3)")
     a.setflags(write=False)

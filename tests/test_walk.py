@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -367,6 +368,18 @@ class TestStepper:
         for s in (1, 2):
             assert np.array_equal(complex_window(seen[s][3]), ring[s])
         assert np.array_equal(seen[-1][3], ring[2])
+
+    def test_steps_accept_any_memory_layout(self):
+        # The wrappers read the frozen amplitudes as pairs of floats, so a
+        # state built from a Fortran-ordered or strided array must step alike.
+        for state, step in (
+            (evolve_line(FIGURE_STATE, 4), step_line),
+            (evolve_cycle(FIGURE_STATE, 7, 4), step_cycle),
+        ):
+            a = state.amplitudes
+            for layout in (np.asfortranarray(a), np.tile(a, 2)[:, 3:]):
+                again = dataclasses.replace(state, amplitudes=layout)
+                assert np.array_equal(step(again).amplitudes, step(state).amplitudes)
 
     def test_evolve_line_window_is_the_light_cone(self):
         for q in STEPPER_STATES:

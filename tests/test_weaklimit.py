@@ -193,12 +193,10 @@ class TestEmpiricalRescaled:
             assert np.array_equal(empirical_rescaled(t).masses, mixture)
 
     def test_each_state_is_checked_every_step(self, monkeypatch):
-        # The window of each pure state is checked on its own: a coin that
-        # moves norm from the first basis state to the second fails on the
-        # first step, although the mixture keeps its total.
-        coin = np.asarray(walk._coin()) * np.sqrt([1.0 + 1e-6, 1.0 - 1e-6, 1.0])
-        assert float(np.sum(coin**2)) / 3.0 == pytest.approx(1.0, abs=1e-15)
-        monkeypatch.setattr(walk, "_coin", lambda: coin)
+        # The window [-s, s] of each pure state is checked on its own after
+        # every step s: a coin that moves norm from the first basis state to
+        # the second fails on the first step, although the mixture keeps its
+        # total.
         seen = []
         check = walk._check_total_probability
 
@@ -207,6 +205,12 @@ class TestEmpiricalRescaled:
             check(values, time, what)
 
         monkeypatch.setattr(walk, "_check_total_probability", record)
+        empirical_rescaled(3)
+        assert seen == [(s, (3, 3, 2 * s + 1)) for s in (1, 2, 3)]
+        seen.clear()
+        coin = np.asarray(walk._coin()) * np.sqrt([1.0 + 1e-6, 1.0 - 1e-6, 1.0])
+        assert float(np.sum(coin**2)) / 3.0 == pytest.approx(1.0, abs=1e-15)
+        monkeypatch.setattr(walk, "_coin", lambda: coin)
         with pytest.raises(ValueError, match=r"conservation: total = 1\.000001"):
             empirical_rescaled(100)
         assert seen == [(1, (3, 3, 3))]

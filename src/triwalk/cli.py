@@ -4,7 +4,8 @@ Subcommands run the simulators and closed-form evaluators, writing CSV
 tables, an optional SVG plot, and a JSON run manifest with SHA-256 checksums
 of every produced file. All numeric CSV fields use 17 significant digits, so
 parsing them back reproduces the in-memory doubles exactly and identical
-invocations produce identical bytes.
+invocations produce identical bytes at a fixed BLAS thread count (verify's
+quadrature gap moves with the thread count).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an output
 path that cannot be written included), 3 invalid physical input
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _svg, spectral, stationary, timeavg, walk, weaklimit
-from .spectral import DEFAULT_GRID_SIZE, QuadratureGrid
+from .spectral import DEFAULT_GRID_SIZE, quadrature_nodes
 from .walk import QubitState
 
 __all__ = ["main"]
@@ -304,7 +305,7 @@ def _figure_line(t: int) -> walk.LineState:
 def _eigen_gaps() -> tuple[float, float]:
     """Worst orthonormality and eigen-residual gaps on every 8th node of 1024."""
     ortho_gap = residual_gap = 0.0
-    for k in QuadratureGrid(1024).nodes()[::8].tolist():
+    for k in quadrature_nodes(1024)[::8].tolist():
         phases, vectors = spectral.eigensystem(k)
         gram = vectors.conj() @ vectors.T
         ortho_gap = max(ortho_gap, float(np.max(np.abs(gram - np.eye(3)))))
@@ -386,7 +387,7 @@ def _cycle_vs_line() -> tuple[float, str]:
 
 
 def _dispersion_identity() -> tuple[float, str]:
-    points = map(spectral.dispersion, QuadratureGrid(1024).nodes().tolist())
+    points = map(spectral.dispersion, quadrature_nodes(1024).tolist())
     return _worst(max(abs(c * c + s * s - 1.0) for c, s, _ in points), "worst")
 
 

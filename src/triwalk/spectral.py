@@ -16,18 +16,20 @@ phi = pi. The same factor cos(phi/2) appears under the normalization constant,
 so the ratio stays fully accurate even at the removable singularity of the
 stationary branch at momentum +-pi.
 
-Quadrature uses midpoint nodes k_j = -pi + (j + 1/2) 2 pi / G with even G.
-Even G guarantees no node lands on k = 0, the one momentum where the
-eigenvector formula genuinely degenerates; an odd G would place a node there
-exactly. All integrands are smooth periodic functions on the grid, so the
-midpoint rule converges spectrally.
+Every quadrature uses the same G = 16384 midpoint nodes
+k_j = -pi + (j + 1/2) 2 pi / G, and reaches only as far in site and time as
+its aliasing rule allows (see ``_check_reach``). Even G guarantees no node
+lands on k = 0, the one momentum where the eigenvector formula genuinely
+degenerates; an odd G would place a node there exactly. All integrands are
+smooth periodic functions on the grid, so the midpoint rule converges
+spectrally.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .walk import ChiralVector, QubitState, coin_matrix
 __all__ = [
     "DEFAULT_GRID_SIZE",
     "SingularMomentumError",
-    "QuadratureGrid",
+    "quadrature_nodes",
     "dispersion",
     "fourier_operator",
     "eigensystem",
@@ -48,11 +50,8 @@ __all__ = [
     "oscillatory_remainder",
 ]
 
-#: Default number of momentum quadrature nodes.
+#: Number of momentum nodes of every quadrature.
 DEFAULT_GRID_SIZE = 16384
-
-#: Smallest grid accepted by the wavefunction and kernel quadratures.
-MIN_GRID_SIZE = 256
 
 
 class SingularMomentumError(ValueError):
@@ -64,24 +63,16 @@ class SingularMomentumError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform midpoint grid over momentum space [-pi, pi).
+def quadrature_nodes(size: int) -> np.ndarray:
+    """The ``size`` midpoint momentum nodes of a uniform grid over [-pi, pi), ascending.
 
     The size must be even: an odd midpoint grid contains the node k = 0,
     which the eigenvector formula cannot handle (see module notes). Midpoint
     construction keeps every node strictly inside (-pi, pi) and away from 0.
     """
-
-    size: int
-
-    def __post_init__(self) -> None:
-        if self.size < 2 or self.size % 2 != 0:
-            raise ValueError("quadrature grid size must be an even integer >= 2")
-
-    def nodes(self) -> np.ndarray:
-        """The midpoint momentum nodes, ascending."""
-        return -np.pi + (np.arange(self.size) + 0.5) * (2.0 * np.pi / self.size)
+    if size < 2 or size % 2 != 0:
+        raise ValueError("quadrature grid size must be an even integer >= 2")
+    return -np.pi + (np.arange(size) + 0.5) * (2.0 * np.pi / size)
 
 
 def _dispersion_terms(k: float | np.ndarray) -> tuple:
@@ -155,7 +146,7 @@ def eigensystem(k: float) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=8)
 def _eigen_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cached per-grid eigendata: nodes k, phases theta, vectors V[j, node, :], conj(V)."""
-    k = QuadratureGrid(size).nodes()
+    k = quadrature_nodes(size)
     *_, theta = _dispersion_terms(k)
     vectors = np.stack(
         [
@@ -173,7 +164,7 @@ def _eigen_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 @functools.lru_cache(maxsize=8)
 def _kernel_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cached per-grid kernel data: nodes, phases, and integrand weights."""
-    k = QuadratureGrid(size).nodes()
+    k = quadrature_nodes(size)
     cos_k, one_minus, _, _, theta = _dispersion_terms(k)
     inv_five = 1.0 / (5.0 + cos_k)
     inv_root = 1.0 / np.sqrt((5.0 + cos_k) * one_minus)
@@ -182,12 +173,10 @@ def _kernel_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return k, theta, inv_five, inv_root
 
 
-def _require_grid(
-    grid: QuadratureGrid | None, n: int = 0, t: int = 0, *, kernel: bool = False
-) -> QuadratureGrid:
-    """``grid`` (the default grid if None), checked against every grid minimum.
+def _check_reach(n: int, t: int = 0, *, kernel: bool = False) -> None:
+    """Check that integer ``(n, t)`` lies within the reach of the quadrature grid.
 
-    Every quadrature needs ``MIN_GRID_SIZE`` nodes and a non-negative ``t``.
+    Every quadrature needs integer ``n`` and ``t`` and a non-negative ``t``.
     The wavefunction integrand at (n, t) is a trigonometric polynomial of
     degree t + |n|, which the midpoint rule integrates exactly on more than
     t + |n| nodes. The kernel integrands (``kernel=True``) are not
@@ -200,28 +189,24 @@ def _require_grid(
     the kernels ask for a margin of 5 t^(1/3) + 16 nodes beyond it. The
     stationary-branch integrand's Fourier tail falls like c^|m| with
     c = -5 + 2 sqrt 6, as the kernels' does at t = 0, so
-    ``stationary_component_integral`` takes the kernel rule at t = 0.
+    ``stationary_component_integral`` takes the kernel rule at t = 0. On the
+    16384 nodes the kernels reach t = 28086 at n = 0.
     """
-    grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_SIZE)
-    if grid.size < MIN_GRID_SIZE:
-        raise ValueError(f"quadrature grid too small (need >= {MIN_GRID_SIZE} nodes)")
+    n, t = operator.index(n), operator.index(t)
     if t < 0:
         raise ValueError("step count must be non-negative")
     if kernel:
         need = t / math.sqrt(3.0) + abs(n) + 5.0 * t ** (1.0 / 3.0) + 16.0
-        if grid.size < need:
+        if DEFAULT_GRID_SIZE < need:
             raise ValueError(
-                f"quadrature grid too small for the kernels (need >= t/sqrt(3) + |n|"
-                f" + 5 t^(1/3) + 16 = {need:.1f} nodes)"
+                f"(n, t) = ({n}, {t}) is beyond the kernels' reach: t/sqrt(3) + |n|"
+                f" + 5 t^(1/3) + 16 = {need:.2f} exceeds {DEFAULT_GRID_SIZE} nodes"
             )
-    elif t + abs(n) >= grid.size:
-        raise ValueError(f"quadrature grid too small (need > t + |n| = {t + abs(n)} nodes)")
-    return grid
+    elif t + abs(n) >= DEFAULT_GRID_SIZE:
+        raise ValueError(f"(n, t) = ({n}, {t}) is beyond the quadrature's reach: t + |n| >= {DEFAULT_GRID_SIZE}")
 
 
-def wavefunction(
-    n: int, t: int, q: QubitState, grid: QuadratureGrid | None = None
-) -> ChiralVector:
+def wavefunction(n: int, t: int, q: QubitState) -> ChiralVector:
     """Amplitudes at site ``n`` after ``t`` steps, by momentum quadrature.
 
     Evaluates the inverse Fourier integral of the spectrally decomposed
@@ -233,16 +218,14 @@ def wavefunction(
     Parameters
     ----------
     n, t : int
-        Site index and non-negative step count.
+        Site index and non-negative step count, with t + |n| below the 16384
+        nodes: the midpoint rule is exact only for integrand frequencies
+        below the grid size.
     q : QubitState
         Normalized initial internal state.
-    grid : QuadratureGrid, optional
-        Momentum grid; defaults to the package default. Must have at least
-        ``MIN_GRID_SIZE`` nodes, and more than ``t + |n|``: the midpoint rule
-        is exact only for integrand frequencies below the grid size.
     """
-    grid = _require_grid(grid, n, t)
-    k, theta, vectors, conjugates = _eigen_tableau(grid.size)
+    _check_reach(n, t)
+    k, theta, vectors, conjugates = _eigen_tableau(DEFAULT_GRID_SIZE)
     q_arr = q.as_array()
     branch_phases = (np.zeros_like(theta), theta, -theta)
     amplitude = np.zeros(3, dtype=complex)
@@ -250,63 +233,61 @@ def wavefunction(
         coefficients = conjugates[j] @ q_arr
         factor = np.exp(1j * (branch_phases[j] * t + k * n))
         amplitude += (factor * coefficients) @ vectors[j]
-    amplitude /= grid.size
+    amplitude /= DEFAULT_GRID_SIZE
     return ChiralVector.from_array(amplitude)
 
 
-def stationary_component_integral(
-    n: int, l: int, q: QubitState, grid: QuadratureGrid | None = None
-) -> complex:
+def stationary_component_integral(n: int, l: int, q: QubitState) -> complex:
     """Stationary-branch amplitude at site ``n``, chirality ``l`` in {1, 2, 3}.
 
     Quadrature of the eigenphase-0 branch alone. The phase factor e^{i 0 t}
     is identically 1, so the result carries no time dependence and the
     operation takes no time argument. Its squared modulus is the localized
-    limit probability component. The grid needs at least |n| + 16 nodes.
+    limit probability component. It needs |n| + 16 <= 16384.
     """
-    grid = _require_grid(grid, n, kernel=True)
+    _check_reach(n, kernel=True)
     if l not in (1, 2, 3):
         raise ValueError("chirality index must be 1, 2, or 3")
-    k, _, vectors, conjugates = _eigen_tableau(grid.size)
+    k, _, vectors, conjugates = _eigen_tableau(DEFAULT_GRID_SIZE)
     coefficients = conjugates[0] @ q.as_array()
-    amplitude = (np.exp(1j * k * n) * coefficients) @ vectors[0] / grid.size
+    amplitude = (np.exp(1j * k * n) * coefficients) @ vectors[0] / DEFAULT_GRID_SIZE
     return complex(amplitude[l - 1])
 
 
-def j_kernel(n: int, t: int, grid: QuadratureGrid | None = None) -> float:
+def j_kernel(n: int, t: int) -> float:
     """Oscillatory kernel (1/2 pi) integral of cos(kn) cos(theta_k t)/(5 + cos k).
 
     Vanishes as t grows (Riemann-Lebesgue); at t = 0 it reduces to the
-    time-free integral 1/(2 sqrt 6) for n = 0. Raises ``ValueError`` on
-    grids with fewer than t/sqrt(3) + |n| + 5 t^(1/3) + 16 nodes, where
-    aliasing would spoil the value.
+    time-free integral 1/(2 sqrt 6) for n = 0. Raises ``ValueError`` where
+    t/sqrt(3) + |n| + 5 t^(1/3) + 16 exceeds the 16384 nodes, as aliasing
+    would spoil the value.
     """
-    grid = _require_grid(grid, n, t, kernel=True)
-    k, theta, inv_five, _ = _kernel_tableau(grid.size)
+    _check_reach(n, t, kernel=True)
+    k, theta, inv_five, _ = _kernel_tableau(DEFAULT_GRID_SIZE)
     return float(np.mean(np.cos(k * n) * np.cos(theta * t) * inv_five))
 
 
-def k_kernel(n: int, t: int, grid: QuadratureGrid | None = None) -> float:
+def k_kernel(n: int, t: int) -> float:
     """Oscillatory kernel with weight 1/sqrt((5 + cos k)(1 - cos k)).
 
     The weight diverges at k = 0 but the integrand stays bounded: for integer
     t the factor sin(theta_k t) vanishes linearly in |k| there. Midpoint
-    nodes of an even grid never touch k = 0. Same grid minimum as ``j_kernel``.
+    nodes of an even grid never touch k = 0. Same reach as ``j_kernel``.
     """
-    grid = _require_grid(grid, n, t, kernel=True)
-    k, theta, _, inv_root = _kernel_tableau(grid.size)
+    _check_reach(n, t, kernel=True)
+    k, theta, _, inv_root = _kernel_tableau(DEFAULT_GRID_SIZE)
     return float(np.mean(np.cos(k * n) * np.sin(theta * t) * inv_root))
 
 
-def remainder_matrix(n: int, t: int, grid: QuadratureGrid | None = None) -> np.ndarray:
+def remainder_matrix(n: int, t: int) -> np.ndarray:
     """The 3x3 matrix mapping the initial state to the moving-branch amplitude at (n, t).
 
     The nine entries combine the j and k kernels at sites n - 1, n, n + 1;
     structural identities (the middle entry is 4 J at n, the corners are
     -2 J at n +- 1) follow directly from the assembly.
     """
-    j_prev, j_here, j_next = (j_kernel(n + d, t, grid) for d in (-1, 0, 1))
-    k_prev, k_here, k_next = (k_kernel(n + d, t, grid) for d in (-1, 0, 1))
+    j_prev, j_here, j_next = (j_kernel(n + d, t) for d in (-1, 0, 1))
+    k_prev, k_here, k_next = (k_kernel(n + d, t) for d in (-1, 0, 1))
     m = np.empty((3, 3), dtype=complex)
     m[0, 0] = 3.0 * j_here + 0.5 * (j_prev + j_next + (k_prev - k_next))
     m[2, 2] = 3.0 * j_here + 0.5 * (j_prev + j_next - (k_prev - k_next))
@@ -320,14 +301,12 @@ def remainder_matrix(n: int, t: int, grid: QuadratureGrid | None = None) -> np.n
     return m
 
 
-def oscillatory_remainder(
-    n: int, t: int, q: QubitState, grid: QuadratureGrid | None = None
-) -> ChiralVector:
+def oscillatory_remainder(n: int, t: int, q: QubitState) -> ChiralVector:
     """Moving-branch amplitude at (n, t): the wavefunction minus its localized part.
 
     Applying the remainder matrix to the initial state gives the sum of the
     two moving branches of the spectral decomposition. Adding the stationary
     branch amplitude reconstructs the full wavefunction.
     """
-    m = remainder_matrix(n, t, grid)
+    m = remainder_matrix(n, t)
     return ChiralVector.from_array(m @ q.as_array())

@@ -12,6 +12,7 @@ escapes ballistically and belongs to the continuous part of the weak limit.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -53,6 +54,7 @@ def limit_amplitude(n: int, l: int, q: QubitState) -> complex:
     exactly (up to quadrature error on the integral side). Each weighs the
     initial components with the geometric sequence at sites n - 1, n, n + 1.
     """
+    n = operator.index(n)
     here, right, left = (_sequence_value(n + d) for d in (0, 1, -1))
     a, b, g = q.alpha, q.beta, q.gamma
     if l == 1:

@@ -15,6 +15,7 @@ finite-N averages approach them at rate 1/N.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,7 @@ def eigenvalue_groups(
     theta falls strictly as |k| grows, which fixes the ascending phase order
     0, theta (m = half..1), pi, 2 pi - theta (m = 1..half).
     """
+    site = operator.index(site)
     q_arr = q.as_array()
     # Per mode, the projected amplitude of each pair; mode 0 has two pairs,
     # the second being its rank-2 projection at -1.

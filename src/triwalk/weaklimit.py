@@ -93,6 +93,8 @@ def _hadamard_cdf(x: float) -> float:
     """
     if abs(x) >= HADAMARD_EDGE:
         return math.copysign(0.5, x)
+    if math.isnan(x):
+        raise ValueError("rescaled position is NaN")
     return math.atan(x / math.sqrt(1.0 - 2.0 * x * x)) / math.pi
 
 
@@ -127,6 +129,8 @@ def _continuous_cdf(x: float) -> float:
         return 0.0
     if x >= SUPPORT_EDGE:
         return 2.0 * POINT_MASS
+    if math.isnan(x):
+        raise ValueError("rescaled position is NaN")
     inner = 1.0 - 3.0 * x * x
     if inner <= 0.0:
         return POINT_MASS + math.copysign(POINT_MASS, x)

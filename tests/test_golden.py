@@ -11,6 +11,10 @@ and the ``verify`` line "quadrature matches direct evolution" depends on it:
 the wavefunction's quadrature sum is a BLAS product, and its last bits move
 with the number of threads that split it (worst gap 2.03e-15 on one thread,
 1.18e-15 on two).
+
+Each workload's own reference and check also run, in process, on a small
+instance, so an API change that the benchmark reads fails here rather than
+as failed benchmark operations.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from pathlib import Path
 import pytest
 
 import triwalk
+from triwalk import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
@@ -54,3 +59,16 @@ def test_seed_zero_outputs_match_golden(name, tmp_path):
     if out.is_dir():
         actual.update({f"{workloads.OUT}/{f.name}": _sha256(f.read_bytes()) for f in out.iterdir()})
     assert actual == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [workloads.Evolve(steps=20), workloads.Weaklimit(steps=100), workloads.Timeavg(sites=21), workloads.Verify()],
+    ids=lambda w: w.name,
+)
+def test_workload_checks_pass_on_small_instances(workload, tmp_path, monkeypatch, capsys):
+    qubit = workloads.qubit_text(0)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(workload.argv(qubit))
+    (tmp_path / "stdout.txt").write_text(capsys.readouterr().out, encoding="utf-8")
+    assert workload.check(tmp_path, code, workload.reference(qubit)) == []

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import FIGURE_STATE, TEST_STATES, ZERO_LOCALIZATION_STATE
 from triwalk import (
-    QuadratureGrid,
+    DEFAULT_GRID_SIZE,
     QubitState,
     SingularMomentumError,
     coin_matrix,
@@ -22,12 +22,27 @@ from triwalk import (
     k_kernel,
     limit_amplitude,
     oscillatory_remainder,
+    quadrature_nodes,
     remainder_matrix,
+    spectral,
     stationary_component_integral,
     wavefunction,
 )
 
-GRID = QuadratureGrid(4096)
+
+def kernel_sums(size: int, n: int, t: int) -> tuple[float, float]:
+    """J and K at (n, t) by the library's midpoint sums on ``size`` nodes."""
+    k, theta, inv_five, inv_root = spectral._kernel_tableau(size)
+    wave = np.cos(k * n)
+    return (
+        float(np.mean(wave * np.cos(theta * t) * inv_five)),
+        float(np.mean(wave * np.sin(theta * t) * inv_root)),
+    )
+
+
+def kernel_nodes_needed(n: int, t: int) -> float:
+    """The kernels' node rule: t/sqrt(3) + |n| + 5 t^(1/3) + 16."""
+    return t / math.sqrt(3.0) + abs(n) + 5.0 * t ** (1.0 / 3.0) + 16.0
 
 
 class TestDispersion:
@@ -108,7 +123,7 @@ class TestEigenSystem:
     def test_orthonormal_and_eigen_residual_over_grid(self):
         worst_gram = 0.0
         worst_residual = 0.0
-        for k in QuadratureGrid(1024).nodes():
+        for k in quadrature_nodes(1024):
             phases, v = eigensystem(k)
             gram = v.conj() @ v.T
             worst_gram = max(worst_gram, np.max(np.abs(gram - np.eye(3))))
@@ -131,13 +146,12 @@ class TestEigenSystem:
 class TestQuadratureGrid:
     def test_rejects_odd_or_tiny(self):
         with pytest.raises(ValueError):
-            QuadratureGrid(511)
+            quadrature_nodes(511)
         with pytest.raises(ValueError):
-            QuadratureGrid(0)
+            quadrature_nodes(0)
 
     def test_nodes_are_interior_midpoints(self):
-        grid = QuadratureGrid(8)
-        nodes = grid.nodes()
+        nodes = quadrature_nodes(8)
         assert len(nodes) == 8
         assert nodes[0] == pytest.approx(-math.pi + math.pi / 8.0)
         spacing = np.diff(nodes)
@@ -148,15 +162,15 @@ class TestQuadratureGrid:
 
 class TestWavefunction:
     def test_time_zero_recovers_point_mass(self):
-        psi = wavefunction(0, 0, FIGURE_STATE, GRID)
+        psi = wavefunction(0, 0, FIGURE_STATE)
         assert np.allclose(psi.as_array(), FIGURE_STATE.as_array(), atol=1e-13)
-        assert np.max(np.abs(wavefunction(5, 0, FIGURE_STATE, GRID).as_array())) < 1e-13
+        assert np.max(np.abs(wavefunction(5, 0, FIGURE_STATE).as_array())) < 1e-13
 
     def test_matches_direct_evolution(self):
         for q in TEST_STATES[:5]:
             direct = evolve_line(q, 9)
             for n in (-9, -4, 0, 3, 9):
-                psi = wavefunction(n, 9, q, GRID)
+                psi = wavefunction(n, 9, q)
                 assert np.allclose(
                     psi.as_array(), direct.amplitude(n).as_array(), atol=1e-12
                 )
@@ -169,72 +183,72 @@ class TestWavefunction:
                 psi.as_array(), direct.amplitude(n).as_array(), atol=1e-12
             )
 
-    def test_rejects_small_grid_and_negative_time(self):
-        small = QuadratureGrid(128)
+    def test_rejects_negative_time(self):
         calls = [
-            lambda: wavefunction(0, 1, FIGURE_STATE, small),
-            lambda: wavefunction(0, -1, FIGURE_STATE, GRID),
-            lambda: stationary_component_integral(0, 1, FIGURE_STATE, small),
-            # An 8-node grid used to give k_kernel(0, 3) = 0.333 silently.
-            lambda: j_kernel(0, 3, QuadratureGrid(8)),
-            lambda: k_kernel(0, 3, QuadratureGrid(8)),
-            lambda: remainder_matrix(0, 3, small),
+            lambda: wavefunction(0, -1, FIGURE_STATE),
             # j_kernel(0, -1) used to equal j_kernel(0, 1) silently.
-            lambda: j_kernel(0, -1, GRID),
-            lambda: k_kernel(0, -1, GRID),
+            lambda: j_kernel(0, -1),
+            lambda: k_kernel(0, -1),
+            lambda: remainder_matrix(0, -1),
         ]
         for call in calls:
             with pytest.raises(ValueError):
                 call()
 
     def test_rejects_aliasing_grid(self):
-        # The integrand's frequencies span [n - t, n + t]; 256 midpoint nodes
-        # are exact up to t + |n| = 255 and alias from 256 on (off by 6.5e-2
-        # at n = -140, t = 200 before the guard).
-        grid = QuadratureGrid(256)
-        direct = evolve_line(FIGURE_STATE, 127)
-        psi = wavefunction(-128, 127, FIGURE_STATE, grid)
-        assert np.allclose(psi.as_array(), direct.amplitude(-128).as_array(), atol=1e-12)
-        for n, t in ((-129, 127), (-140, 200), (0, 256)):
+        # The integrand's frequencies span [n - t, n + t]; the 16384 midpoint
+        # nodes are exact up to t + |n| = 16383. Unguarded, the sum at
+        # n = 16384, t = 0 aliases onto n = 0: it returns minus the initial
+        # state.
+        assert DEFAULT_GRID_SIZE == 16384
+        psi = wavefunction(16383, 0, FIGURE_STATE)
+        assert np.max(np.abs(psi.as_array())) < 1e-12
+        for n, t in ((16384, 0), (-8192, 8192)):
             with pytest.raises(ValueError):
-                wavefunction(n, t, FIGURE_STATE, grid)
+                wavefunction(n, t, FIGURE_STATE)
+
+    def test_rejects_non_integer_site_or_time(self):
+        # wavefunction(0.5, 3, q) used to return amplitudes silently.
+        for n, t in ((0.5, 3), (0, 3.0), (np.float64(2.0), 3)):
+            with pytest.raises(TypeError):
+                wavefunction(n, t, FIGURE_STATE)
+        exact = wavefunction(2, 3, FIGURE_STATE).as_array()
+        numpy_ints = wavefunction(np.int64(2), np.int32(3), FIGURE_STATE).as_array()
+        assert numpy_ints.tobytes() == exact.tobytes()
 
 
 class TestStationaryIntegral:
     def test_middle_component_value(self):
-        value = stationary_component_integral(0, 2, FIGURE_STATE, GRID)
+        value = stationary_component_integral(0, 2, FIGURE_STATE)
         assert abs(value) ** 2 == pytest.approx(0.0336735, abs=1e-6)
 
     def test_matches_closed_form(self):
         for q in (FIGURE_STATE, TEST_STATES[7], TEST_STATES[10]):
             for n in range(-10, 11):
                 for l in (1, 2, 3):
-                    integral = stationary_component_integral(n, l, q, GRID)
+                    integral = stationary_component_integral(n, l, q)
                     closed = limit_amplitude(n, l, q)
                     assert integral == pytest.approx(closed, abs=1e-8)
 
     def test_vanishes_for_zero_localization_state(self):
         for n in range(-5, 6):
             for l in (1, 2, 3):
-                value = stationary_component_integral(
-                    n, l, ZERO_LOCALIZATION_STATE, GRID
-                )
+                value = stationary_component_integral(n, l, ZERO_LOCALIZATION_STATE)
                 assert abs(value) < 1e-8
 
     def test_rejects_bad_chirality(self):
         with pytest.raises(ValueError):
-            stationary_component_integral(0, 4, FIGURE_STATE, GRID)
+            stationary_component_integral(0, 4, FIGURE_STATE)
 
     def test_rejects_aliasing_grid(self):
         # The integrand's Fourier tail falls like c^|m|, as the kernels' at
-        # t = 0: G = 256 gave 3.1e-6 at n = 250 and 0.29 at n = 255 before
+        # t = 0: 256 nodes gave 3.1e-6 at n = 250 and 0.29 at n = 255 before
         # the |n| + 16 rule, where the exact amplitude is below 1e-250.
-        grid = QuadratureGrid(256)
-        for n in (250, 255, -255):
+        for n in (16369, -16369):
             with pytest.raises(ValueError):
-                stationary_component_integral(n, 1, FIGURE_STATE, grid)
-        value = stationary_component_integral(240, 1, FIGURE_STATE, grid)
-        assert abs(value - limit_amplitude(240, 1, FIGURE_STATE)) < 1e-14
+                stationary_component_integral(n, 1, FIGURE_STATE)
+        value = stationary_component_integral(16368, 1, FIGURE_STATE)
+        assert abs(value - limit_amplitude(16368, 1, FIGURE_STATE)) < 1e-13
 
 
 class TestOscillatoryKernels:
@@ -260,59 +274,65 @@ class TestOscillatoryKernels:
         late = abs(k_kernel(0, 1000) - k_kernel(1, 1000))
         assert late < early
 
+    def test_kernel_sums_are_the_library_sums(self):
+        for n, t in ((0, 0), (3, 17), (40, 1000)):
+            assert kernel_sums(DEFAULT_GRID_SIZE, n, t) == (j_kernel(n, t), k_kernel(n, t))
+
     def test_grid_independence(self):
-        coarse = j_kernel(0, 50, QuadratureGrid(4096))
-        fine = j_kernel(0, 50, QuadratureGrid(16384))
-        assert coarse == pytest.approx(fine, abs=1e-12)
+        coarse, _ = kernel_sums(4096, 0, 50)
+        assert coarse == pytest.approx(j_kernel(0, 50), abs=1e-12)
 
     def test_rejects_aliasing_grid(self):
         # At n = 0, t = 1000 a 576-node grid was off by 0.28 in K and 2.1e-2
-        # in J before the guard; the kernels need t/sqrt(3) + |n| nodes plus a
-        # margin that grows like t^(1/3).
-        coarse = QuadratureGrid(576)
+        # in J; the kernels need t/sqrt(3) + |n| nodes plus a margin that
+        # grows like t^(1/3), which on 16384 nodes reaches t = 28086 at n = 0.
+        assert kernel_nodes_needed(0, 28086) <= DEFAULT_GRID_SIZE < kernel_nodes_needed(0, 28087)
+        for call in (j_kernel, k_kernel):
+            assert math.isfinite(call(0, 28086))
         for call in (j_kernel, k_kernel, remainder_matrix):
             with pytest.raises(ValueError):
-                call(0, 1000, coarse)
+                call(0, 28087)
         with pytest.raises(ValueError):
-            oscillatory_remainder(0, 1000, FIGURE_STATE, coarse)
+            oscillatory_remainder(0, 28087, FIGURE_STATE)
+
+    def test_rejects_non_integer_site_or_time(self):
+        # j_kernel(0, 2.5) used to return 0.1072 silently.
+        for call in (j_kernel, k_kernel, remainder_matrix):
+            for n, t in ((0, 2.5), (0.5, 3), (0, 3.0)):
+                with pytest.raises(TypeError):
+                    call(n, t)
+        assert j_kernel(np.int64(0), np.int64(3)) == j_kernel(0, 3)
+        assert k_kernel(np.int64(0), np.int64(3)) == k_kernel(0, 3)
 
     def test_smallest_accepted_grid_matches_fine_grid(self):
-        fine = QuadratureGrid(16384)
+        # The sums on the smallest even node count the rule admits agree
+        # with the 16384-node values.
         for n, t in ((0, 1000), (0, 100), (40, 1000), (0, 4000)):
-            size = 256
-            while True:
-                try:
-                    j_kernel(n, t, QuadratureGrid(size))
-                    break
-                except ValueError:
-                    size += 2
+            size = 2 * math.ceil(kernel_nodes_needed(n, t) / 2.0)
             assert size > t / math.sqrt(3.0) + abs(n)
-            smallest = QuadratureGrid(size)
-            assert k_kernel(n, t, smallest) == pytest.approx(k_kernel(n, t, fine), abs=1e-12)
-            assert j_kernel(n, t, smallest) == pytest.approx(j_kernel(n, t, fine), abs=1e-12)
-            if size > 256:
-                with pytest.raises(ValueError):
-                    k_kernel(n, t, QuadratureGrid(size - 2))
+            j_small, k_small = kernel_sums(size, n, t)
+            assert k_small == pytest.approx(k_kernel(n, t), abs=1e-12)
+            assert j_small == pytest.approx(j_kernel(n, t), abs=1e-12)
 
 
 class TestRemainder:
     def test_structural_identities(self):
-        m = remainder_matrix(3, 17, GRID)
+        m = remainder_matrix(3, 17)
         assert isinstance(m, np.ndarray) and m.shape == (3, 3) and m.dtype == complex
-        assert m[1, 1] == pytest.approx(4.0 * j_kernel(3, 17, GRID), abs=1e-15)
-        assert m[0, 2] == pytest.approx(-2.0 * j_kernel(4, 17, GRID), abs=1e-15)
-        assert m[2, 0] == pytest.approx(-2.0 * j_kernel(2, 17, GRID), abs=1e-15)
+        assert m[1, 1] == pytest.approx(4.0 * j_kernel(3, 17), abs=1e-15)
+        assert m[0, 2] == pytest.approx(-2.0 * j_kernel(4, 17), abs=1e-15)
+        assert m[2, 0] == pytest.approx(-2.0 * j_kernel(2, 17), abs=1e-15)
         assert np.max(np.abs(m.imag)) == 0.0
 
     def test_reconstructs_wavefunction(self):
         for q in (FIGURE_STATE, TEST_STATES[8]):
             for t in (0, 1, 5, 12):
                 for n in range(-t - 2, t + 3):
-                    psi = wavefunction(n, t, q, GRID).as_array()
+                    psi = wavefunction(n, t, q).as_array()
                     stationary = np.array(
                         [limit_amplitude(n, l, q) for l in (1, 2, 3)]
                     )
-                    moving = oscillatory_remainder(n, t, q, GRID).as_array()
+                    moving = oscillatory_remainder(n, t, q).as_array()
                     assert np.allclose(psi, stationary + moving, atol=1e-12)
 
     def test_remainder_decays_at_origin(self):
@@ -329,9 +349,9 @@ class TestRemainder:
         # initial condition: q at the origin, zero elsewhere.
         q = QubitState(1.0, 0.0, 0.0)
         stationary = np.array([limit_amplitude(0, l, q) for l in (1, 2, 3)])
-        moving = oscillatory_remainder(0, 0, q, GRID).as_array()
+        moving = oscillatory_remainder(0, 0, q).as_array()
         assert np.allclose(stationary + moving, q.as_array(), atol=1e-12)
         off_site = np.array(
             [limit_amplitude(4, l, q) for l in (1, 2, 3)]
-        ) + oscillatory_remainder(4, 0, q, GRID).as_array()
+        ) + oscillatory_remainder(4, 0, q).as_array()
         assert np.max(np.abs(off_site)) < 1e-12

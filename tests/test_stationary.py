@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -112,6 +113,14 @@ class TestLimitValues:
     def test_rejects_bad_chirality(self):
         with pytest.raises(ValueError):
             limit_amplitude(0, 0, FIGURE_STATE)
+
+    def test_rejects_non_integer_site(self):
+        # limit_amplitude(0.5, 1, (1, 0, 0)) used to return 0.1298j: c ** 1.5
+        # of the negative ratio is complex.
+        for n in (0.5, 1.0):
+            with pytest.raises(TypeError):
+                limit_amplitude(n, 1, QubitState(1.0, 0.0, 0.0))
+        assert limit_amplitude(np.int64(3), 2, FIGURE_STATE) == limit_amplitude(3, 2, FIGURE_STATE)
 
     @given(qubit_states())
     def test_components_are_nonnegative(self, q):

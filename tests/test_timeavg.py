@@ -136,6 +136,15 @@ class TestEigenvalueGroups:
             assert min(np.diff(phases)) > 1e-6
             assert phases[0] == 0.0 and phases[-1] < 2.0 * math.pi
 
+    def test_rejects_non_integer_site(self):
+        with pytest.raises(TypeError):
+            eigenvalue_groups(9, FIGURE_STATE, 0.5)
+        with pytest.raises(TypeError):
+            cycle_time_average(9, FIGURE_STATE, site=2.0)
+        assert cycle_time_average(9, FIGURE_STATE, site=np.int64(2)) == cycle_time_average(
+            9, FIGURE_STATE, site=2
+        )
+
 
 class TestCycleTimeAverage:
     def test_matches_eig_reference(self):

@@ -138,6 +138,19 @@ class TestLimitCdf:
             numeric = (limit_cdf(x + h) - limit_cdf(x - h)) / (2.0 * h)
             assert numeric == pytest.approx(density(x), rel=1e-5)
 
+    def test_rejects_nan(self):
+        # These returned NaN, while density(nan) raises.
+        calls = [
+            lambda: limit_cdf(math.nan),
+            lambda: continuous_mass(math.nan, 0.0),
+            lambda: continuous_mass(-0.2, math.nan),
+            lambda: hadamard_mass(math.nan, 0.0),
+            lambda: hadamard_mass(-0.2, math.nan),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+
     def test_increments_match_quadrature(self):
         sqrt3, sqrt2 = math.sqrt(3.0), math.sqrt(2.0)
         reference = gauss_mass(density, sqrt3, -0.2, 0.2)

@@ -525,7 +525,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError, MemoryError) as exc:
         # The only I/O is writing outputs, so an OSError is an unwritable output
         # path (--out naming a file, --svg in a missing directory); a MemoryError
-        # is an input too large to hold, such as evolve --heatmap at t = 20000.
+        # is an input too large to hold, such as evolve --heatmap at t = 20000
+        # under a 3 GB address-space limit.
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidInputError as exc:

@@ -22,7 +22,9 @@ its aliasing rule allows (see ``_check_reach``). Even G guarantees no node
 lands on k = 0, the one momentum where the eigenvector formula genuinely
 degenerates; an odd G would place a node there exactly. All integrands are
 smooth periodic functions on the grid, so the midpoint rule converges
-spectrally.
+spectrally. One cached tableau per grid holds the nodes, the phases, the
+eigenvectors and the kernel weights, so all four quadratures read the same
+dispersion.
 """
 
 from __future__ import annotations
@@ -92,14 +94,19 @@ def dispersion(k: float) -> tuple[float, float, float]:
     and the non-negative branch ``sin_theta = sqrt((5 + cos k)(1 - cos k))/3``;
     ``theta`` is the angle with those cosine and sine, landing in (0, pi].
     The three eigenphases of the momentum-space operator are 0, +theta and
-    -theta. The relation is 2 pi periodic, so any real ``k`` is accepted.
+    -theta. The relation is 2 pi periodic, so any finite ``k`` is accepted;
+    ``nan`` and ``+-inf`` raise ``ValueError``.
     """
+    if not math.isfinite(k):
+        raise ValueError(f"momentum must be finite, got {k}")
     _, _, cos_theta, sin_theta, theta = _dispersion_terms(k)
     return float(cos_theta), float(sin_theta), float(theta)
 
 
 def fourier_operator(k: float) -> np.ndarray:
-    """One step of the walk at momentum ``k``: diag(e^{ik}, 1, e^{-ik}) coin."""
+    """One step of the walk at finite momentum ``k``: diag(e^{ik}, 1, e^{-ik}) coin."""
+    if not math.isfinite(k):
+        raise ValueError(f"momentum must be finite, got {k}")
     shift = np.diag(np.exp(1j * k * np.array([1.0, 0.0, -1.0])))
     return shift @ coin_matrix()
 
@@ -133,44 +140,35 @@ def eigensystem(k: float) -> tuple[np.ndarray, np.ndarray]:
     ------
     SingularMomentumError
         If ``k`` is 0 modulo 2 pi, where the moving eigenvectors degenerate.
+    ValueError
+        If ``k`` is not finite (raised by ``dispersion``).
     """
+    *_, theta = dispersion(k)
     if float(np.remainder(k, 2.0 * np.pi)) == 0.0:
         raise SingularMomentumError(
             "eigenvectors are singular at momentum 0 (degenerate -1 eigenvalue)"
         )
-    *_, theta = dispersion(k)
     phases = np.array([0.0, theta, -theta])
     return phases, _eigenvector_components(phases, k)
 
 
 @functools.lru_cache(maxsize=8)
-def _eigen_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cached per-grid eigendata: nodes k, phases theta, vectors V[j, node, :], conj(V)."""
-    k = quadrature_nodes(size)
-    *_, theta = _dispersion_terms(k)
-    vectors = np.stack(
-        [
-            _eigenvector_components(np.zeros_like(k), k),
-            _eigenvector_components(theta, k),
-            _eigenvector_components(-theta, k),
-        ]
-    )
-    conjugates = vectors.conj()
-    for a in (k, theta, vectors, conjugates):
-        a.setflags(write=False)
-    return k, theta, vectors, conjugates
+def _tableau(size: int) -> tuple[np.ndarray, ...]:
+    """Cached per-grid data of every quadrature, built once from one dispersion.
 
-
-@functools.lru_cache(maxsize=8)
-def _kernel_tableau(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cached per-grid kernel data: nodes, phases, and integrand weights."""
+    Returns nodes k, phases theta, vectors V[j, node, :], conj(V), and the
+    kernel weights 1/(5 + cos k) and 1/sqrt((5 + cos k)(1 - cos k)).
+    """
     k = quadrature_nodes(size)
     cos_k, one_minus, _, _, theta = _dispersion_terms(k)
-    inv_five = 1.0 / (5.0 + cos_k)
+    vectors = np.stack(
+        [_eigenvector_components(phase, k) for phase in (np.zeros_like(k), theta, -theta)]
+    )
     inv_root = 1.0 / np.sqrt((5.0 + cos_k) * one_minus)
-    for a in (k, theta, inv_five, inv_root):
+    tableau = (k, theta, vectors, vectors.conj(), 1.0 / (5.0 + cos_k), inv_root)
+    for a in tableau:
         a.setflags(write=False)
-    return k, theta, inv_five, inv_root
+    return tableau
 
 
 def _check_reach(n: int, t: int = 0, *, kernel: bool = False) -> None:
@@ -225,7 +223,7 @@ def wavefunction(n: int, t: int, q: QubitState) -> ChiralVector:
         Normalized initial internal state.
     """
     _check_reach(n, t)
-    k, theta, vectors, conjugates = _eigen_tableau(DEFAULT_GRID_SIZE)
+    k, theta, vectors, conjugates, _, _ = _tableau(DEFAULT_GRID_SIZE)
     q_arr = q.as_array()
     branch_phases = (np.zeros_like(theta), theta, -theta)
     amplitude = np.zeros(3, dtype=complex)
@@ -248,7 +246,7 @@ def stationary_component_integral(n: int, l: int, q: QubitState) -> complex:
     _check_reach(n, kernel=True)
     if l not in (1, 2, 3):
         raise ValueError("chirality index must be 1, 2, or 3")
-    k, _, vectors, conjugates = _eigen_tableau(DEFAULT_GRID_SIZE)
+    k, _, vectors, conjugates, _, _ = _tableau(DEFAULT_GRID_SIZE)
     coefficients = conjugates[0] @ q.as_array()
     amplitude = (np.exp(1j * k * n) * coefficients) @ vectors[0] / DEFAULT_GRID_SIZE
     return complex(amplitude[l - 1])
@@ -263,7 +261,7 @@ def j_kernel(n: int, t: int) -> float:
     would spoil the value.
     """
     _check_reach(n, t, kernel=True)
-    k, theta, inv_five, _ = _kernel_tableau(DEFAULT_GRID_SIZE)
+    k, theta, _, _, inv_five, _ = _tableau(DEFAULT_GRID_SIZE)
     return float(np.mean(np.cos(k * n) * np.cos(theta * t) * inv_five))
 
 
@@ -275,7 +273,7 @@ def k_kernel(n: int, t: int) -> float:
     nodes of an even grid never touch k = 0. Same reach as ``j_kernel``.
     """
     _check_reach(n, t, kernel=True)
-    k, theta, _, inv_root = _kernel_tableau(DEFAULT_GRID_SIZE)
+    k, theta, _, _, _, inv_root = _tableau(DEFAULT_GRID_SIZE)
     return float(np.mean(np.cos(k * n) * np.sin(theta * t) * inv_root))
 
 

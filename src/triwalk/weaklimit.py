@@ -2,10 +2,10 @@
 
 Rescaled by time, the walker's position converges in distribution to a
 mixture: a point mass of weight 1/3 at the origin (the trapped fraction)
-plus a continuous density supported on (-1/sqrt 3, 1/sqrt 3) with
-inverse-square-root blowups at the edges. The two-state Hadamard walk
-density is included for comparison; it has no point mass and a wider
-support edge at 1/sqrt 2.
+plus 2/3 spread by an arcsine-type law. One law, f_r(x) = sqrt(r - 1) /
+(pi (1 - x^2) sqrt(1 - r x^2)) on |x| < 1/sqrt(r), gives both densities:
+r = 3 here (edge 1/sqrt 3) and r = 2, with no point mass, for the two-state
+Hadamard walk kept for comparison (edge 1/sqrt 2).
 
 Empirical checks build the distribution of X_t / t under the uniform
 mixture of the three pure chirality initial states and compare its CDF
@@ -45,69 +45,70 @@ HADAMARD_EDGE = 1.0 / math.sqrt(2.0)
 #: Weight of the point mass at the origin.
 POINT_MASS = 1.0 / 3.0
 
+#: (r, weight) of the arcsine law of each walk's continuous part.
+_THREE_STATE = (3.0, 2.0 * POINT_MASS)
+_HADAMARD = (2.0, 1.0)
 
-def density(x: float) -> float:
-    """Continuous part of the limit density at ``x``.
 
-    The point mass at 0 is never folded into this value; it is reported
-    separately by ``localization_mass``.
-
-    Raises
-    ------
-    ValueError
-        If ``x`` lies outside [-1, 1] (the rescaled position cannot).
-    """
+def _arcsine_density(x: float, r: float, weight: float) -> float:
+    """weight sqrt(r - 1) / (pi (1 - x^2) sqrt(1 - r x^2)) on |x| < 1/sqrt(r), else 0."""
     if not -1.0 <= x <= 1.0:
         raise ValueError("rescaled position must lie in [-1, 1]")
-    if abs(x) >= SUPPORT_EDGE:
+    if abs(x) >= 1.0 / math.sqrt(r):
         return 0.0
-    return math.sqrt(8.0) / (3.0 * math.pi * (1.0 - x * x) * math.sqrt(1.0 - 3.0 * x * x))
+    return weight * math.sqrt(r - 1.0) / (math.pi * (1.0 - x * x) * math.sqrt(1.0 - r * x * x))
+
+
+def _arcsine_cdf(x: float, r: float, weight: float) -> float:
+    """Mass of ``_arcsine_density`` on (-inf, x]: 0 below the support, ``weight`` above.
+
+    Closed form weight (1/2 + arctan(sqrt(r - 1) x / sqrt(1 - r x^2)) / pi)
+    inside the support; differentiating recovers the density. The clip
+    comes first: at the edge, 1 - r x^2 rounds to about 1e-16 instead of 0
+    and the arctan falls short of pi/2 by about 2e-8. Strictly inside, it
+    stays positive for r = 2 and 3.
+    """
+    edge = 1.0 / math.sqrt(r)
+    if x <= -edge:
+        return 0.0
+    if x >= edge:
+        return weight
+    if math.isnan(x):
+        raise ValueError("rescaled position is NaN")
+    root = math.sqrt(1.0 - r * x * x)
+    return 0.5 * weight + weight * (1.0 / math.pi) * math.atan(math.sqrt(r - 1.0) * x / root)
+
+
+def _arcsine_mass(lower: float, upper: float, r: float, weight: float) -> float:
+    """Difference of ``_arcsine_cdf`` at the bounds; 0 for an empty or reversed interval."""
+    if lower >= upper:
+        return 0.0
+    return _arcsine_cdf(upper, r, weight) - _arcsine_cdf(lower, r, weight)
+
+
+def density(x: float) -> float:
+    """Continuous part of the limit density at ``x``: the arcsine law with r = 3.
+
+    The point mass at 0 is never folded into this value; it is reported
+    separately by ``localization_mass``. Raises ``ValueError`` if ``x`` lies
+    outside [-1, 1] (the rescaled position cannot).
+    """
+    return _arcsine_density(x, *_THREE_STATE)
 
 
 def continuous_mass(lower: float = -SUPPORT_EDGE, upper: float = SUPPORT_EDGE) -> float:
-    """Integral of the continuous density over [lower, upper].
-
-    The difference of the closed-form antiderivative used by ``limit_cdf``,
-    which clips bounds outside the support to it. An empty or reversed
-    interval has mass 0.
-    """
-    if lower >= upper:
-        return 0.0
-    return _continuous_cdf(upper) - _continuous_cdf(lower)
+    """Continuous mass on [lower, upper], clipped to the support; 0 if empty or reversed."""
+    return _arcsine_mass(lower, upper, *_THREE_STATE)
 
 
 def hadamard_density(x: float) -> float:
-    """Limit density of the rescaled two-state Hadamard walk (no point mass)."""
-    if not -1.0 <= x <= 1.0:
-        raise ValueError("rescaled position must lie in [-1, 1]")
-    if abs(x) >= HADAMARD_EDGE:
-        return 0.0
-    return 1.0 / (math.pi * (1.0 - x * x) * math.sqrt(1.0 - 2.0 * x * x))
-
-
-def _hadamard_cdf(x: float) -> float:
-    """Antiderivative (1 / pi) arctan(x / sqrt(1 - 2 x^2)), clipped to +-1/2.
-
-    The clip comes first: at x = HADAMARD_EDGE, 1 - 2 x^2 rounds to 2.2e-16
-    instead of 0 and the arctan falls short of pi/2 by about 2e-8.
-    """
-    if abs(x) >= HADAMARD_EDGE:
-        return math.copysign(0.5, x)
-    if math.isnan(x):
-        raise ValueError("rescaled position is NaN")
-    return math.atan(x / math.sqrt(1.0 - 2.0 * x * x)) / math.pi
+    """Limit density of the rescaled two-state Hadamard walk (no point mass): r = 2."""
+    return _arcsine_density(x, *_HADAMARD)
 
 
 def hadamard_mass(lower: float = -HADAMARD_EDGE, upper: float = HADAMARD_EDGE) -> float:
-    """Integral of the Hadamard comparison density over [lower, upper].
-
-    The difference of the closed-form antiderivative ``_hadamard_cdf``,
-    which clips bounds outside the support to it. An empty or reversed
-    interval has mass 0.
-    """
-    if lower >= upper:
-        return 0.0
-    return _hadamard_cdf(upper) - _hadamard_cdf(lower)
+    """Hadamard mass on [lower, upper], clipped to the support; 0 if empty or reversed."""
+    return _arcsine_mass(lower, upper, *_HADAMARD)
 
 
 def localization_mass() -> float:
@@ -119,33 +120,13 @@ def localization_mass() -> float:
     return total / 3.0
 
 
-def _continuous_cdf(x: float) -> float:
-    """Mass of the continuous density on (-inf, x]: 0 below the support, 2/3 above.
-
-    Closed form (2 / 3 pi) arctan(sqrt(2) x / sqrt(1 - 3 x^2)) + 1/3 inside
-    the support; differentiating recovers the density.
-    """
-    if x <= -SUPPORT_EDGE:
-        return 0.0
-    if x >= SUPPORT_EDGE:
-        return 2.0 * POINT_MASS
-    if math.isnan(x):
-        raise ValueError("rescaled position is NaN")
-    inner = 1.0 - 3.0 * x * x
-    if inner <= 0.0:
-        return POINT_MASS + math.copysign(POINT_MASS, x)
-    return POINT_MASS + (2.0 / (3.0 * math.pi)) * math.atan(
-        math.sqrt(2.0) * x / math.sqrt(inner)
-    )
-
-
 def limit_cdf(x: float) -> float:
     """CDF of the limit distribution, point mass included as a jump at 0.
 
-    The continuous part is ``_continuous_cdf`` and the jump adds 1/3 for
-    x >= 0.
+    The continuous part is the r = 3 arcsine CDF, of total mass 2/3, and the
+    jump adds 1/3 for x >= 0.
     """
-    return _continuous_cdf(x) + (POINT_MASS if x >= 0.0 else 0.0)
+    return _arcsine_cdf(x, *_THREE_STATE) + (POINT_MASS if x >= 0.0 else 0.0)
 
 
 @dataclass(frozen=True)

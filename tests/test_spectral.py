@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from triwalk import (
 
 def kernel_sums(size: int, n: int, t: int) -> tuple[float, float]:
     """J and K at (n, t) by the library's midpoint sums on ``size`` nodes."""
-    k, theta, inv_five, inv_root = spectral._kernel_tableau(size)
+    k, theta, _, _, inv_five, inv_root = spectral._tableau(size)
     wave = np.cos(k * n)
     return (
         float(np.mean(wave * np.cos(theta * t) * inv_five)),
@@ -43,6 +44,17 @@ def kernel_sums(size: int, n: int, t: int) -> tuple[float, float]:
 def kernel_nodes_needed(n: int, t: int) -> float:
     """The kernels' node rule: t/sqrt(3) + |n| + 5 t^(1/3) + 16."""
     return t / math.sqrt(3.0) + abs(n) + 5.0 * t ** (1.0 / 3.0) + 16.0
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def raises_without_warning(call, k):
+    """Assert ``call(k)`` raises ValueError before numpy warns about the value."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            call(k)
 
 
 class TestDispersion:
@@ -72,6 +84,11 @@ class TestDispersion:
         assert 0.0 < theta <= math.pi
         assert math.cos(theta) == pytest.approx(cos_theta, abs=1e-12)
 
+    def test_rejects_non_finite_momentum(self):
+        # These returned NaN with a RuntimeWarning.
+        for k in NON_FINITE:
+            raises_without_warning(dispersion, k)
+
     @given(st.floats(min_value=-3.0, max_value=3.0))
     def test_periodicity(self, k):
         a = dispersion(k)
@@ -83,6 +100,10 @@ class TestDispersion:
 class TestFourierOperator:
     def test_momentum_zero_is_coin(self):
         assert np.allclose(fourier_operator(0.0), coin_matrix(), atol=1e-15)
+
+    def test_rejects_non_finite_momentum(self):
+        for k in NON_FINITE + (np.float64(math.nan),):
+            raises_without_warning(fourier_operator, k)
 
     @given(st.floats(min_value=-math.pi, max_value=math.pi))
     def test_unitary(self, k):
@@ -103,6 +124,11 @@ class TestEigenSystem:
         for k in (0.0, 2.0 * math.pi, -4.0 * math.pi):
             with pytest.raises(SingularMomentumError):
                 eigensystem(k)
+
+    def test_rejects_non_finite_momentum(self):
+        # Inherited from dispersion, ahead of the singular-momentum check.
+        for k in NON_FINITE:
+            raises_without_warning(eigensystem, k)
 
     def test_phases_are_zero_and_dispersion_pair(self):
         phases, vectors = eigensystem(1.3)
@@ -158,6 +184,23 @@ class TestQuadratureGrid:
         assert np.allclose(spacing, 2.0 * math.pi / 8.0, atol=1e-15)
         assert np.all(np.abs(nodes) > 1e-12)
         assert np.all(np.abs(nodes) < math.pi)
+
+
+class TestTableau:
+    def test_one_table_serves_every_quadrature(self):
+        spectral._tableau.cache_clear()
+        wavefunction(2, 5, FIGURE_STATE)
+        stationary_component_integral(1, 2, FIGURE_STATE)
+        j_kernel(0, 7)
+        k_kernel(1, 7)
+        remainder_matrix(-1, 9)
+        # Ten lookups in all: remainder_matrix reads J and K at three sites.
+        info = spectral._tableau.cache_info()
+        assert (info.misses, info.hits) == (1, 9)
+
+    def test_table_is_read_only(self):
+        for a in spectral._tableau(8):
+            assert not a.flags.writeable
 
 
 class TestWavefunction:

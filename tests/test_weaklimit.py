@@ -91,6 +91,14 @@ class TestHadamardComparison:
     def test_value_at_origin(self):
         assert hadamard_density(0.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
 
+    def test_value_at_origin_is_exactly_one_over_pi(self):
+        assert hadamard_density(0.0) == 1.0 / math.pi
+
+    def test_masses_either_side_sum_to_one(self):
+        for x in (-1.0, -HADAMARD_EDGE, -0.5, -1e-9, 0.0, 0.123, 0.7, HADAMARD_EDGE, 1.0):
+            total = hadamard_mass(-1.0, x) + hadamard_mass(x, 1.0)
+            assert abs(total - 1.0) <= 1e-15, x
+
     def test_vanishes_outside_support(self):
         assert hadamard_density(0.8) == 0.0
         assert hadamard_density(HADAMARD_EDGE) == 0.0
@@ -150,6 +158,24 @@ class TestLimitCdf:
         for call in calls:
             with pytest.raises(ValueError):
                 call()
+
+    def test_is_the_written_out_closed_form_bit_for_bit(self):
+        # 1/3 + (2 / 3 pi) atan(sqrt 2 x / sqrt(1 - 3 x^2)) plus the 1/3 jump,
+        # at every position of weaklimit --steps 2000 and at the edges: the
+        # arithmetic that weaklimit.csv pins to 17 digits.
+        xs = [float(x) for x in np.arange(-2000, 2001) / 2000.0]
+        xs += [SUPPORT_EDGE, -SUPPORT_EDGE, 1.0, -1.0, 0.0, -0.0]
+        for x in xs:
+            jump = POINT_MASS if x >= 0.0 else 0.0
+            if x <= -SUPPORT_EDGE:
+                expected = 0.0
+            elif x >= SUPPORT_EDGE:
+                expected = 1.0
+            else:
+                root = math.sqrt(1.0 - 3.0 * x * x)
+                atan = math.atan(math.sqrt(2.0) * x / root)
+                expected = POINT_MASS + (2.0 / (3.0 * math.pi)) * atan + jump
+            assert limit_cdf(x) == expected, x
 
     def test_increments_match_quadrature(self):
         sqrt3, sqrt2 = math.sqrt(3.0), math.sqrt(2.0)

@@ -219,10 +219,17 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Largest cycle ``timeavg`` accepts. Time and memory grow linearly in N; at
+#: N = 20001 the command takes about 0.5 s and peaks at 87 MiB on 2 CPUs.
+_MAX_TIMEAVG_SITES = 20001
+
+
 def _cmd_timeavg(args: argparse.Namespace) -> int:
     q = _parse_qubit(args.qubit)
     if args.sites < 3 or args.sites % 2 == 0:
         raise InvalidInputError("--sites must be an odd integer >= 3")
+    if args.sites > _MAX_TIMEAVG_SITES:
+        raise UsageError(f"--sites must be at most {_MAX_TIMEAVG_SITES}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -491,7 +498,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     timeavg_cmd = sub.add_parser("timeavg", help="time-averaged origin probability on a cycle")
     timeavg_cmd.add_argument("--qubit", required=True)
-    timeavg_cmd.add_argument("--sites", type=int, required=True, help="odd cycle size N")
+    timeavg_cmd.add_argument(
+        "--sites", type=int, required=True, help=f"odd cycle size N, at most {_MAX_TIMEAVG_SITES}"
+    )
     timeavg_cmd.add_argument("--out", default=".")
     timeavg_cmd.set_defaults(handler=_cmd_timeavg)
 

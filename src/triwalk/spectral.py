@@ -55,6 +55,9 @@ __all__ = [
 #: Number of momentum nodes of every quadrature.
 DEFAULT_GRID_SIZE = 16384
 
+_COIN = coin_matrix()
+_COIN.setflags(write=False)
+
 
 class SingularMomentumError(ValueError):
     """Raised for momenta where the moving eigenvectors are not defined.
@@ -107,8 +110,7 @@ def fourier_operator(k: float) -> np.ndarray:
     """One step of the walk at finite momentum ``k``: diag(e^{ik}, 1, e^{-ik}) coin."""
     if not math.isfinite(k):
         raise ValueError(f"momentum must be finite, got {k}")
-    shift = np.diag(np.exp(1j * k * np.array([1.0, 0.0, -1.0])))
-    return shift @ coin_matrix()
+    return np.exp(1j * k * np.array([1.0, 0.0, -1.0]))[:, None] * _COIN
 
 
 def _eigenvector_components(theta: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -64,35 +64,44 @@ class EigenvalueGroup:
     amplitude: ChiralVector
 
 
+def _projector_stack(momenta: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Read-only (3, N, 3, 3) stack of every branch's projector at every mode.
+
+    Row 0 holds the stationary branch, rows 1 and 2 the branches at +theta
+    and -theta, each as one broadcast outer product of the closed-form
+    eigenvectors. The middle mode (k = 0) takes its rank-2 projector at -1 in
+    row 1 as identity minus the stationary projector, and zeros in row 2.
+    """
+    vectors = _eigenvector_components(np.stack([np.zeros_like(theta), theta, -theta]), momenta)
+    stack = vectors[..., :, None] * vectors.conj()[..., None, :]
+    centre = len(momenta) // 2
+    stack[1, centre] = np.eye(3, dtype=complex) - stack[0, centre]
+    stack[2, centre] = 0.0
+    stack.setflags(write=False)
+    return stack
+
+
 def momentum_blocks(n_sites: int) -> tuple[MomentumBlock, ...]:
-    """Spectral blocks of a cycle with ``n_sites`` sites (odd, >= 3)."""
+    """Spectral blocks of a cycle with ``n_sites`` sites (odd, >= 3).
+
+    Every block's projectors are read-only views into one (3, N, 3, 3) stack.
+    """
     if n_sites < 3 or n_sites % 2 == 0:
         raise ValueError("cycle size must be an odd integer >= 3")
     half = (n_sites - 1) // 2
+    modes = range(-half, half + 1)
+    momenta = [2.0 * math.pi * mode / n_sites for mode in modes]
+    operators = [fourier_operator(momentum) for momentum in momenta]
+    theta = [dispersion(momentum)[2] if mode else 0.0 for mode, momentum in zip(modes, momenta)]
+    stack = _projector_stack(np.array(momenta), np.array(theta))
     blocks = []
-    for mode in range(-half, half + 1):
-        momentum = 2.0 * math.pi * mode / n_sites
-        operator = fourier_operator(momentum)
-        stationary_vec = _eigenvector_components(np.float64(0.0), np.float64(momentum))
-        p_stationary = np.outer(stationary_vec, stationary_vec.conj())
+    for i, mode in enumerate(modes):
         if mode == 0:
-            pairs = (
-                (0.0, p_stationary),
-                (math.pi, np.eye(3, dtype=complex) - p_stationary),
-            )
+            pairs = ((0.0, stack[0, i]), (math.pi, stack[1, i]))
         else:
-            _, _, theta = dispersion(momentum)
-            moving = [
-                _eigenvector_components(np.float64(phase), np.float64(momentum))
-                for phase in (theta, -theta)
-            ]
-            pairs = (
-                (0.0, p_stationary),
-                (theta, np.outer(moving[0], moving[0].conj())),
-                (-theta, np.outer(moving[1], moving[1].conj())),
-            )
+            pairs = ((0.0, stack[0, i]), (theta[i], stack[1, i]), (-theta[i], stack[2, i]))
         blocks.append(
-            MomentumBlock(mode=mode, momentum=momentum, operator=operator, pairs=pairs)
+            MomentumBlock(mode=mode, momentum=momenta[i], operator=operators[i], pairs=pairs)
         )
     return tuple(blocks)
 
@@ -114,29 +123,39 @@ def eigenvalue_groups(
     0, theta (m = half..1), pi, 2 pi - theta (m = 1..half).
     """
     site = operator.index(site)
-    q_arr = q.as_array()
-    # Per mode, the projected amplitude of each pair; mode 0 has two pairs,
-    # the second being its rank-2 projection at -1.
-    amp, theta = {}, {}
-    for block in momentum_blocks(n_sites):
-        wave = np.exp(1j * block.momentum * site) / n_sites
-        amp[block.mode] = [wave * (projector @ q_arr) for _, projector in block.pairs]
-        theta[block.mode] = block.pairs[1][0]
+    blocks = momentum_blocks(n_sites)
     half = n_sites // 2
+    # Every pair is a view into the blocks' one projector stack, so one
+    # batched product projects the state on every (branch, mode) at once;
+    # amp[branch, half + m] is the amplitude of mode m at the site.
+    stack = blocks[0].pairs[0][1].base
+    momenta = np.array([block.momentum for block in blocks])
+    wave = np.exp(1j * momenta * site) / n_sites
+    amp = wave[:, None] * (stack @ q.as_array())
+    # cumsum adds the modes one by one from -half to half; a pairwise np.sum
+    # would round differently in the last bits.
+    stationary = np.cumsum(amp[0], axis=0)[-1]
+    # Modes -m and +m for m = half..1, then for m = 1..half.
+    rising = (amp[1, :half] + amp[1, :half:-1]).tolist()
+    falling = (amp[2, half - 1 :: -1] + amp[2, half + 1 :]).tolist()
+    theta = [block.pairs[1][0] for block in blocks[half + 1 :]]
     modes = range(-half, half + 1)
 
-    def group(phase: float, members: tuple, amplitude: np.ndarray) -> EigenvalueGroup:
+    def group(phase: float, members: tuple, amplitude: np.ndarray | list) -> EigenvalueGroup:
         return EigenvalueGroup(
             phase=phase, members=members, amplitude=ChiralVector.from_array(amplitude)
         )
 
     return (
-        group(0.0, tuple((m, 1) for m in modes), sum(amp[m][0] for m in modes)),
-        *(group(theta[m], ((-m, 2), (m, 2)), amp[-m][1] + amp[m][1]) for m in range(half, 0, -1)),
-        group(math.pi, ((0, 2), (0, 3)), amp[0][1]),
+        group(0.0, tuple((m, 1) for m in modes), stationary),
         *(
-            group(2.0 * math.pi - theta[m], ((-m, 3), (m, 3)), amp[-m][2] + amp[m][2])
-            for m in range(1, half + 1)
+            group(theta[m - 1], ((-m, 2), (m, 2)), amplitude)
+            for m, amplitude in zip(range(half, 0, -1), rising)
+        ),
+        group(math.pi, ((0, 2), (0, 3)), amp[1, half]),
+        *(
+            group(2.0 * math.pi - theta[m - 1], ((-m, 3), (m, 3)), amplitude)
+            for m, amplitude in zip(range(1, half + 1), falling)
         ),
     )
 

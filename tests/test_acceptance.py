@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (
+from states import (
     FIGURE_STATE,
     TEST_STATES,
     UNIFORM_STATE,

@@ -441,6 +441,29 @@ class TestTimeavg:
         )
         assert code == 3
 
+    def test_refuses_sites_above_the_cap_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the cap must refuse before computing")
+
+        monkeypatch.setattr(cli.timeavg, "cycle_time_average", no_work)
+        out = tmp_path / "out"
+        sites = cli._MAX_TIMEAVG_SITES + 2
+        code = main(["timeavg", "--qubit", FIGURE_QUBIT, "--sites", str(sites), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --sites must be at most {cli._MAX_TIMEAVG_SITES}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_accepts_sites_just_below_the_cap(self, tmp_path):
+        sites = cli._MAX_TIMEAVG_SITES - 2
+        argv = ["timeavg", "--qubit", FIGURE_QUBIT, "--sites", str(sites), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        _, rows = read_csv(tmp_path / "timeavg.csv")
+        assert int(rows[0][0]) == sites
+        # The finite-cycle average approaches the closed form at rate 1/N.
+        assert sites * abs(float(rows[0][2]) - float(rows[0][3])) < 5.0
+
 
 class TestWeaklimit:
     def test_table_and_distance(self, tmp_path):

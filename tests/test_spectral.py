@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import FIGURE_STATE, TEST_STATES, ZERO_LOCALIZATION_STATE
+from states import FIGURE_STATE, TEST_STATES, ZERO_LOCALIZATION_STATE
 from triwalk import (
     DEFAULT_GRID_SIZE,
     QubitState,
@@ -104,6 +104,18 @@ class TestFourierOperator:
     def test_rejects_non_finite_momentum(self):
         for k in NON_FINITE + (np.float64(math.nan),):
             raises_without_warning(fourier_operator, k)
+
+    def test_row_scaling_equals_diagonal_product(self):
+        # Scaling the coin's rows gives the same bits as the 3x3 product
+        # diag(e^{ik}, 1, e^{-ik}) coin.
+        for k in np.linspace(-20.0, 20.0, 2001):
+            shift = np.diag(np.exp(1j * k * np.array([1.0, 0.0, -1.0])))
+            assert fourier_operator(k).tobytes() == (shift @ coin_matrix()).tobytes()
+
+    def test_result_is_a_fresh_writable_array(self):
+        u = fourier_operator(0.5)
+        u[0, 0] = 0.0
+        assert fourier_operator(0.5)[0, 0] != 0.0
 
     @given(st.floats(min_value=-math.pi, max_value=math.pi))
     def test_unitary(self, k):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import (
+from states import (
     FIGURE_STATE,
     TEST_STATES,
     ZERO_LOCALIZATION_STATE,

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import (
+from states import (
     FIGURE_STATE,
     TEST_STATES,
     UNIFORM_STATE,
@@ -16,6 +17,7 @@ from conftest import (
     qubit_states,
 )
 from triwalk import (
+    ChiralVector,
     QubitState,
     cycle_time_average,
     distribution,
@@ -28,6 +30,7 @@ from triwalk import (
     momentum_blocks,
     step_cycle,
 )
+from triwalk.spectral import _eigenvector_components, dispersion
 
 SQRT6 = math.sqrt(6.0)
 
@@ -51,6 +54,16 @@ class TestMomentumBlocks:
             assert np.allclose(rebuilt, block.operator, atol=1e-13)
             for _, p in block.pairs:
                 assert np.allclose(p @ p, p, atol=1e-13)
+
+    def test_projectors_are_read_only_views_into_one_stack(self):
+        blocks = momentum_blocks(9)
+        stack = blocks[0].pairs[0][1].base
+        assert stack.shape == (3, 9, 3, 3)
+        for block in blocks:
+            for _, p in block.pairs:
+                assert p.base is stack
+                with pytest.raises(ValueError):
+                    p[0, 0] = 1.0
 
     def test_mode_zero_pairs_are_rank_one_and_two(self):
         block = next(b for b in momentum_blocks(5) if b.mode == 0)
@@ -99,7 +112,72 @@ def eig_reference_average(n_sites: int, q: QubitState, site: int) -> float:
     return float(sum(np.sum(np.abs(g) ** 2) for g in groups))
 
 
+@functools.lru_cache(maxsize=None)
+def per_mode_pairs(n_sites: int) -> dict:
+    """(momentum, pairs) per mode, one block at a time.
+
+    The scalar per-mode loop the library ran before it built the spectrum as
+    arrays: one eigenvector call and one ``np.outer`` per branch and mode.
+    """
+    half = n_sites // 2
+    blocks = {}
+    for mode in range(-half, half + 1):
+        momentum = 2.0 * math.pi * mode / n_sites
+        stationary_vec = _eigenvector_components(np.float64(0.0), np.float64(momentum))
+        p_stationary = np.outer(stationary_vec, stationary_vec.conj())
+        if mode == 0:
+            pairs = ((0.0, p_stationary), (math.pi, np.eye(3, dtype=complex) - p_stationary))
+        else:
+            _, _, theta = dispersion(momentum)
+            moving = [
+                _eigenvector_components(np.float64(phase), np.float64(momentum))
+                for phase in (theta, -theta)
+            ]
+            pairs = (
+                (0.0, p_stationary),
+                (theta, np.outer(moving[0], moving[0].conj())),
+                (-theta, np.outer(moving[1], moving[1].conj())),
+            )
+        blocks[mode] = (momentum, pairs)
+    return blocks
+
+
+def per_mode_groups(n_sites: int, q: QubitState, site: int) -> list:
+    """(phase, amplitude) per eigenvalue group, summed mode by mode in Python."""
+    q_arr = q.as_array()
+    amp, theta = {}, {}
+    for mode, (momentum, pairs) in per_mode_pairs(n_sites).items():
+        wave = np.exp(1j * momentum * site) / n_sites
+        amp[mode] = [wave * (projector @ q_arr) for _, projector in pairs]
+        theta[mode] = pairs[1][0]
+    half = n_sites // 2
+    modes = range(-half, half + 1)
+    return [
+        (0.0, sum(amp[m][0] for m in modes)),
+        *((theta[m], amp[-m][1] + amp[m][1]) for m in range(half, 0, -1)),
+        (math.pi, amp[0][1]),
+        *((2.0 * math.pi - theta[m], amp[-m][2] + amp[m][2]) for m in range(1, half + 1)),
+    ]
+
+
 class TestEigenvalueGroups:
+    @pytest.mark.parametrize("n_sites", [3, 5, 9, 101, 1001, 4001])
+    def test_bit_identical_to_per_mode_loop(self, n_sites):
+        states = (FIGURE_STATE, UNIFORM_STATE, ZERO_LOCALIZATION_STATE, TEST_STATES[-1])
+        for q in states:
+            for site in sorted({0, 1, n_sites // 3}):
+                reference = per_mode_groups(n_sites, q, site)
+                groups = eigenvalue_groups(n_sites, q, site)
+                assert [g.phase for g in groups] == [phase for phase, _ in reference]
+                assert [g.amplitude for g in groups] == [
+                    ChiralVector.from_array(a) for _, a in reference
+                ]
+                total = 0.0
+                for _, a in reference:
+                    total += ChiralVector.from_array(a).probability()
+                assert cycle_time_average(n_sites, q, site) == total
+
+
     def test_group_structure(self):
         for n_sites in (9, 101):
             groups = eigenvalue_groups(n_sites, FIGURE_STATE)
@@ -155,6 +233,13 @@ class TestCycleTimeAverage:
                     assert cycle_time_average(n_sites, q, site) == pytest.approx(
                         reference, abs=1e-12
                     )
+
+    def test_matches_eig_reference_at_ten_thousand_sites(self):
+        n_sites = 10001
+        reference = eig_reference_average(n_sites, TEST_STATES[-1], n_sites // 3)
+        assert cycle_time_average(n_sites, TEST_STATES[-1], n_sites // 3) == pytest.approx(
+            reference, abs=1e-12
+        )
 
     def test_matches_brute_force_on_periodic_cycle(self):
         # On three sites every eigenphase is a multiple of pi/3, so the walk

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import FIGURE_STATE, TEST_STATES, mirrored, qubit_states
+from states import FIGURE_STATE, TEST_STATES, mirrored, qubit_states
 from triwalk import walk
 from triwalk import (
     ChiralVector,

@@ -220,7 +220,7 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
 
 
 #: Largest cycle ``timeavg`` accepts. Time and memory grow linearly in N; at
-#: N = 20001 the command takes about 0.5 s and peaks at 87 MiB on 2 CPUs.
+#: N = 20001 the command takes about 0.6 s and peaks at 87 MiB on 2 CPUs.
 _MAX_TIMEAVG_SITES = 20001
 
 

@@ -112,7 +112,7 @@ def eig_reference_average(n_sites: int, q: QubitState, site: int) -> float:
     return float(sum(np.sum(np.abs(g) ** 2) for g in groups))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def per_mode_pairs(n_sites: int) -> dict:
     """(momentum, pairs) per mode, one block at a time.
 
@@ -176,7 +176,6 @@ class TestEigenvalueGroups:
                 for _, a in reference:
                     total += ChiralVector.from_array(a).probability()
                 assert cycle_time_average(n_sites, q, site) == total
-
 
     def test_group_structure(self):
         for n_sites in (9, 101):

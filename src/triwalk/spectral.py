@@ -45,6 +45,7 @@ __all__ = [
     "fourier_operator",
     "eigensystem",
     "wavefunction",
+    "wavefunction_window",
     "stationary_component_integral",
     "j_kernel",
     "k_kernel",
@@ -206,6 +207,43 @@ def _check_reach(n: int, t: int = 0, *, kernel: bool = False) -> None:
         raise ValueError(f"(n, t) = ({n}, {t}) is beyond the quadrature's reach: t + |n| >= {DEFAULT_GRID_SIZE}")
 
 
+def _line_amplitudes(sites: range, t: int, q: QubitState) -> np.ndarray:
+    """Rows of amplitudes at the consecutive ``sites`` after ``t`` steps.
+
+    Each plane-wave factor e^{i(phase_j t + k n)} is built once per |n|, at
+    the site of the pair that ``sites`` holds (+|n| when it holds both). The
+    mirrored site -n reads its conjugate for the mirrored branch: the
+    argument there is exactly minus this one (0 <-> 0, theta <-> -theta), and
+    cos is even and sin odd, so the conjugate is that factor bit for bit.
+    Every row keeps its own ``(factor * coefficients) @ vectors[j]`` product,
+    added in branch order (one batched product over the rows would round
+    differently), and one factor is alive at a time.
+    """
+    for n in (sites[0], sites[-1]):
+        _check_reach(n, t)
+    k, theta, vectors, conjugates, _, _ = _tableau(DEFAULT_GRID_SIZE)
+    q_arr = q.as_array()
+    coefficients = [c @ q_arr for c in conjugates]
+    advanced = [phase * t for phase in (np.zeros_like(theta), theta, -theta)]
+    rows = np.zeros((len(sites), 3), dtype=complex)
+    for size in range(min(abs(n) for n in sites), max(abs(sites[0]), abs(sites[-1])) + 1):
+        n = size if size in sites else -size
+        mirrored = n > 0 and -n in sites
+        kn = k * n
+        here, there = [None] * 3, [None] * 3
+        for j, mirror in enumerate((0, 2, 1)):
+            factor = np.exp(1j * (advanced[j] + kn))
+            here[j] = (factor * coefficients[j]) @ vectors[j]
+            if mirrored:
+                there[mirror] = (factor.conj() * coefficients[mirror]) @ vectors[mirror]
+        for j in range(3):
+            rows[n - sites[0]] += here[j]
+            if mirrored:
+                rows[-n - sites[0]] += there[j]
+    rows /= DEFAULT_GRID_SIZE
+    return rows
+
+
 def wavefunction(n: int, t: int, q: QubitState) -> ChiralVector:
     """Amplitudes at site ``n`` after ``t`` steps, by momentum quadrature.
 
@@ -224,17 +262,22 @@ def wavefunction(n: int, t: int, q: QubitState) -> ChiralVector:
     q : QubitState
         Normalized initial internal state.
     """
-    _check_reach(n, t)
-    k, theta, vectors, conjugates, _, _ = _tableau(DEFAULT_GRID_SIZE)
-    q_arr = q.as_array()
-    branch_phases = (np.zeros_like(theta), theta, -theta)
-    amplitude = np.zeros(3, dtype=complex)
-    for j in range(3):
-        coefficients = conjugates[j] @ q_arr
-        factor = np.exp(1j * (branch_phases[j] * t + k * n))
-        amplitude += (factor * coefficients) @ vectors[j]
-    amplitude /= DEFAULT_GRID_SIZE
-    return ChiralVector.from_array(amplitude)
+    n = operator.index(n)
+    return ChiralVector.from_array(_line_amplitudes(range(n, n + 1), t, q)[0])
+
+
+def wavefunction_window(m: int, t: int, q: QubitState) -> np.ndarray:
+    """Amplitudes at the sites -m..m after ``t`` steps, as a (2m + 1, 3) array.
+
+    Row ``m + n`` equals ``wavefunction(n, t, q)`` bit for bit: both are the
+    same quadrature, and the window builds each site pair's plane-wave
+    factors once. It needs a non-negative integer ``m`` with t + m below the
+    16384 nodes.
+    """
+    m = operator.index(m)
+    if m < 0:
+        raise ValueError("window half-width must be non-negative")
+    return _line_amplitudes(range(-m, m + 1), t, q)
 
 
 def stationary_component_integral(n: int, l: int, q: QubitState) -> complex:
@@ -254,6 +297,22 @@ def stationary_component_integral(n: int, l: int, q: QubitState) -> complex:
     return complex(amplitude[l - 1])
 
 
+def _kernel_means(sites: tuple[int, ...], t: int) -> tuple[list[float], list[float]]:
+    """The J and K kernels at each of ``sites`` after ``t`` steps.
+
+    cos(theta t) and sin(theta t) are built once and cos(k n) once as one
+    (sites, nodes) array; each row's mean equals the one-site ``np.mean``
+    bit for bit.
+    """
+    for n in sites:
+        _check_reach(n, t, kernel=True)
+    k, theta, _, _, inv_five, inv_root = _tableau(DEFAULT_GRID_SIZE)
+    cos_kn = np.cos(np.multiply.outer(np.array(sites, dtype=float), k))
+    j = np.mean(cos_kn * np.cos(theta * t) * inv_five, axis=1)
+    kk = np.mean(cos_kn * np.sin(theta * t) * inv_root, axis=1)
+    return j.tolist(), kk.tolist()
+
+
 def j_kernel(n: int, t: int) -> float:
     """Oscillatory kernel (1/2 pi) integral of cos(kn) cos(theta_k t)/(5 + cos k).
 
@@ -262,9 +321,7 @@ def j_kernel(n: int, t: int) -> float:
     t/sqrt(3) + |n| + 5 t^(1/3) + 16 exceeds the 16384 nodes, as aliasing
     would spoil the value.
     """
-    _check_reach(n, t, kernel=True)
-    k, theta, _, _, inv_five, _ = _tableau(DEFAULT_GRID_SIZE)
-    return float(np.mean(np.cos(k * n) * np.cos(theta * t) * inv_five))
+    return _kernel_means((n,), t)[0][0]
 
 
 def k_kernel(n: int, t: int) -> float:
@@ -274,9 +331,7 @@ def k_kernel(n: int, t: int) -> float:
     t the factor sin(theta_k t) vanishes linearly in |k| there. Midpoint
     nodes of an even grid never touch k = 0. Same reach as ``j_kernel``.
     """
-    _check_reach(n, t, kernel=True)
-    k, theta, _, _, _, inv_root = _tableau(DEFAULT_GRID_SIZE)
-    return float(np.mean(np.cos(k * n) * np.sin(theta * t) * inv_root))
+    return _kernel_means((n,), t)[1][0]
 
 
 def remainder_matrix(n: int, t: int) -> np.ndarray:
@@ -286,8 +341,7 @@ def remainder_matrix(n: int, t: int) -> np.ndarray:
     structural identities (the middle entry is 4 J at n, the corners are
     -2 J at n +- 1) follow directly from the assembly.
     """
-    j_prev, j_here, j_next = (j_kernel(n + d, t) for d in (-1, 0, 1))
-    k_prev, k_here, k_next = (k_kernel(n + d, t) for d in (-1, 0, 1))
+    (j_prev, j_here, j_next), (k_prev, k_here, k_next) = _kernel_means((n - 1, n, n + 1), t)
     m = np.empty((3, 3), dtype=complex)
     m[0, 0] = 3.0 * j_here + 0.5 * (j_prev + j_next + (k_prev - k_next))
     m[2, 2] = 3.0 * j_here + 0.5 * (j_prev + j_next - (k_prev - k_next))

@@ -404,6 +404,30 @@ class TestStationary:
             == 2
         )
 
+    def test_refuses_window_above_the_cap_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the cap must refuse before computing")
+
+        monkeypatch.setattr(cli.stationary, "stationary_profile", no_work)
+        monkeypatch.setattr(cli.stationary, "total_mass", no_work)
+        out = tmp_path / "out"
+        window = cli._MAX_STATIONARY_WINDOW + 1
+        code = main(["stationary", "--qubit", FIGURE_QUBIT, "--window", str(window), "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --window must be at most {cli._MAX_STATIONARY_WINDOW}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_accepts_the_widest_window(self, tmp_path):
+        window = cli._MAX_STATIONARY_WINDOW
+        argv = ["stationary", "--qubit", FIGURE_QUBIT, "--window", str(window), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        _, rows = read_csv(tmp_path / "stationary.csv")
+        assert [int(rows[0][0]), int(rows[-1][0])] == [-window, window]
+        # The geometric profile underflows to exactly 0 long before the edge.
+        assert float(rows[0][1]) == float(rows[-1][1]) == 0.0
+
 
 class TestTimeavg:
     def test_values_match_library(self, tmp_path):
@@ -485,6 +509,35 @@ class TestWeaklimit:
 
     def test_rejects_short_runs(self, tmp_path):
         assert main(["weaklimit", "--steps", "50", "--out", str(tmp_path)]) == 2
+
+    def test_refuses_steps_above_the_cap_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the cap must refuse before computing")
+
+        monkeypatch.setattr(cli.weaklimit, "empirical_rescaled", no_work)
+        out = tmp_path / "out"
+        steps = cli._MAX_WEAKLIMIT_STEPS + 1
+        assert main(["weaklimit", "--steps", str(steps), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --steps must be at most {cli._MAX_WEAKLIMIT_STEPS}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_accepts_steps_at_the_cap(self, tmp_path, capsys, monkeypatch):
+        # The run at the cap takes seconds, so it stands in a t = 100 walk and
+        # checks only that the cap admits the size and passes it on.
+        asked = []
+
+        def short_walk(steps):
+            asked.append(steps)
+            return empirical_rescaled(100)
+
+        monkeypatch.setattr(cli.weaklimit, "empirical_rescaled", short_walk)
+        steps = cli._MAX_WEAKLIMIT_STEPS
+        assert steps >= 12000
+        assert main(["weaklimit", "--steps", str(steps), "--out", str(tmp_path)]) == 0
+        assert asked == [steps]
+        assert capsys.readouterr().out.startswith(f"Kolmogorov distance at t = {steps}: ")
 
 
 #: The line prefixes ``verify --suite all`` prints, in order.

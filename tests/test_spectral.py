@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from states import FIGURE_STATE, TEST_STATES, ZERO_LOCALIZATION_STATE
+from states import FIGURE_STATE, TEST_STATES, UNIFORM_STATE, ZERO_LOCALIZATION_STATE
 from triwalk import (
     DEFAULT_GRID_SIZE,
     QubitState,
@@ -28,6 +28,7 @@ from triwalk import (
     spectral,
     stationary_component_integral,
     wavefunction,
+    wavefunction_window,
 )
 
 
@@ -39,6 +40,24 @@ def kernel_sums(size: int, n: int, t: int) -> tuple[float, float]:
         float(np.mean(wave * np.cos(theta * t) * inv_five)),
         float(np.mean(wave * np.sin(theta * t) * inv_root)),
     )
+
+
+def remainder_reference(n: int, t: int) -> np.ndarray:
+    """``remainder_matrix`` assembled from six one-site kernel sums."""
+    (j_prev, k_prev), (j_here, k_here), (j_next, k_next) = (
+        kernel_sums(DEFAULT_GRID_SIZE, n + d, t) for d in (-1, 0, 1)
+    )
+    m = np.empty((3, 3), dtype=complex)
+    m[0, 0] = 3.0 * j_here + 0.5 * (j_prev + j_next + (k_prev - k_next))
+    m[2, 2] = 3.0 * j_here + 0.5 * (j_prev + j_next - (k_prev - k_next))
+    m[0, 1] = -(j_here + j_next + (k_here - k_next))
+    m[2, 1] = -(j_here + j_prev + (k_here - k_prev))
+    m[0, 2] = -2.0 * j_next
+    m[2, 0] = -2.0 * j_prev
+    m[1, 0] = -(j_here + j_prev + (k_prev - k_here))
+    m[1, 2] = -(j_here + j_next + (k_next - k_here))
+    m[1, 1] = 4.0 * j_here
+    return m
 
 
 def kernel_nodes_needed(n: int, t: int) -> float:
@@ -206,9 +225,11 @@ class TestTableau:
         j_kernel(0, 7)
         k_kernel(1, 7)
         remainder_matrix(-1, 9)
-        # Ten lookups in all: remainder_matrix reads J and K at three sites.
+        wavefunction_window(3, 5, FIGURE_STATE)
+        # Six lookups in all: remainder_matrix reads J and K at its three
+        # sites from one lookup, and the window reads one for all its rows.
         info = spectral._tableau.cache_info()
-        assert (info.misses, info.hits) == (1, 9)
+        assert (info.misses, info.hits) == (1, 5)
 
     def test_table_is_read_only(self):
         for a in spectral._tableau(8):
@@ -272,6 +293,40 @@ class TestWavefunction:
         assert numpy_ints.tobytes() == exact.tobytes()
 
 
+#: States of the window tests: complex, uniform real, zero localization and
+#: a random complex state.
+WINDOW_STATES = (FIGURE_STATE, UNIFORM_STATE, ZERO_LOCALIZATION_STATE, TEST_STATES[-1])
+
+
+class TestWavefunctionWindow:
+    @pytest.mark.parametrize("q", WINDOW_STATES)
+    @pytest.mark.parametrize(("t", "m"), [(0, 0), (0, 3), (1, 0), (1, 4), (7, 0), (7, 10),
+                                          (333, 0), (333, 4), (5000, 0), (5000, 4)])
+    def test_rows_are_the_pointwise_wavefunction_bit_for_bit(self, q, t, m):
+        # The window conjugates the +n factors at -n and keeps one product per
+        # row; a wrong mirror or one product over all rows changes the bits.
+        window = wavefunction_window(m, t, q)
+        assert window.shape == (2 * m + 1, 3) and window.dtype == complex
+        for n in range(-m, m + 1):
+            assert window[m + n].tobytes() == wavefunction(n, t, q).as_array().tobytes()
+
+    def test_rejects_windows_beyond_reach(self):
+        assert wavefunction_window(0, 16383, FIGURE_STATE).shape == (1, 3)
+        for m, t in ((1, 16383), (8192, 8192), (16384, 0)):
+            with pytest.raises(ValueError):
+                wavefunction_window(m, t, FIGURE_STATE)
+        for m, t in ((-1, 3), (0, -1)):
+            with pytest.raises(ValueError):
+                wavefunction_window(m, t, FIGURE_STATE)
+
+    def test_rejects_non_integer_half_width_or_time(self):
+        for m, t in ((2.0, 3), (0.5, 3), (2, 3.0), (np.float64(2.0), 3)):
+            with pytest.raises(TypeError):
+                wavefunction_window(m, t, FIGURE_STATE)
+        exact = wavefunction_window(2, 3, FIGURE_STATE)
+        assert wavefunction_window(np.int64(2), np.int32(3), FIGURE_STATE).tobytes() == exact.tobytes()
+
+
 class TestStationaryIntegral:
     def test_middle_component_value(self):
         value = stationary_component_integral(0, 2, FIGURE_STATE)
@@ -330,8 +385,12 @@ class TestOscillatoryKernels:
         assert late < early
 
     def test_kernel_sums_are_the_library_sums(self):
-        for n, t in ((0, 0), (3, 17), (40, 1000)):
-            assert kernel_sums(DEFAULT_GRID_SIZE, n, t) == (j_kernel(n, t), k_kernel(n, t))
+        # The kernels and the remainder read one helper over all their sites;
+        # each value must still equal the one-site sums bit for bit.
+        for t in (0, 1, 17, 1000, 20000):
+            for n in (-3000, -41, -1, 0, 1, 3, 40, 3000):
+                assert kernel_sums(DEFAULT_GRID_SIZE, n, t) == (j_kernel(n, t), k_kernel(n, t))
+                assert remainder_matrix(n, t).tobytes() == remainder_reference(n, t).tobytes()
 
     def test_grid_independence(self):
         coarse, _ = kernel_sums(4096, 0, 50)

@@ -51,6 +51,7 @@ __all__ = [
     "k_kernel",
     "remainder_matrix",
     "oscillatory_remainder",
+    "remainder_window",
 ]
 
 #: Number of momentum nodes of every quadrature.
@@ -84,14 +85,15 @@ def quadrature_nodes(size: int) -> np.ndarray:
 def _dispersion_terms(k: float | np.ndarray) -> tuple:
     """cos k, 1 - cos k, cos theta, sin theta and theta at scalar or array ``k``."""
     cos_k = np.cos(k)
-    # 1 - cos k written as 2 sin^2(k/2) to avoid cancellation near k = 0.
-    one_minus = 2.0 * np.sin(0.5 * k) ** 2
+    # 2 sin^2(k/2) avoids the cancellation of 1 - cos k near k = 0. A scalar ** 2 would call pow.
+    sin_half = np.sin(0.5 * k)
+    one_minus = 2.0 * (sin_half * sin_half)
     cos_theta = -(2.0 + cos_k) / 3.0
     sin_theta = np.sqrt((5.0 + cos_k) * one_minus) / 3.0
     return cos_k, one_minus, cos_theta, sin_theta, np.arctan2(sin_theta, cos_theta)
 
 
-def dispersion(k: float) -> tuple[float, float, float]:
+def dispersion(k: float | np.ndarray) -> tuple:
     """Evaluate the dispersion relation at momentum ``k``.
 
     Returns ``(cos_theta, sin_theta, theta)`` with ``cos_theta = -(2 + cos k)/3``
@@ -99,11 +101,14 @@ def dispersion(k: float) -> tuple[float, float, float]:
     ``theta`` is the angle with those cosine and sine, landing in (0, pi].
     The three eigenphases of the momentum-space operator are 0, +theta and
     -theta. The relation is 2 pi periodic, so any finite ``k`` is accepted;
-    ``nan`` and ``+-inf`` raise ``ValueError``.
+    ``nan`` and ``+-inf`` raise ``ValueError``. An array of momenta gives
+    three arrays of its shape, element for element the floats.
     """
-    if not math.isfinite(k):
+    if not (np.isfinite(k).all() if isinstance(k, np.ndarray) else math.isfinite(k)):
         raise ValueError(f"momentum must be finite, got {k}")
     _, _, cos_theta, sin_theta, theta = _dispersion_terms(k)
+    if isinstance(k, np.ndarray):
+        return cos_theta, sin_theta, theta
     return float(cos_theta), float(sin_theta), float(theta)
 
 
@@ -133,26 +138,27 @@ def _eigenvector_components(theta: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.sqrt(c) * np.exp(-1j * half) / (2.0 * cos_half)
 
 
-def eigensystem(k: float) -> tuple[np.ndarray, np.ndarray]:
+def eigensystem(k: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form eigenphases and eigenvectors at momentum ``k``.
 
     Returns ``(phases, vectors)``: the float array (0, theta, -theta) and a
     (3, 3) complex array whose row j is the unit eigenvector for ``phases[j]``.
+    An array of momenta puts its shape in front of both, bit for bit.
 
     Raises
     ------
     SingularMomentumError
-        If ``k`` is 0 modulo 2 pi, where the moving eigenvectors degenerate.
+        If any ``k`` is 0 modulo 2 pi, where the moving eigenvectors degenerate.
     ValueError
-        If ``k`` is not finite (raised by ``dispersion``).
+        If any ``k`` is not finite (raised by ``dispersion``).
     """
     *_, theta = dispersion(k)
-    if float(np.remainder(k, 2.0 * np.pi)) == 0.0:
+    if np.any(np.remainder(k, 2.0 * np.pi) == 0.0):
         raise SingularMomentumError(
             "eigenvectors are singular at momentum 0 (degenerate -1 eigenvalue)"
         )
-    phases = np.array([0.0, theta, -theta])
-    return phases, _eigenvector_components(phases, k)
+    phases = np.stack([np.zeros_like(theta), theta, -theta], axis=-1)
+    return phases, _eigenvector_components(phases, np.expand_dims(k, -1))
 
 
 @functools.lru_cache(maxsize=8)
@@ -207,39 +213,44 @@ def _check_reach(n: int, t: int = 0, *, kernel: bool = False) -> None:
         raise ValueError(f"(n, t) = ({n}, {t}) is beyond the quadrature's reach: t + |n| >= {DEFAULT_GRID_SIZE}")
 
 
-def _line_amplitudes(sites: range, t: int, q: QubitState) -> np.ndarray:
-    """Rows of amplitudes at the consecutive ``sites`` after ``t`` steps.
+def _line_amplitudes(sites: range, times: tuple[int, ...], q: QubitState) -> np.ndarray:
+    """Amplitudes at the consecutive ``sites`` after each of ``times`` steps, (times, sites, 3).
 
     Each plane-wave factor e^{i(phase_j t + k n)} is built once per |n|, at
     the site of the pair that ``sites`` holds (+|n| when it holds both). The
     mirrored site -n reads its conjugate for the mirrored branch: the
     argument there is exactly minus this one (0 <-> 0, theta <-> -theta), and
     cos is even and sin odd, so the conjugate is that factor bit for bit.
-    Every row keeps its own ``(factor * coefficients) @ vectors[j]`` product,
-    added in branch order (one batched product over the rows would round
+    The phase-0 factor carries no t, so its products serve every time. Every
+    row keeps its own ``(factor * coefficients) @ vectors[j]`` product, added
+    in branch order (one batched product over the rows would round
     differently), and one factor is alive at a time.
     """
-    for n in (sites[0], sites[-1]):
-        _check_reach(n, t)
+    for t in times:
+        _check_reach(max(sites[0], sites[-1], key=abs), t)
     k, theta, vectors, conjugates, _, _ = _tableau(DEFAULT_GRID_SIZE)
     q_arr = q.as_array()
     coefficients = [c @ q_arr for c in conjugates]
-    advanced = [phase * t for phase in (np.zeros_like(theta), theta, -theta)]
-    rows = np.zeros((len(sites), 3), dtype=complex)
+    advanced = [(theta * t, -theta * t) for t in times]
+    rows = np.zeros((len(times), len(sites), 3), dtype=complex)
     for size in range(min(abs(n) for n in sites), max(abs(sites[0]), abs(sites[-1])) + 1):
         n = size if size in sites else -size
+        here, there = n - sites[0], -n - sites[0]
         mirrored = n > 0 and -n in sites
         kn = k * n
-        here, there = [None] * 3, [None] * 3
-        for j, mirror in enumerate((0, 2, 1)):
-            factor = np.exp(1j * (advanced[j] + kn))
-            here[j] = (factor * coefficients[j]) @ vectors[j]
-            if mirrored:
-                there[mirror] = (factor.conj() * coefficients[mirror]) @ vectors[mirror]
-        for j in range(3):
-            rows[n - sites[0]] += here[j]
-            if mirrored:
-                rows[-n - sites[0]] += there[j]
+        factor = np.exp(1j * kn)
+        rows[:, here] += (factor * coefficients[0]) @ vectors[0]
+        if mirrored:
+            rows[:, there] += (factor.conj() * coefficients[0]) @ vectors[0]
+        for i, arguments in enumerate(advanced):
+            mirrors = []
+            for j, argument in zip((1, 2), arguments):
+                factor = np.exp(1j * (argument + kn))
+                rows[i, here] += (factor * coefficients[j]) @ vectors[j]
+                if mirrored:
+                    mirrors.append((factor.conj() * coefficients[3 - j]) @ vectors[3 - j])
+            for row in reversed(mirrors):
+                rows[i, there] += row
     rows /= DEFAULT_GRID_SIZE
     return rows
 
@@ -262,22 +273,27 @@ def wavefunction(n: int, t: int, q: QubitState) -> ChiralVector:
     q : QubitState
         Normalized initial internal state.
     """
-    n = operator.index(n)
-    return ChiralVector.from_array(_line_amplitudes(range(n, n + 1), t, q)[0])
+    return ChiralVector.from_array(_line_amplitudes(range(n, n + 1), (t,), q)[0, 0])
 
 
-def wavefunction_window(m: int, t: int, q: QubitState) -> np.ndarray:
+def _over_window(rows_at, m: int, t: int | tuple[int, ...], *args) -> np.ndarray:
+    """``rows_at(sites, times, *args)`` on the sites -m..m at ``t`` steps, or at each of several."""
+    times = tuple(t) if np.ndim(t) else (t,)
+    if operator.index(m) < 0 or not times:
+        raise ValueError("a window needs a non-negative half-width and at least one step count")
+    rows = rows_at(range(-m, m + 1), times, *args)
+    return rows if np.ndim(t) else rows[0]
+
+
+def wavefunction_window(m: int, t: int | tuple[int, ...], q: QubitState) -> np.ndarray:
     """Amplitudes at the sites -m..m after ``t`` steps, as a (2m + 1, 3) array.
 
     Row ``m + n`` equals ``wavefunction(n, t, q)`` bit for bit: both are the
     same quadrature, and the window builds each site pair's plane-wave
     factors once. It needs a non-negative integer ``m`` with t + m below the
-    16384 nodes.
+    16384 nodes. A sequence of counts ``t`` gives their windows as one array.
     """
-    m = operator.index(m)
-    if m < 0:
-        raise ValueError("window half-width must be non-negative")
-    return _line_amplitudes(range(-m, m + 1), t, q)
+    return _over_window(_line_amplitudes, m, t, q)
 
 
 def stationary_component_integral(n: int, l: int, q: QubitState) -> complex:
@@ -297,20 +313,20 @@ def stationary_component_integral(n: int, l: int, q: QubitState) -> complex:
     return complex(amplitude[l - 1])
 
 
-def _kernel_means(sites: tuple[int, ...], t: int) -> tuple[list[float], list[float]]:
-    """The J and K kernels at each of ``sites`` after ``t`` steps.
+def _kernel_means(sites: range, times: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The J and K kernels at each of ``sites`` after each of ``times`` steps, (times, sites).
 
-    cos(theta t) and sin(theta t) are built once and cos(k n) once as one
-    (sites, nodes) array; each row's mean equals the one-site ``np.mean``
-    bit for bit.
+    cos(k n) is built once as one (sites, nodes) array for every time, and
+    cos(theta t) and sin(theta t) once per time; each row's mean equals the
+    one-site ``np.mean`` bit for bit.
     """
-    for n in sites:
-        _check_reach(n, t, kernel=True)
+    for t in times:
+        _check_reach(max(sites[0], sites[-1], key=abs), t, kernel=True)
     k, theta, _, _, inv_five, inv_root = _tableau(DEFAULT_GRID_SIZE)
     cos_kn = np.cos(np.multiply.outer(np.array(sites, dtype=float), k))
-    j = np.mean(cos_kn * np.cos(theta * t) * inv_five, axis=1)
-    kk = np.mean(cos_kn * np.sin(theta * t) * inv_root, axis=1)
-    return j.tolist(), kk.tolist()
+    j = [np.mean(cos_kn * np.cos(theta * t) * inv_five, axis=1) for t in times]
+    kk = [np.mean(cos_kn * np.sin(theta * t) * inv_root, axis=1) for t in times]
+    return np.array(j), np.array(kk)
 
 
 def j_kernel(n: int, t: int) -> float:
@@ -321,7 +337,7 @@ def j_kernel(n: int, t: int) -> float:
     t/sqrt(3) + |n| + 5 t^(1/3) + 16 exceeds the 16384 nodes, as aliasing
     would spoil the value.
     """
-    return _kernel_means((n,), t)[0][0]
+    return float(_kernel_means(range(n, n + 1), (t,))[0][0, 0])
 
 
 def k_kernel(n: int, t: int) -> float:
@@ -331,7 +347,24 @@ def k_kernel(n: int, t: int) -> float:
     t the factor sin(theta_k t) vanishes linearly in |k| there. Midpoint
     nodes of an even grid never touch k = 0. Same reach as ``j_kernel``.
     """
-    return _kernel_means((n,), t)[1][0]
+    return float(_kernel_means(range(n, n + 1), (t,))[1][0, 0])
+
+
+def _remainder_matrices(sites: range, times: tuple[int, ...]) -> np.ndarray:
+    """``remainder_matrix`` at each of ``sites`` after each of ``times`` steps, (times, sites, 3, 3)."""
+    means = _kernel_means(range(sites[0] - 1, sites[-1] + 2), times)
+    (j_prev, j_here, j_next), (k_prev, k_here, k_next) = ((a[:, :-2], a[:, 1:-1], a[:, 2:]) for a in means)
+    m = np.empty((len(times), len(sites), 3, 3), dtype=complex)
+    m[..., 0, 0] = 3.0 * j_here + 0.5 * (j_prev + j_next + (k_prev - k_next))
+    m[..., 2, 2] = 3.0 * j_here + 0.5 * (j_prev + j_next - (k_prev - k_next))
+    m[..., 0, 1] = -(j_here + j_next + (k_here - k_next))
+    m[..., 2, 1] = -(j_here + j_prev + (k_here - k_prev))
+    m[..., 0, 2] = -2.0 * j_next
+    m[..., 2, 0] = -2.0 * j_prev
+    m[..., 1, 0] = -(j_here + j_prev + (k_prev - k_here))
+    m[..., 1, 2] = -(j_here + j_next + (k_next - k_here))
+    m[..., 1, 1] = 4.0 * j_here
+    return m
 
 
 def remainder_matrix(n: int, t: int) -> np.ndarray:
@@ -341,18 +374,7 @@ def remainder_matrix(n: int, t: int) -> np.ndarray:
     structural identities (the middle entry is 4 J at n, the corners are
     -2 J at n +- 1) follow directly from the assembly.
     """
-    (j_prev, j_here, j_next), (k_prev, k_here, k_next) = _kernel_means((n - 1, n, n + 1), t)
-    m = np.empty((3, 3), dtype=complex)
-    m[0, 0] = 3.0 * j_here + 0.5 * (j_prev + j_next + (k_prev - k_next))
-    m[2, 2] = 3.0 * j_here + 0.5 * (j_prev + j_next - (k_prev - k_next))
-    m[0, 1] = -(j_here + j_next + (k_here - k_next))
-    m[2, 1] = -(j_here + j_prev + (k_here - k_prev))
-    m[0, 2] = -2.0 * j_next
-    m[2, 0] = -2.0 * j_prev
-    m[1, 0] = -(j_here + j_prev + (k_prev - k_here))
-    m[1, 2] = -(j_here + j_next + (k_next - k_here))
-    m[1, 1] = 4.0 * j_here
-    return m
+    return _remainder_matrices(range(n, n + 1), (t,))[0, 0]
 
 
 def oscillatory_remainder(n: int, t: int, q: QubitState) -> ChiralVector:
@@ -364,3 +386,12 @@ def oscillatory_remainder(n: int, t: int, q: QubitState) -> ChiralVector:
     """
     m = remainder_matrix(n, t)
     return ChiralVector.from_array(m @ q.as_array())
+
+
+def remainder_window(m: int, t: int | tuple[int, ...], q: QubitState) -> np.ndarray:
+    """``oscillatory_remainder`` at the sites -m..m after ``t`` steps, as a (2m + 1, 3) array.
+
+    Row ``m + n`` equals ``oscillatory_remainder(n, t, q)`` bit for bit, and
+    several counts ``t`` give one array, as in ``wavefunction_window``.
+    """
+    return _over_window(_remainder_matrices, m, t) @ q.as_array()

@@ -224,9 +224,6 @@ class Distribution:
         i = n - self.first_site
         return float(self.totals[i]) if 0 <= i < len(self) else 0.0
 
-    def sum_total(self) -> float:
-        return sum(self.totals.tolist())
-
 
 def coin_matrix() -> np.ndarray:
     """Return the 3x3 coin operator.

@@ -43,11 +43,11 @@ from triwalk import (
     limit_component,
     limit_probability,
     localization_mass,
-    oscillatory_remainder,
     quadrature_nodes,
+    remainder_window,
     step_cycle,
     total_mass,
-    wavefunction,
+    wavefunction_window,
 )
 
 SQRT6 = math.sqrt(6.0)
@@ -98,7 +98,8 @@ def test_criterion_4_zero_localization(criterion_detail):
 
 @pytest.mark.acceptance(5, "quadrature wavefunction equals direct evolution")
 def test_criterion_5_spectral_direct_equivalence(criterion_detail):
-    # The quadrature runs on the package's one grid of 16384 nodes.
+    # The quadrature runs on the package's one grid of 16384 nodes. Window
+    # rows equal the pointwise wavefunction bit for bit (test_spectral).
     states = [
         FIGURE_STATE,
         QubitState(1.0, 0.0, 0.0),
@@ -111,13 +112,9 @@ def test_criterion_5_spectral_direct_equivalence(criterion_detail):
     for q in states:
         for t in (1, 5, 20, 50):
             direct = evolve_line(q, t)
+            window = wavefunction_window(t, t, q)
             for n in range(-t, t + 1):
-                gap = np.max(
-                    np.abs(
-                        wavefunction(n, t, q).as_array()
-                        - direct.amplitude(n).as_array()
-                    )
-                )
+                gap = np.max(np.abs(window[n + t] - direct.amplitude(n).as_array()))
                 worst = max(worst, float(gap))
     criterion_detail(f"worst componentwise gap {worst:.2e} over 6 states")
     assert worst < 1e-6
@@ -125,17 +122,19 @@ def test_criterion_5_spectral_direct_equivalence(criterion_detail):
 
 @pytest.mark.acceptance(6.1, "stationary plus remainder reconstructs the walk")
 def test_criterion_6_reconstruction(criterion_detail):
+    # Window rows equal the pointwise remainder bit for bit (test_spectral).
     worst = 0.0
+    times = (0, 1, 5, 20, 50)
     for q in (FIGURE_STATE, TEST_STATES[8]):
-        for t in (0, 1, 5, 20, 50):
+        windows = remainder_window(20, times, q)
+        for t, moving in zip(times, windows):
             direct = evolve_line(q, t)
             for n in range(-20, 21):
                 stationary = np.array(
                     [limit_amplitude(n, l, q) for l in (1, 2, 3)]
                 )
-                moving = oscillatory_remainder(n, t, q).as_array()
                 gap = np.max(
-                    np.abs(stationary + moving - direct.amplitude(n).as_array())
+                    np.abs(stationary + moving[n + 20] - direct.amplitude(n).as_array())
                 )
                 worst = max(worst, float(gap))
     criterion_detail(f"worst reconstruction gap {worst:.2e}")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import triwalk
-from triwalk import _svg, cli
+from triwalk import _svg, cli, spectral, stationary
 from triwalk import (
     DEFAULT_GRID_SIZE,
     QubitState,
@@ -566,6 +566,35 @@ VERIFY_PREFIXES = [
 ]
 
 
+def pointwise_spectral_gaps() -> list[float]:
+    """The batched spectral checks' values, one momentum, site or time per call."""
+    q = cli._FIGURE_STATE
+    points = [spectral.dispersion(k) for k in spectral.quadrature_nodes(1024).tolist()]
+    gaps = [max(abs(c * c + s * s - 1.0) for c, s, _ in points)]
+    ortho = residual = 0.0
+    for k in spectral.quadrature_nodes(1024)[::8].tolist():
+        phases, vectors = spectral.eigensystem(k)
+        ortho = max(ortho, float(np.max(np.abs(vectors.conj() @ vectors.T - np.eye(3)))))
+        op = spectral.fourier_operator(k)
+        for phase, vec in zip(phases, vectors):
+            residual = max(residual, float(np.max(np.abs(op @ vec - np.exp(1j * phase) * vec))))
+    gaps += [ortho, residual]
+    worst = 0.0
+    for t in (1, 5, 20):
+        for n in range(-5, 6):
+            psi = spectral.wavefunction(n, t, q).as_array()
+            worst = max(worst, float(np.max(np.abs(evolve_line(q, t).amplitude(n).as_array() - psi))))
+    gaps.append(worst)
+    worst = 0.0
+    for t in (0, 5, 20):
+        for n in range(-2, 3):
+            moving = spectral.oscillatory_remainder(n, t, q).as_array()
+            localized = np.array([stationary.limit_amplitude(n, l, q) for l in (1, 2, 3)])
+            gap = moving + localized - evolve_line(q, t).amplitude(n).as_array()
+            worst = max(worst, float(np.max(np.abs(gap))))
+    return gaps + [worst]
+
+
 def verify_lines(suite: str, capsys) -> list[str]:
     assert main(["verify", "--suite", suite]) == 0
     return capsys.readouterr().out.splitlines()
@@ -596,6 +625,17 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
+
+    def test_batched_spectral_checks_equal_the_pointwise_loops(self):
+        # Each spectral check evaluates all its momenta, sites or times in one
+        # batch; its value must be the one-at-a-time value bit for bit.
+        batched = [
+            cli._dispersion_identity()[0],
+            *cli._eigen_gaps(),
+            cli._quadrature_vs_direct()[0],
+            cli._reconstruction()[0],
+        ]
+        assert batched == pointwise_spectral_gaps()
 
     def test_help_names_every_suite(self, capsys):
         assert main(["verify", "--help"]) == 0

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from states import FIGURE_STATE, TEST_STATES, UNIFORM_STATE, ZERO_LOCALIZATION_STATE
 from triwalk import (
@@ -25,6 +25,7 @@ from triwalk import (
     oscillatory_remainder,
     quadrature_nodes,
     remainder_matrix,
+    remainder_window,
     spectral,
     stationary_component_integral,
     wavefunction,
@@ -108,6 +109,26 @@ class TestDispersion:
         for k in NON_FINITE:
             raises_without_warning(dispersion, k)
 
+    def test_array_is_the_scalar_at_every_node_bit_for_bit(self):
+        nodes = quadrature_nodes(1024)
+        batched = dispersion(nodes)
+        assert all(a.shape == nodes.shape and a.dtype == float for a in batched)
+        pointwise = np.array([dispersion(k) for k in nodes.tolist()])
+        assert np.stack(batched, axis=-1).tobytes() == pointwise.tobytes()
+
+    @given(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=40))
+    # Nodes of the 16384 grid where a scalar ** 2 (pow) and a product round
+    # sin(k/2)^2 apart; the scalar path used to take pow there.
+    @example([-3.0332552604453697, -2.9224251485206323, -1.8260123803793702])
+    def test_array_elements_are_the_scalars_bit_for_bit(self, ks):
+        batched = np.stack(dispersion(np.array(ks)), axis=-1)
+        assert batched.tobytes() == np.array([dispersion(k) for k in ks]).tobytes()
+
+    def test_array_rejects_any_non_finite_momentum(self):
+        for k in NON_FINITE:
+            raises_without_warning(dispersion, np.array([0.5, k, 1.0]))
+            raises_without_warning(dispersion, np.array([[0.5], [k]]))
+
     @given(st.floats(min_value=-3.0, max_value=3.0))
     def test_periodicity(self, k):
         a = dispersion(k)
@@ -160,6 +181,22 @@ class TestEigenSystem:
         # Inherited from dispersion, ahead of the singular-momentum check.
         for k in NON_FINITE:
             raises_without_warning(eigensystem, k)
+
+    def test_array_is_the_scalar_at_every_node_bit_for_bit(self):
+        nodes = quadrature_nodes(1024)
+        phases, vectors = eigensystem(nodes)
+        assert phases.shape == (1024, 3) and vectors.shape == (1024, 3, 3)
+        pointwise = [eigensystem(k) for k in nodes.tolist()]
+        assert phases.tobytes() == np.array([p for p, _ in pointwise]).tobytes()
+        assert vectors.tobytes() == np.array([v for _, v in pointwise]).tobytes()
+
+    def test_array_rejects_any_singular_or_non_finite_momentum(self):
+        for k in (0.0, 2.0 * math.pi, -4.0 * math.pi):
+            with pytest.raises(SingularMomentumError):
+                eigensystem(np.array([0.5, k, 1.0]))
+        for k in NON_FINITE:
+            # The finiteness check comes first, also next to a singular momentum.
+            raises_without_warning(eigensystem, np.array([0.0, k]))
 
     def test_phases_are_zero_and_dispersion_pair(self):
         phases, vectors = eigensystem(1.3)
@@ -251,6 +288,17 @@ class TestWavefunction:
                     psi.as_array(), direct.amplitude(n).as_array(), atol=1e-12
                 )
 
+    def test_pointwise_on_the_acceptance_sites(self):
+        # Acceptance criterion 5 reads window rows; this keeps the pointwise
+        # route on the same sites and times for one of its states.
+        for t in (1, 5, 20, 50):
+            direct = evolve_line(FIGURE_STATE, t)
+            window = wavefunction_window(t, t, FIGURE_STATE)
+            for n in range(-t, t + 1):
+                psi = wavefunction(n, t, FIGURE_STATE).as_array()
+                assert psi.tobytes() == window[n + t].tobytes()
+                assert np.max(np.abs(psi - direct.amplitude(n).as_array())) < 1e-6
+
     def test_matches_direct_evolution_long_run(self):
         direct = evolve_line(FIGURE_STATE, 200)
         for n in (-150, -37, 0, 1, 42, 199):
@@ -309,6 +357,25 @@ class TestWavefunctionWindow:
         assert window.shape == (2 * m + 1, 3) and window.dtype == complex
         for n in range(-m, m + 1):
             assert window[m + n].tobytes() == wavefunction(n, t, q).as_array().tobytes()
+
+    @pytest.mark.parametrize("q", WINDOW_STATES)
+    def test_several_times_are_the_one_time_windows_bit_for_bit(self, q):
+        # The phase-0 products are built once for all times.
+        times = (0, 1, 7, 333, 5000)
+        stacked = wavefunction_window(4, times, q)
+        assert stacked.shape == (5, 9, 3) and stacked.dtype == complex
+        for t, window in zip(times, stacked):
+            assert window.tobytes() == wavefunction_window(4, t, q).tobytes()
+        for sequence in ([7, 1], range(2), np.array([7, 1])):
+            expected = np.array([wavefunction_window(4, t, q) for t in sequence])
+            assert wavefunction_window(4, sequence, q).tobytes() == expected.tobytes()
+
+    def test_rejects_bad_time_sequences(self):
+        for m, times in ((3, ()), (3, (1, -1)), (1, (5, 16383)), (-1, (1, 2))):
+            with pytest.raises(ValueError):
+                wavefunction_window(m, times, FIGURE_STATE)
+        with pytest.raises(TypeError):
+            wavefunction_window(3, (1, 2.5), FIGURE_STATE)
 
     def test_rejects_windows_beyond_reach(self):
         assert wavefunction_window(0, 16383, FIGURE_STATE).shape == (1, 3)
@@ -449,6 +516,18 @@ class TestRemainder:
                     moving = oscillatory_remainder(n, t, q).as_array()
                     assert np.allclose(psi, stationary + moving, atol=1e-12)
 
+    def test_pointwise_on_the_acceptance_sites(self):
+        # Acceptance criterion 6.1 reads window rows; this keeps the pointwise
+        # route on the same sites and times for one of its states.
+        times = (0, 1, 5, 20, 50)
+        for t, window in zip(times, remainder_window(20, times, FIGURE_STATE)):
+            direct = evolve_line(FIGURE_STATE, t)
+            for n in range(-20, 21):
+                moving = oscillatory_remainder(n, t, FIGURE_STATE).as_array()
+                assert moving.tobytes() == window[n + 20].tobytes()
+                stationary = np.array([limit_amplitude(n, l, FIGURE_STATE) for l in (1, 2, 3)])
+                assert np.max(np.abs(stationary + moving - direct.amplitude(n).as_array())) < 1e-6
+
     def test_remainder_decays_at_origin(self):
         early = np.linalg.norm(
             oscillatory_remainder(0, 10, FIGURE_STATE).as_array()
@@ -469,3 +548,27 @@ class TestRemainder:
             [limit_amplitude(4, l, q) for l in (1, 2, 3)]
         ) + oscillatory_remainder(4, 0, q).as_array()
         assert np.max(np.abs(off_site)) < 1e-12
+
+
+class TestRemainderWindow:
+    @pytest.mark.parametrize("q", (FIGURE_STATE, TEST_STATES[-1]))
+    def test_rows_are_the_pointwise_remainder_bit_for_bit(self, q):
+        # Every site's matrix comes from one kernel pass over the window, and
+        # the stack of matrices times q rounds as each matrix times q.
+        times = (0, 5, 20, 1000)
+        stacked = remainder_window(12, times, q)
+        assert stacked.shape == (4, 25, 3) and stacked.dtype == complex
+        for t, window in zip(times, stacked):
+            assert window.tobytes() == remainder_window(12, t, q).tobytes()
+            for n in range(-12, 13):
+                assert window[n + 12].tobytes() == oscillatory_remainder(n, t, q).as_array().tobytes()
+
+    def test_rejects_windows_beyond_reach_or_malformed(self):
+        # The matrices read the kernels one site past each end of the window.
+        assert remainder_window(0, 28086 - 40, FIGURE_STATE).shape == (1, 3)
+        for m, t in ((0, 28087), (16368, 0), (-1, 3), (2, ()), (2, (3, -1))):
+            with pytest.raises(ValueError):
+                remainder_window(m, t, FIGURE_STATE)
+        for m, t in ((2.0, 3), (2, 3.0), (2, (1, 0.5))):
+            with pytest.raises(TypeError):
+                remainder_window(m, t, FIGURE_STATE)

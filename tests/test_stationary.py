@@ -173,8 +173,8 @@ class TestProfile:
         for n in (-5, 5, 99):
             assert profile.total(n) == 0.0
         # The window misses only the tail beyond |n| = 4, below c^10 ~ 1e-10.
-        assert profile.sum_total() < total_mass(FIGURE_STATE)
-        assert profile.sum_total() == pytest.approx(total_mass(FIGURE_STATE), abs=1e-8)
+        assert sum(profile.totals.tolist()) < total_mass(FIGURE_STATE)
+        assert sum(profile.totals.tolist()) == pytest.approx(total_mass(FIGURE_STATE), abs=1e-8)
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):

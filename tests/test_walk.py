@@ -129,11 +129,11 @@ class TestLineEvolution:
     def test_support_stays_within_light_cone(self):
         out = evolve_line(TEST_STATES[4], 7)
         assert list(out.sites) == list(range(-7, 8))
-        assert distribution(out).sum_total() == pytest.approx(1.0, abs=1e-12)
+        assert sum(distribution(out).totals.tolist()) == pytest.approx(1.0, abs=1e-12)
 
     def test_probability_conserved_over_long_run(self):
         out = evolve_line(FIGURE_STATE, 300)
-        assert abs(distribution(out).sum_total() - 1.0) < 1e-12
+        assert abs(sum(distribution(out).totals.tolist()) - 1.0) < 1e-12
 
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError):
@@ -209,7 +209,7 @@ class TestCycleEvolution:
                 for n in line.sites:
                     folded[n % n_sites] += line.amplitude(n).as_array()
                 assert np.allclose(ring.amplitudes, folded, atol=1e-13)
-        assert distribution(evolve_cycle(FIGURE_STATE, 5, 8)).sum_total() == (
+        assert sum(distribution(evolve_cycle(FIGURE_STATE, 5, 8)).totals.tolist()) == (
             pytest.approx(1.0, abs=1e-12)
         )
 
@@ -224,7 +224,7 @@ class TestCycleEvolution:
 
     def test_probability_conserved(self):
         out = evolve_cycle(FIGURE_STATE, 9, 500)
-        assert abs(distribution(out).sum_total() - 1.0) < 1e-12
+        assert abs(sum(distribution(out).totals.tolist()) - 1.0) < 1e-12
 
     def test_step_preserves_shape(self):
         state = initial_cycle_state(FIGURE_STATE, 9)

@@ -272,7 +272,7 @@ def _cmd_weaklimit(args: argparse.Namespace) -> int:
     distance = weaklimit.cdf_distance(empirical)
     xs = empirical.positions
     cumulative = np.cumsum(empirical.masses)
-    limit = np.array([weaklimit.limit_cdf(float(x)) for x in xs])
+    limit = weaklimit.limit_cdf(xs)
     csv_path = out_dir / "weaklimit.csv"
     _write_csv(
         csv_path,

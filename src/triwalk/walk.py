@@ -118,8 +118,9 @@ def _check_total_probability(values: np.ndarray, time: int, what: str) -> None:
     # re-evaluation of the initial norm here, adds at most STEP_ROUNDOFF.
     if values.dtype == complex:  # a frozen state: contiguous, so vdot copies nothing
         totals = [float(np.vdot(values, values).real)]
-    else:  # a strided (states, m, n) stepping window: each state's parts along m and n
-        totals = np.einsum("sij,sij->s", values, values).tolist()
+    else:  # a strided (states, m, n) stepping window: one dot per row, summed per state
+        rows = values.reshape(-1, values.shape[2])  # a view: the rows are equally strided
+        totals = (rows[:, None, :] @ rows[:, :, None]).reshape(len(values), -1).sum(axis=1).tolist()
     for total in totals:
         if not abs(total - 1.0) <= NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF:  # NaN fails too
             raise ValueError(f"{what} breaks probability conservation: total = {total!r}")

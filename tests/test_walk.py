@@ -182,6 +182,58 @@ class TestConservationCheck:
             LineState(0, self._single_site(math.nan), time=0)
 
 
+class TestSteppingWindowCheck:
+    """The check on a strided (states, m, n) stepping window, as walk._evolve makes it."""
+
+    @staticmethod
+    def _window(states: int, m: int, n: int = 9) -> np.ndarray:
+        # The inner columns of a (rows, 3, n + 2) buffer, each state's total exactly 1.
+        buffer = np.zeros((states * m // 3, 3, n + 2))
+        window = buffer[:, :, 1:-1].reshape(states, m, n)
+        assert np.shares_memory(window, buffer) and not window.flags.c_contiguous
+        window[:, 0, n // 2] = 1.0
+        return window
+
+    @staticmethod
+    def _fill(state: np.ndarray, units: int) -> None:
+        # Entries c 2^-26 whose squares c^2 2^-52 sum exactly to units 2^-52.
+        state[...] = 0.0
+        for index in np.ndindex(state.shape):
+            c = math.isqrt(units)
+            state[index], units = c * 2.0**-26, units - c * c
+        assert units == 0
+
+    @pytest.mark.parametrize("states, m", [(3, 3), (1, 6)])
+    def test_rejects_nan_or_inf_in_one_row(self, states, m):
+        walk._check_total_probability(self._window(states, m), 5, "line state")
+        for state in range(states):
+            for row in (0, m - 1):
+                for bad in (math.nan, math.inf, -math.inf):
+                    window = self._window(states, m)
+                    window[state, row, -1] = bad
+                    with pytest.raises(ValueError, match="conservation"):
+                        walk._check_total_probability(window, 5, "line state")
+
+    @pytest.mark.parametrize("states, m", [(3, 3), (1, 6)])
+    def test_bound_is_sharp(self, states, m):
+        # A total of 1 +- k 2^-52 is exact in floats, so the check admits it
+        # exactly when k 2^-52 is within NORM_TOLERANCE + (time + 1) STEP_ROUNDOFF.
+        one = 2**52
+        for time in (0, 10000):
+            bound = walk.NORM_TOLERANCE + (time + 1) * walk.STEP_ROUNDOFF
+            inside = math.floor(bound * 2.0**52)
+            for state in range(states):
+                for units, admitted in ((inside, True), (inside + 1, False)):
+                    for total in (one + units, one - units):
+                        window = self._window(states, m)
+                        self._fill(window[state], total)
+                        if admitted:
+                            walk._check_total_probability(window, time, "cycle state")
+                        else:
+                            with pytest.raises(ValueError, match="cycle state breaks"):
+                                walk._check_total_probability(window, time, "cycle state")
+
+
 class TestCycleEvolution:
     def test_rejects_even_or_tiny_rings(self):
         with pytest.raises(ValueError):

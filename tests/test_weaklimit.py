@@ -177,6 +177,27 @@ class TestLimitCdf:
                 expected = POINT_MASS + (2.0 / (3.0 * math.pi)) * atan + jump
             assert limit_cdf(x) == expected, x
 
+    def test_array_is_the_scalar_path_bit_for_bit(self):
+        # One call over every position of weaklimit --steps t gives the bytes
+        # of one scalar call per position; so do the support edges, their
+        # neighbours, the ends and both zeros.
+        edges = (SUPPORT_EDGE, -SUPPORT_EDGE)
+        special = [*edges, *(np.nextafter(e, d) for e in edges for d in (-1.0, 1.0))]
+        special += [1.0, -1.0, 0.0, -0.0]
+        for xs in [np.arange(-t, t + 1) / t for t in (100, 777, 2000, 12000)] + [np.array(special)]:
+            scalar = np.array([limit_cdf(x) for x in xs.tolist()])
+            assert limit_cdf(xs).tobytes() == scalar.tobytes()
+
+    def test_array_rejects_any_nan_and_a_scalar_gives_a_float(self):
+        for where in (0, 1, 2):
+            xs = np.array([-0.9, 0.1, 0.9])
+            xs[where] = math.nan
+            with pytest.raises(ValueError, match="NaN"):
+                limit_cdf(xs)
+        for x in (0.1, np.float64(0.1), -1.0, 1.0):
+            assert type(limit_cdf(x)) is float
+        assert limit_cdf(np.array([0.1])).shape == (1,)
+
     def test_increments_match_quadrature(self):
         sqrt3, sqrt2 = math.sqrt(3.0), math.sqrt(2.0)
         reference = gauss_mass(density, sqrt3, -0.2, 0.2)

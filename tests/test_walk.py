@@ -181,13 +181,10 @@ class TestConservationCheck:
         with pytest.raises(ValueError, match="conservation"):
             LineState(0, self._single_site(math.nan), time=0)
 
-
-class TestSteppingWindowCheck:
-    """The check on a strided (states, m, n) stepping window, as walk._evolve makes it."""
-
     @staticmethod
     def _window(states: int, m: int, n: int = 9) -> np.ndarray:
-        # The inner columns of a (rows, 3, n + 2) buffer, each state's total exactly 1.
+        # A (states, m, n) window of a (rows, 3, n + 2) buffer, strided as walk._evolve
+        # checks it, with each state's total exactly 1.
         buffer = np.zeros((states * m // 3, 3, n + 2))
         window = buffer[:, :, 1:-1].reshape(states, m, n)
         assert np.shares_memory(window, buffer) and not window.flags.c_contiguous
@@ -204,7 +201,7 @@ class TestSteppingWindowCheck:
         assert units == 0
 
     @pytest.mark.parametrize("states, m", [(3, 3), (1, 6)])
-    def test_rejects_nan_or_inf_in_one_row(self, states, m):
+    def test_stepping_window_rejects_nan_or_inf_in_one_row(self, states, m):
         walk._check_total_probability(self._window(states, m), 5, "line state")
         for state in range(states):
             for row in (0, m - 1):
@@ -215,7 +212,7 @@ class TestSteppingWindowCheck:
                         walk._check_total_probability(window, 5, "line state")
 
     @pytest.mark.parametrize("states, m", [(3, 3), (1, 6)])
-    def test_bound_is_sharp(self, states, m):
+    def test_stepping_window_bound_is_sharp(self, states, m):
         # A total of 1 +- k 2^-52 is exact in floats, so the check admits it
         # exactly when k 2^-52 is within NORM_TOLERANCE + (time + 1) STEP_ROUNDOFF.
         one = 2**52

@@ -150,6 +150,9 @@ class TestLimitCdf:
         # These returned NaN, while density(nan) raises.
         calls = [
             lambda: limit_cdf(math.nan),
+            lambda: limit_cdf(np.array([math.nan, 0.1, 0.9])),
+            lambda: limit_cdf(np.array([-0.9, math.nan, 0.9])),
+            lambda: limit_cdf(np.array([-0.9, 0.1, math.nan])),
             lambda: continuous_mass(math.nan, 0.0),
             lambda: continuous_mass(-0.2, math.nan),
             lambda: hadamard_mass(math.nan, 0.0),
@@ -187,16 +190,8 @@ class TestLimitCdf:
         for xs in [np.arange(-t, t + 1) / t for t in (100, 777, 2000, 12000)] + [np.array(special)]:
             scalar = np.array([limit_cdf(x) for x in xs.tolist()])
             assert limit_cdf(xs).tobytes() == scalar.tobytes()
-
-    def test_array_rejects_any_nan_and_a_scalar_gives_a_float(self):
-        for where in (0, 1, 2):
-            xs = np.array([-0.9, 0.1, 0.9])
-            xs[where] = math.nan
-            with pytest.raises(ValueError, match="NaN"):
-                limit_cdf(xs)
         for x in (0.1, np.float64(0.1), -1.0, 1.0):
             assert type(limit_cdf(x)) is float
-        assert limit_cdf(np.array([0.1])).shape == (1,)
 
     def test_increments_match_quadrature(self):
         sqrt3, sqrt2 = math.sqrt(3.0), math.sqrt(2.0)

@@ -117,9 +117,9 @@ def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False
         )
     for idx, (xs, ys, label) in enumerate(cleaned):
         color = _COLORS[idx % len(_COLORS)]
-        px = _x_pix(xs, x_lo, x_hi).tolist()
-        py = _y_pix(ys, y_lo, y_hi).tolist()
-        points = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(px, py))
+        # One %-format over the flat (x, y) pairs; "%.1f" % v is f"{v:.1f}".
+        xy = np.column_stack((_x_pix(xs, x_lo, x_hi), _y_pix(ys, y_lo, y_hi))).ravel().tolist()
+        points = " ".join(["%.1f,%.1f"] * xs.size) % tuple(xy)
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.3"/>'
         )
@@ -133,30 +133,35 @@ def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False
         fh.write("\n".join(parts) + "\n")
 
 
-def _downsample(values: np.ndarray, limit: int = 220) -> tuple[np.ndarray, int, int]:
-    rows, cols = values.shape
-    row_step = max(1, math.ceil(rows / limit))
-    col_step = max(1, math.ceil(cols / limit))
-    trimmed = values[: (rows // row_step) * row_step, : (cols // col_step) * col_step]
-    blocked = trimmed.reshape(
-        trimmed.shape[0] // row_step, row_step, trimmed.shape[1] // col_step, col_step
-    ).mean(axis=(1, 3))
-    return blocked, row_step, col_step
+def heat_blocks(rows: int, cols: int, limit: int = 220):
+    """Block means of a ``rows x cols`` field fed in one row at a time.
+
+    Returns ``(means, add)``: ``add(t, start, values)`` sets row ``t`` to
+    ``values`` from column ``start`` on and 0 elsewhere. Blocks are the
+    smallest that leave at most ``limit`` a side; rows and columns that fill
+    no block are dropped, and one block of rows is held at a time."""
+    row_step, col_step = max(1, math.ceil(rows / limit)), max(1, math.ceil(cols / limit))
+    means = np.zeros((rows // row_step, cols // col_step))
+    block = np.zeros((row_step, cols))
+
+    def add(t: int, start: int, values: np.ndarray) -> None:
+        r, i = divmod(t, row_step)
+        block[i] = 0.0
+        block[i, start : start + len(values)] = values
+        if i == row_step - 1 and r < len(means):
+            means[r] = block[:, : means.shape[1] * col_step].reshape(1, row_step, -1, col_step).mean(axis=(1, 3))
+
+    return means, add
 
 
-def heatmap(path, values, *, x0, title, x_label, y_label):
-    """Write a space-time heatmap; ``values[t][i]`` is the probability at
-    site ``x0 + i`` after ``t`` steps. Large fields are block-averaged down
-    to a drawable cell count."""
-    values = np.asarray(values, dtype=float)
-    blocked, row_step, col_step = _downsample(values)
-    peak = float(blocked.max()) or 1.0
+def heatmap(path, means, *, extent, x0, title, x_label, y_label):
+    """Write a space-time heatmap of the ``means`` that ``heat_blocks`` took of
+    an ``extent = (steps + 1, sites)`` field whose first site is ``x0``."""
+    peak = float(means.max()) or 1.0
     # Square-root intensity keeps faint ballistic fronts visible next to the
     # bright localized column.
-    shade = np.sqrt(np.clip(blocked / peak, 0.0, 1.0))
-    rows, cols = blocked.shape
-    x_lo, x_hi = x0, x0 + values.shape[1]
-    y_lo, y_hi = 0, values.shape[0]
+    shade = np.sqrt(np.clip(means / peak, 0.0, 1.0))
+    rows, cols = means.shape
     cell_w = (_WIDTH - _MARGIN_L - _MARGIN_R) / cols
     cell_h = (_HEIGHT - _MARGIN_T - _MARGIN_B) / rows
     parts = [
@@ -164,18 +169,20 @@ def heatmap(path, values, *, x0, title, x_label, y_label):
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    # Time increases upward, matching the usual space-time orientation.
-    ys = [f"{_HEIGHT - _MARGIN_B - (r + 1) * cell_h:.2f}" for r in range(rows)]
-    xs = [f"{_MARGIN_L + c * cell_w:.2f}" for c in range(cols)]
+    # Each drawn cell is its column's head (opening a new line), its row's middle
+    # and its colour's tail. Time increases upward, as in space-time diagrams.
     size = f'width="{cell_w + 0.3:.2f}" height="{cell_h + 0.3:.2f}"'
+    heads = [f'\n<rect x="{_MARGIN_L + c * cell_w:.2f}" y="' for c in range(cols)]
+    mids = [f'{_HEIGHT - _MARGIN_B - (r + 1) * cell_h:.2f}" {size} fill="rgb(' for r in range(rows)]
     drawn = shade > 0.0
     # np.rint rounds half to even, as round() does.
     rgb = np.rint(255.0 - np.array([[247.0], [207.0], [148.0]]) * shade[drawn]).astype(int)
-    parts.extend(
-        f'<rect x="{xs[c]}" y="{ys[r]}" {size} fill="rgb({red},{green},{blue})"/>'
-        for r, c, red, green, blue in zip(*np.vstack((np.nonzero(drawn), rgb)).tolist())
-    )
-    _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, title)
+    colours, which = np.unique(rgb[0] << 16 | rgb[1] << 8 | rgb[2], return_inverse=True)
+    tails = [f'{c >> 16},{c >> 8 & 255},{c & 255})"/>' for c in colours.tolist()]
+    table = np.array(heads + mids + tails, dtype=object)
+    r_idx, c_idx = np.nonzero(drawn)
+    parts[-1] += "".join(table[np.stack((c_idx, cols + r_idx, cols + rows + which), axis=1)].ravel().tolist())
+    _axes(parts, x0, x0 + extent[1], 0, extent[0], x_label, y_label, title)
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

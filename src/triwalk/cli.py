@@ -113,12 +113,21 @@ _ORIGIN_LIMIT = 10.0 - 4.0 * math.sqrt(6.0)
 _NO_STAYER_LEVEL = 2.0 * (5.0 - 2.0 * math.sqrt(6.0))
 
 
+#: Longest ``evolve --steps``. Time grows like the site-steps, about t^2 on
+#: the line; a cycle takes as many (N t) and at most the line's widest window
+#: of sites. At the caps ``--svg --heatmap`` takes 2-3 s and 50 MiB on 2 CPUs.
+_MAX_EVOLVE_STEPS = 5000
+_MAX_EVOLVE_CYCLE = 2 * _MAX_EVOLVE_STEPS + 1
+
+
 def _cmd_evolve(args: argparse.Namespace) -> int:
     q = _parse_qubit(args.qubit)
-    if args.steps < 0:
-        raise UsageError("--steps must be non-negative")
+    if not 0 <= args.steps <= _MAX_EVOLVE_STEPS:
+        raise UsageError(f"--steps must be from 0 to {_MAX_EVOLVE_STEPS}")
     if args.cycle is not None and (args.cycle < 3 or args.cycle % 2 == 0):
         raise InvalidInputError("cycle size must be an odd integer >= 3")
+    if args.cycle is not None and (args.cycle > _MAX_EVOLVE_CYCLE or args.cycle * args.steps > _MAX_EVOLVE_STEPS**2):
+        raise UsageError(f"--cycle must be at most {_MAX_EVOLVE_CYCLE} and {_MAX_EVOLVE_STEPS**2} / --steps")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -132,7 +141,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         first_site, width = 0, args.cycle
 
     # Row t of the heat grid holds the totals after t steps over the final window.
-    heat = np.zeros((args.steps + 1, width)) if args.heatmap else None
+    heat, add_heat_row = _svg.heat_blocks(args.steps + 1, width) if args.heatmap else (None, None)
     trace = []
     for t in range(args.steps + 1):
         if t:
@@ -140,8 +149,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         dist = walk.distribution(state)
         trace.append(dist.total(0))
         if heat is not None:
-            start = dist.first_site - first_site
-            heat[t, start : start + len(dist)] = dist.totals
+            add_heat_row(t, dist.first_site - first_site, dist.totals)
 
     final = walk.distribution(state)
     files = []
@@ -166,12 +174,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.heatmap:
         heat_path = Path(args.heatmap)
         _svg.heatmap(
-            heat_path,
-            heat,
-            x0=first_site,
-            title="Space-time probability density",
-            x_label="n",
-            y_label="t",
+            heat_path, heat, extent=(args.steps + 1, width), x0=first_site,
+            title="Space-time probability density", x_label="n", y_label="t",
         )
         files.append(heat_path)
 
@@ -488,8 +492,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     evolve = sub.add_parser("evolve", help="direct evolution on the line or a cycle")
     evolve.add_argument("--qubit", required=True, help="alpha,beta,gamma (complex, e.g. 0.6,0,0.8i)")
-    evolve.add_argument("--steps", type=int, required=True, help="number of steps")
-    evolve.add_argument("--cycle", type=int, default=None, help="evolve on a cycle with this many sites")
+    evolve.add_argument("--steps", type=int, required=True, help=f"number of steps, at most {_MAX_EVOLVE_STEPS}")
+    evolve.add_argument(
+        "--cycle", type=int, default=None,
+        help=f"evolve on a cycle of this many sites, at most {_MAX_EVOLVE_CYCLE} and {_MAX_EVOLVE_STEPS**2} / steps",
+    )
     evolve.add_argument("--out", default=".", help="output directory")
     evolve.add_argument("--svg", default=None, help="write an SVG plot of P(0, t) here")
     evolve.add_argument("--heatmap", default=None, help="write a space-time SVG heatmap here")
@@ -537,7 +544,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else EXIT_OK
-    if getattr(args, "handler", None) is None:
+    # argparse in Python 3.11 reads an option's "--" value as [], skipping its type.
+    if getattr(args, "handler", None) is None or [] in vars(args).values():
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     args.raw_argv = raw_argv
@@ -546,8 +554,8 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, OSError, MemoryError) as exc:
         # The only I/O is writing outputs, so an OSError is an unwritable output
         # path (--out naming a file, --svg in a missing directory); a MemoryError
-        # is an input too large to hold, such as evolve --heatmap at t = 20000
-        # under a 3 GB address-space limit.
+        # is an input too large for the memory allowed, such as timeavg --sites
+        # 20001 under a 120 MB address-space limit (ulimit -v 120000).
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except InvalidInputError as exc:

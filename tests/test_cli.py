@@ -2,21 +2,24 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import triwalk
-from triwalk import _svg, cli, spectral, stationary
+from triwalk import _svg, cli, spectral, stationary, walk
 from triwalk import (
     DEFAULT_GRID_SIZE,
     QubitState,
@@ -182,6 +185,31 @@ class TestEvolve:
     def test_missing_required_argument(self):
         assert main(["evolve", "--steps", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            (["--steps", str(cli._MAX_EVOLVE_STEPS + 1)], f"--steps must be from 0 to {cli._MAX_EVOLVE_STEPS}"),
+            (["--steps", "1", "--cycle", str(cli._MAX_EVOLVE_CYCLE + 2)],
+             f"--cycle must be at most {cli._MAX_EVOLVE_CYCLE} and {cli._MAX_EVOLVE_STEPS**2} / --steps"),
+            # 5001 sites times 5000 steps is 5000 site-steps over the cap.
+            (["--steps", str(cli._MAX_EVOLVE_STEPS), "--cycle", "5001"],
+             f"--cycle must be at most {cli._MAX_EVOLVE_CYCLE} and {cli._MAX_EVOLVE_STEPS**2} / --steps"),
+        ],
+        ids=["line steps", "cycle sites", "cycle site-steps"],
+    )
+    def test_refuses_sizes_above_the_caps_before_any_work(self, sizes, message, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the cap must refuse before computing")
+
+        monkeypatch.setattr(cli.walk, "initial_line_state", no_work)
+        monkeypatch.setattr(cli.walk, "initial_cycle_state", no_work)
+        out = tmp_path / "out"
+        assert main(["evolve", "--qubit", FIGURE_QUBIT, *sizes, "--heatmap", str(tmp_path / "h.svg"), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_svg_and_heatmap_are_well_formed(self, tmp_path):
         svg = tmp_path / "trace.svg"
         heat = tmp_path / "heat.svg"
@@ -216,9 +244,25 @@ S6 = 1.0 / math.sqrt(6.0)
 ZERO_LOCALIZATION_QUBIT = f"{S6!r},{-2 * S6!r},{S6!r}"
 
 #: SHA-256 of writer outputs the benchmark golden does not reach, recorded
-#: with the per-cell writers; each argv runs with ``--out .`` in a fresh
-#: directory.
+#: with the per-cell writers and, for heatmaps, the whole heat grid; each argv
+#: runs with ``--out .`` in a fresh directory.
 PINNED_OUTPUTS = {
+    "line heatmap, 220 does not divide t + 1": (
+        ["evolve", f"--qubit={FIGURE_QUBIT}", "--steps", "1000", "--heatmap", "heat.svg"],
+        {
+            "distribution.csv": "d8f35fb994c443271db0bcfeadb2ea384294c5852c2779575dc7dde62c627e80",
+            "trace.csv": "97e5d4a6c5c3d46ca0667fb7ad495f196b4297c21556261c0cf24b3b570c4dcb",
+            "heat.svg": "2b4433d462c2489722360e8082c536a01f009163fd530cb27ce056d6e8571c81",
+        },
+    ),
+    "line heatmap, fewer than 220 rows": (
+        ["evolve", f"--qubit={FIGURE_QUBIT}", "--steps", "150", "--heatmap", "heat.svg"],
+        {
+            "distribution.csv": "47c7e3a77cda44b84c8b3c439ac0ff04ce6f192d1728da1dd97fecbc6276b739",
+            "trace.csv": "3fe29098f5ef384e8a9e15f8b409ddbdaddffee2946ab77ec04a196fb5ccd9fc",
+            "heat.svg": "7e71e190c13cdc5a1383cd6f208f3e1f62764afa503c450e60a54166235c8a1b",
+        },
+    ),
     "cycle heatmap, no block averaging": (
         ["evolve", f"--qubit={FIGURE_QUBIT}", "--steps", "40", "--cycle", "21",
          "--heatmap", "heat.svg"],
@@ -255,6 +299,49 @@ PINNED_OUTPUTS = {
 }
 
 
+def full_grid_means(field: np.ndarray) -> np.ndarray:
+    """Block means of a whole field at once: the smallest blocks that leave at
+    most 220 a side, trailing rows and columns that fill no block dropped."""
+    rows, cols = field.shape
+    row_step, col_step = math.ceil(rows / 220), math.ceil(cols / 220)
+    kept = field[: rows // row_step * row_step, : cols // col_step * col_step]
+    return kept.reshape(rows // row_step, row_step, cols // col_step, col_step).mean(axis=(1, 3))
+
+
+def streamed_means(field: np.ndarray, windows=None) -> np.ndarray:
+    """Feed ``field`` to ``heat_blocks`` one row at a time, each row only over
+    its ``windows[t]`` slice (the whole row by default)."""
+    means, add = _svg.heat_blocks(*field.shape)
+    for t, row in enumerate(field):
+        start, stop = windows[t] if windows is not None else (0, len(row))
+        add(t, start, row[start:stop])
+    return means
+
+
+def per_cell_rects(means: np.ndarray) -> list[str]:
+    """The heatmap's cells written one f-string per cell, as a reference."""
+    rows, cols = means.shape
+    shade = np.sqrt(np.clip(means / (float(means.max()) or 1.0), 0.0, 1.0))
+    cell_w = (_svg._WIDTH - _svg._MARGIN_L - _svg._MARGIN_R) / cols
+    cell_h = (_svg._HEIGHT - _svg._MARGIN_T - _svg._MARGIN_B) / rows
+    size = f'width="{cell_w + 0.3:.2f}" height="{cell_h + 0.3:.2f}"'
+    return [
+        f'<rect x="{_svg._MARGIN_L + c * cell_w:.2f}" y="{_svg._HEIGHT - _svg._MARGIN_B - (r + 1) * cell_h:.2f}" '
+        f'{size} fill="rgb({round(255.0 - 247.0 * v)},{round(255.0 - 207.0 * v)},{round(255.0 - 148.0 * v)})"/>'
+        for r, row in enumerate(shade.tolist())
+        for c, v in enumerate(row)
+        if v > 0.0
+    ]
+
+
+def draw_heatmap(path: Path, field, *, x0: int, title: str) -> np.ndarray:
+    """Stream ``field`` row by row into block means and draw them, as evolve does."""
+    field = np.asarray(field, dtype=float)
+    means = streamed_means(field)
+    _svg.heatmap(path, means, extent=field.shape, x0=x0, title=title, x_label="n", y_label="t")
+    return means
+
+
 class TestWriters:
     @pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
     def test_pinned_output_bytes(self, case, tmp_path, monkeypatch):
@@ -263,31 +350,88 @@ class TestWriters:
         assert main([*argv, "--out", "."]) == 0
         assert {name: sha256_of(tmp_path / name) for name in expected} == expected
 
+    @pytest.mark.parametrize(
+        "steps, cycle",
+        [(500, None), (1000, None), (150, None), (0, None), (441, 5), (300, 101)],
+        ids=["t = 500", "220 does not divide t + 1", "t below 220", "t = 0", "cycle 5", "cycle 101"],
+    )
+    def test_streamed_heatmap_is_the_full_grid_heatmap(self, steps, cycle, tmp_path):
+        # The reference keeps every distribution row in one (t + 1, width)
+        # grid and block-averages it once.
+        q = QubitState(1j * INV_SQRT2, 0.0, INV_SQRT2)
+        if cycle is None:
+            state, step, first_site, width = walk.initial_line_state(q), walk.step_line, -steps, 2 * steps + 1
+        else:
+            state, step, first_site, width = walk.initial_cycle_state(q, cycle), walk.step_cycle, 0, cycle
+        grid = np.zeros((steps + 1, width))
+        for t in range(steps + 1):
+            state = step(state) if t else state
+            dist = walk.distribution(state)
+            grid[t, dist.first_site - first_site : dist.first_site - first_site + len(dist)] = dist.totals
+        means = full_grid_means(grid)
+        reference = tmp_path / "reference.svg"
+        _svg.heatmap(
+            reference, means, extent=grid.shape, x0=first_site,
+            title="Space-time probability density", x_label="n", y_label="t",
+        )
+        argv = ["evolve", f"--qubit={FIGURE_QUBIT}", "--steps", str(steps), "--heatmap", str(tmp_path / "heat.svg")]
+        argv += ["--out", str(tmp_path)] + (["--cycle", str(cycle)] if cycle else [])
+        assert main(argv) == 0
+        text = (tmp_path / "heat.svg").read_text()
+        assert text == reference.read_text()
+        # Between the background and the plot frame: one rect per drawn cell.
+        cells = per_cell_rects(means)
+        frame = '<rect x="70" y="40" width="550" height="330" fill="none" stroke="#333"/>'
+        assert text.splitlines()[2 : 3 + len(cells)] == [*cells, frame]
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (219, 439), (221, 661), (441, 5), (301, 601), (1001, 1201)])
+    def test_streamed_means_equal_the_full_grid_means(self, shape):
+        # Each row is fed over a random window; the rest of the row must read
+        # 0 even where the same block row held wider values one block earlier.
+        rng = np.random.default_rng(shape[0])
+        field = rng.random(shape)
+        edges = np.sort(rng.integers(0, shape[1] + 1, size=(shape[0], 2)), axis=1)
+        for t, (start, stop) in enumerate(edges):
+            field[t, :start] = field[t, stop:] = 0.0
+        assert streamed_means(field, edges.tolist()).tobytes() == full_grid_means(field).tobytes()
+
+    def test_evolve_heatmap_holds_one_block_of_rows(self, tmp_path):
+        # The whole 1001 x 2001 heat grid of t = 1000 would take 16 MB alone.
+        argv = ["evolve", f"--qubit={FIGURE_QUBIT}", "--steps", "1000", "--heatmap", str(tmp_path / "heat.svg")]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1001 * 2001 * 8
+
     def test_all_zero_heatmap_bytes(self, tmp_path):
         # The peak falls back to 1.0 and no cell is drawn.
         path = tmp_path / "zero.svg"
-        _svg.heatmap(path, np.zeros((3, 5)), x0=-2, title="empty", x_label="n", y_label="t")
+        draw_heatmap(path, np.zeros((3, 5)), x0=-2, title="empty")
         assert path.read_text().count("<rect") == 2
         assert sha256_of(path) == "a78ef88ff268f4b0c25abe3589bd18d84077a91f5f0684f8bbafb96143f19ebd"
 
     def test_heatmap_draws_one_rect_per_positive_block(self, tmp_path):
         rng = np.random.default_rng(3)
         field = rng.random((301, 601)) * (rng.random((301, 601)) < 0.002)
-        blocked, row_step, col_step = _svg._downsample(field)
-        assert (row_step, col_step) == (2, 3)
+        blocked = full_grid_means(field)
+        assert blocked.shape == (301 // 2, 601 // 3)
         path = tmp_path / "heat.svg"
-        _svg.heatmap(path, field, x0=-300, title="field", x_label="n", y_label="t")
+        assert draw_heatmap(path, field, x0=-300, title="field").tobytes() == blocked.tobytes()
         text = path.read_text()
         # The background and the plot frame, then one rect per positive block.
         assert text.count("<rect") == 2 + int(np.count_nonzero(blocked > 0.0))
         assert 0 < np.count_nonzero(blocked > 0.0) < blocked.size
         peaks = int(np.count_nonzero(blocked == blocked.max()))
         assert text.count('fill="rgb(8,48,107)"') == peaks
+        assert text.splitlines()[2 : 2 + len(per_cell_rects(blocked))] == per_cell_rects(blocked)
 
     def test_heatmap_half_shade_rounds_to_even(self, tmp_path):
         # Shade sqrt(0.25) = 0.5: red 131.5 and green 151.5 round to even.
         path = tmp_path / "heat.svg"
-        _svg.heatmap(path, [[1.0, 0.25], [0.0, 0.25]], x0=0, title="half", x_label="n", y_label="t")
+        draw_heatmap(path, [[1.0, 0.25], [0.0, 0.25]], x0=0, title="half")
         text = path.read_text()
         assert text.count("<rect") == 2 + 3
         assert text.count('fill="rgb(132,152,181)"') == 2
@@ -707,17 +851,151 @@ class TestOutputPaths:
         ],
     )
     def test_out_of_memory_exits_2(self, message, printed, tmp_path, capsys, monkeypatch):
-        # evolve --steps 20000 --heatmap would ask for a 5.96 GiB heat grid; a
-        # callee raising MemoryError stands in for that allocation.
+        # A run at the largest accepted size under an address-space limit
+        # (ulimit -v) too small for its arrays; a callee raising MemoryError
+        # stands in for the failed allocation.
         def no_memory(q):
             raise MemoryError(message)
 
         monkeypatch.setattr(cli.walk, "initial_line_state", no_memory)
-        argv = ["evolve", "--qubit", "1,0,0", "--steps", "20000", "--out", str(tmp_path)]
+        argv = ["evolve", "--qubit", "1,0,0", "--steps", str(cli._MAX_EVOLVE_STEPS), "--out", str(tmp_path)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {printed}\n"
         assert captured.out == ""
+
+
+class _Admitted(Exception):
+    """Raised by a stand-in worker: the argv passed every check before the work."""
+
+
+def _stand_in(ran: list, name: str, *args, **kwargs):
+    ran.append(name)
+    raise _Admitted(name)
+
+
+#: The call each subcommand's work starts with (verify has no size to cap).
+WORKERS = [
+    (cli.walk, "initial_line_state"),
+    (cli.walk, "initial_cycle_state"),
+    (cli.stationary, "stationary_profile"),
+    (cli.timeavg, "cycle_time_average"),
+    (cli.weaklimit, "empirical_rescaled"),
+]
+
+#: Qubit texts: normalized, unnormalised or not a number, and malformed.
+QUBIT_TEXTS = st.one_of(
+    st.sampled_from([
+        "1,0,0", "0.6,0,0.8i", FIGURE_QUBIT, ZERO_LOCALIZATION_QUBIT,
+        "0.5,0.5,0.5", "1,1,0", "0,0,0", "nan,0,0", "inf,0,0", "1e999,0,0", "0.7071,0,0.7071",
+        "x,0,0", "1,0", "1,,0", "", "1+,0,0", "0.6,0,0.8k", "1,0,0,0", "1j,0,0j", "--",
+    ]),
+    st.text(max_size=12),
+)
+
+
+def _around(*bounds: int):
+    """Integers on both sides of each bound."""
+    return st.one_of(*(st.integers(b - 2, b + 2) for b in bounds))
+
+
+@st.composite
+def sized_argvs(draw):
+    """An argv of valid qubit and flags whose size lies near a cap or a lower
+    bound, with the exit its size decides: 2 or 3, or None when it reaches
+    the work."""
+    command = draw(st.sampled_from(["evolve", "cycle", "stationary", "timeavg", "weaklimit"]))
+    if command == "evolve":
+        steps = draw(_around(0, cli._MAX_EVOLVE_STEPS))
+        argv, refused = ["evolve", "--steps", str(steps)], not 0 <= steps <= cli._MAX_EVOLVE_STEPS
+        return argv + ["--qubit=1,0,0", "--out", "out"], 2 if refused else None
+    if command == "cycle":
+        sites = draw(_around(3, cli._MAX_EVOLVE_CYCLE) | st.integers(3, cli._MAX_EVOLVE_CYCLE))
+        most = min(cli._MAX_EVOLVE_STEPS, cli._MAX_EVOLVE_STEPS**2 // max(sites, 1))
+        steps = draw(st.integers(max(0, most - 2), min(cli._MAX_EVOLVE_STEPS, most + 2)) | st.just(0))
+        argv = ["evolve", "--qubit=1,0,0", "--cycle", str(sites), "--steps", str(steps), "--out", "out"]
+        if sites < 3 or sites % 2 == 0:
+            return argv, 3
+        return argv, 2 if sites > cli._MAX_EVOLVE_CYCLE or sites * steps > cli._MAX_EVOLVE_STEPS**2 else None
+    if command == "stationary":
+        window = draw(_around(1, cli._MAX_STATIONARY_WINDOW))
+        argv = ["stationary", "--qubit=1,0,0", "--window", str(window), "--out", "out"]
+        return argv, 2 if not 1 <= window <= cli._MAX_STATIONARY_WINDOW else None
+    if command == "timeavg":
+        sites = draw(_around(3, cli._MAX_TIMEAVG_SITES))
+        argv = ["timeavg", "--qubit=1,0,0", "--sites", str(sites), "--out", "out"]
+        if sites < 3 or sites % 2 == 0:
+            return argv, 3
+        return argv, 2 if sites > cli._MAX_TIMEAVG_SITES else None
+    steps = draw(_around(100, cli._MAX_WEAKLIMIT_STEPS))
+    return ["weaklimit", "--steps", str(steps), "--out", "out"], 2 if not 100 <= steps <= cli._MAX_WEAKLIMIT_STEPS else None
+
+
+#: Output paths, relative to a fresh directory holding a file named ``taken``.
+OUTS = st.sampled_from([[], ["--out", "out"], ["--out", "taken"], ["--out", "taken/sub"]])
+PLOTS = st.sampled_from([None, "plot.svg", "missing/plot.svg", "taken"])
+
+
+@st.composite
+def small_argvs(draw):
+    """An argv of any subcommand, well formed or not, small enough to run."""
+    command = draw(st.sampled_from(["evolve", "stationary", "timeavg", "weaklimit", "verify", "other"]))
+    qubit = "--qubit=" + draw(QUBIT_TEXTS)
+    if command == "evolve":
+        argv = ["evolve", qubit, "--steps", str(draw(st.integers(-2, 12)))]
+        cycle = draw(st.none() | st.integers(-1, 12))
+        argv += [] if cycle is None else ["--cycle", str(cycle)]
+        flags = ["--svg", "--heatmap"]
+    elif command == "stationary":
+        argv, flags = ["stationary", qubit, "--window", str(draw(st.integers(-1, 12)))], ["--svg"]
+    elif command == "timeavg":
+        argv, flags = ["timeavg", qubit, "--sites", str(draw(st.integers(-1, 15)))], []
+    elif command == "weaklimit":
+        argv, flags = ["weaklimit", "--steps", str(draw(st.integers(98, 101)))], ["--svg"]
+    elif command == "verify":
+        return ["verify", "--suite", draw(st.sampled_from(["paper-constants", "bogus", "", "ALL"]))]
+    else:
+        return draw(st.sampled_from([[], ["frobnicate"], ["--help"], ["evolve", "--help"], ["evolve", "--steps", "x"]]))
+    for flag in flags:
+        plot = draw(PLOTS)
+        argv += [] if plot is None else [flag, plot]
+    return argv + draw(OUTS)
+
+
+class TestEveryArgv:
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.one_of(sized_argvs(), small_argvs().map(lambda argv: (argv, "run"))))
+    @example(case=(["evolve", "--qubit=1,0,0", "--steps", str(cli._MAX_EVOLVE_STEPS)], None))
+    @example(case=(["evolve", "--qubit=1,0,0", "--steps", str(cli._MAX_EVOLVE_STEPS + 1), "--out", "out"], 2))
+    @example(case=(["evolve", "--qubit=1,0,0", "--steps", "2499", "--cycle", str(cli._MAX_EVOLVE_CYCLE)], None))
+    @example(case=(["evolve", "--qubit=1,0,0", "--steps", "2500", "--cycle", str(cli._MAX_EVOLVE_CYCLE), "--out", "out"], 2))
+    @example(case=(["evolve", "--qubit=1,0,0", "--steps", "0", "--cycle", str(cli._MAX_EVOLVE_CYCLE + 2), "--out", "out"], 2))
+    # argparse in Python 3.11 reads an option's "--" value as [], skipping its type.
+    @example(case=(["timeavg", "--qubit=--", "--sites", "0"], "run"))
+    @example(case=(["timeavg", "--qubit=1,0,0", "--sites=--"], "run"))
+    def test_every_argv_ends_in_a_documented_exit(self, case, tmp_path):
+        # Sized argvs run stand-in workers, so a size over a cap must exit 2
+        # (3 for an even cycle) before any work, and one within every bound
+        # must reach the work. Small argvs run for real.
+        argv, expected = case
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        (work / "taken").write_text("")
+        ran: list[str] = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(work)
+            if expected != "run":
+                for module, name in WORKERS:
+                    patch.setattr(module, name, functools.partial(_stand_in, ran, name))
+            try:
+                code = main(argv)
+            except _Admitted:
+                code = None
+        if expected == "run":
+            assert code in (0, 1, 2, 3)
+        else:
+            assert code == expected
+            if expected is not None:
+                assert ran == [] and not (work / "out").exists()
 
 
 class TestTopLevel:

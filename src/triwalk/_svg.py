@@ -8,6 +8,8 @@ import numpy as np
 
 _WIDTH = 640
 _HEIGHT = 420
+#: Most heatmap cells a side: ``heat_blocks`` averages blocks down to at most this.
+_HEAT_CELLS = 220
 _MARGIN_L = 70
 _MARGIN_R = 20
 _MARGIN_T = 40
@@ -133,14 +135,14 @@ def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False
         fh.write("\n".join(parts) + "\n")
 
 
-def heat_blocks(rows: int, cols: int, limit: int = 220):
+def heat_blocks(rows: int, cols: int):
     """Block means of a ``rows x cols`` field fed in one row at a time.
 
     Returns ``(means, add)``: ``add(t, start, values)`` sets row ``t`` to
     ``values`` from column ``start`` on and 0 elsewhere. Blocks are the
-    smallest that leave at most ``limit`` a side; rows and columns that fill
-    no block are dropped, and one block of rows is held at a time."""
-    row_step, col_step = max(1, math.ceil(rows / limit)), max(1, math.ceil(cols / limit))
+    smallest that leave at most ``_HEAT_CELLS`` a side; rows and columns that
+    fill no block are dropped, and one block of rows is held at a time."""
+    row_step, col_step = max(1, math.ceil(rows / _HEAT_CELLS)), max(1, math.ceil(cols / _HEAT_CELLS))
     means = np.zeros((rows // row_step, cols // col_step))
     block = np.zeros((row_step, cols))
 

@@ -34,10 +34,8 @@ __all__ = [
     "Distribution",
     "coin_matrix",
     "projector_matrices",
-    "initial_line_state",
     "step_line",
     "evolve_line",
-    "initial_cycle_state",
     "step_cycle",
     "evolve_cycle",
     "distribution",
@@ -282,13 +280,12 @@ def _amplitudes(parts: np.ndarray) -> np.ndarray:
 def _step(amplitudes: np.ndarray, cycle: bool) -> np.ndarray:
     # One step of frozen amplitudes: the coin over their parts (the line's padded by
     # a zero site per side), landing shifted in an output with a spare end site.
-    coined = _coin() @ _parts(amplitudes, pad=0 if cycle else 1)
-    n = coined.shape[2]
+    parts = _parts(amplitudes, pad=0 if cycle else 1)
+    n = parts.shape[2]
     out = np.zeros((n + 2, 3), dtype=complex)
     site, item = out.strides
-    landing = np.ndarray((len(coined), 3, n), float, out, strides=(item // 2, site + item, site))
-    for r, part in enumerate(coined):
-        landing[r] = part
+    landing = np.ndarray((len(parts), 3, n), float, out, strides=(item // 2, site + item, site))
+    np.matmul(_coin(), parts, out=landing)
     if cycle:
         out[n, 0], out[1, 2] = out[0, 0], out[n + 1, 2]
     return out[1:-1]
@@ -310,11 +307,6 @@ def _evolve(parts: np.ndarray, t: int, cycle: bool, states: int = 1) -> np.ndarr
         window = dst[:, :, lo:hi].reshape(states, -1, hi - lo)
         _check_total_probability(window, s, "cycle state" if cycle else "line state")
     return bufs[t % 2][:, :, 1:-1]
-
-
-def initial_line_state(q: QubitState) -> LineState:
-    """Place the walker at the origin of the line with internal state ``q``."""
-    return LineState(origin_offset=0, amplitudes=q.as_array()[None, :], time=0)
 
 
 def step_line(s: LineState) -> LineState:
@@ -343,15 +335,6 @@ def evolve_line(q: QubitState, t: int) -> LineState:
     return LineState(origin_offset=-t, amplitudes=_amplitudes(parts), time=t)
 
 
-def initial_cycle_state(q: QubitState, n_sites: int) -> CycleState:
-    """Place the walker at site 0 of a cycle with ``n_sites`` sites (odd)."""
-    if n_sites < 3 or n_sites % 2 == 0:
-        raise ValueError("cycle size must be an odd integer >= 3")
-    amplitudes = np.zeros((n_sites, 3), dtype=complex)
-    amplitudes[0] = q.as_array()
-    return CycleState(n_sites=n_sites, amplitudes=amplitudes, time=0)
-
-
 def step_cycle(s: CycleState) -> CycleState:
     """Advance a cycle state by one step (site indices wrap modulo the size)."""
     return CycleState(s.n_sites, _step(s.amplitudes, cycle=True), s.time + 1)
@@ -361,7 +344,12 @@ def evolve_cycle(q: QubitState, n_sites: int, t: int) -> CycleState:
     """Evolve the walker for ``t`` steps on a cycle of ``n_sites`` sites."""
     if t < 0:
         raise ValueError("step count must be non-negative")
-    parts = _evolve(_parts(initial_cycle_state(q, n_sites).amplitudes, pad=1), t, cycle=True)
+    if n_sites < 3 or n_sites % 2 == 0:
+        raise ValueError("cycle size must be an odd integer >= 3")
+    start = np.zeros((n_sites, 3), dtype=complex)
+    start[0] = q.as_array()
+    _check_total_probability(start, 0, "cycle state")
+    parts = _evolve(_parts(start, pad=1), t, cycle=True)
     return CycleState(n_sites=n_sites, amplitudes=_amplitudes(parts), time=t)
 
 

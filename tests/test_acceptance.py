@@ -36,7 +36,6 @@ from triwalk import (
     evolve_line,
     fourier_operator,
     infinite_time_average_component,
-    initial_cycle_state,
     j_kernel,
     k_kernel,
     limit_amplitude,
@@ -178,7 +177,7 @@ def test_criterion_7_time_average_chain(criterion_detail):
     # projection formula.
     n_sites = 7
     steps = 100_000
-    state = initial_cycle_state(FIGURE_STATE, n_sites)
+    state = evolve_cycle(FIGURE_STATE, n_sites, 0)
     acc = 0.0
     for _ in range(steps):
         acc += float(np.sum(np.abs(state.amplitudes[0]) ** 2))

@@ -201,8 +201,8 @@ class TestEvolve:
         def no_work(*args, **kwargs):
             raise AssertionError("the cap must refuse before computing")
 
-        monkeypatch.setattr(cli.walk, "initial_line_state", no_work)
-        monkeypatch.setattr(cli.walk, "initial_cycle_state", no_work)
+        monkeypatch.setattr(cli.walk, "evolve_line", no_work)
+        monkeypatch.setattr(cli.walk, "evolve_cycle", no_work)
         out = tmp_path / "out"
         assert main(["evolve", "--qubit", FIGURE_QUBIT, *sizes, "--heatmap", str(tmp_path / "h.svg"), "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -360,9 +360,9 @@ class TestWriters:
         # grid and block-averages it once.
         q = QubitState(1j * INV_SQRT2, 0.0, INV_SQRT2)
         if cycle is None:
-            state, step, first_site, width = walk.initial_line_state(q), walk.step_line, -steps, 2 * steps + 1
+            state, step, first_site, width = walk.evolve_line(q, 0), walk.step_line, -steps, 2 * steps + 1
         else:
-            state, step, first_site, width = walk.initial_cycle_state(q, cycle), walk.step_cycle, 0, cycle
+            state, step, first_site, width = walk.evolve_cycle(q, cycle, 0), walk.step_cycle, 0, cycle
         grid = np.zeros((steps + 1, width))
         for t in range(steps + 1):
             state = step(state) if t else state
@@ -769,6 +769,11 @@ class TestVerify:
 
     def test_unknown_suite(self, capsys):
         assert main(["verify", "--suite", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'bogus'" in captured.err
+        for suite in (*cli._SUITES, "all"):
+            assert f"'{suite}'" in captured.err
 
     def test_batched_spectral_checks_equal_the_pointwise_loops(self):
         # Each spectral check evaluates all its momenta, sites or times in one
@@ -854,10 +859,10 @@ class TestOutputPaths:
         # A run at the largest accepted size under an address-space limit
         # (ulimit -v) too small for its arrays; a callee raising MemoryError
         # stands in for the failed allocation.
-        def no_memory(q):
+        def no_memory(*args):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli.walk, "initial_line_state", no_memory)
+        monkeypatch.setattr(cli.walk, "evolve_line", no_memory)
         argv = ["evolve", "--qubit", "1,0,0", "--steps", str(cli._MAX_EVOLVE_STEPS), "--out", str(tmp_path)]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -876,8 +881,8 @@ def _stand_in(ran: list, name: str, *args, **kwargs):
 
 #: The call each subcommand's work starts with (verify has no size to cap).
 WORKERS = [
-    (cli.walk, "initial_line_state"),
-    (cli.walk, "initial_cycle_state"),
+    (cli.walk, "evolve_line"),
+    (cli.walk, "evolve_cycle"),
     (cli.stationary, "stationary_profile"),
     (cli.timeavg, "cycle_time_average"),
     (cli.weaklimit, "empirical_rescaled"),

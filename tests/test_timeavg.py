@@ -22,10 +22,10 @@ from triwalk import (
     cycle_time_average,
     distribution,
     eigenvalue_groups,
+    evolve_cycle,
     fourier_operator,
     infinite_time_average_component,
     infinite_time_average_total,
-    initial_cycle_state,
     limit_component,
     momentum_blocks,
     step_cycle,
@@ -245,7 +245,7 @@ class TestCycleTimeAverage:
         # is exactly periodic with period 6; a running average over whole
         # periods is the true Cesaro limit, not an approximation of it.
         q = QubitState(0.5, 0.5, 0.5 + 0.5j)
-        state = initial_cycle_state(q, 3)
+        state = evolve_cycle(q, 3, 0)
         steps = 600
         acc = 0.0
         for _ in range(steps):

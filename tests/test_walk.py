@@ -21,8 +21,6 @@ from triwalk import (
     distribution,
     evolve_cycle,
     evolve_line,
-    initial_cycle_state,
-    initial_line_state,
     projector_matrices,
     step_cycle,
     step_line,
@@ -86,7 +84,7 @@ class TestQubitState:
 
 class TestLineEvolution:
     def test_initial_state_is_point_mass(self):
-        state = initial_line_state(FIGURE_STATE)
+        state = evolve_line(FIGURE_STATE, 0)
         assert state.time == 0
         assert list(state.sites) == [0]
         vec = state.amplitude(0)
@@ -94,7 +92,7 @@ class TestLineEvolution:
 
     def test_one_step_from_left_basis(self):
         # By hand: one application of the shift-conditioned coin to (1,0,0).
-        state = step_line(initial_line_state(QubitState(1.0, 0.0, 0.0)))
+        state = step_line(evolve_line(QubitState(1.0, 0.0, 0.0), 0))
         dist = distribution(state)
         assert dist.total(-1) == pytest.approx(1.0 / 9.0, abs=1e-15)
         assert dist.total(0) == pytest.approx(4.0 / 9.0, abs=1e-15)
@@ -107,24 +105,18 @@ class TestLineEvolution:
         assert p[2, 2] == pytest.approx(4.0 / 9.0, abs=1e-15)
 
     def test_one_step_from_middle_basis(self):
-        state = step_line(initial_line_state(QubitState(0.0, 1.0, 0.0)))
+        state = step_line(evolve_line(QubitState(0.0, 1.0, 0.0), 0))
         dist = distribution(state)
         assert dist.total(-1) == pytest.approx(4.0 / 9.0, abs=1e-15)
         assert dist.total(0) == pytest.approx(1.0 / 9.0, abs=1e-15)
         assert dist.total(1) == pytest.approx(4.0 / 9.0, abs=1e-15)
 
     def test_one_step_from_figure_state(self):
-        state = step_line(initial_line_state(FIGURE_STATE))
+        state = step_line(evolve_line(FIGURE_STATE, 0))
         dist = distribution(state)
         assert dist.total(-1) == pytest.approx(5.0 / 18.0, abs=1e-15)
         assert dist.total(0) == pytest.approx(4.0 / 9.0, abs=1e-15)
         assert dist.total(1) == pytest.approx(5.0 / 18.0, abs=1e-15)
-
-    def test_evolve_zero_steps_is_identity(self):
-        start = initial_line_state(FIGURE_STATE)
-        out = evolve_line(FIGURE_STATE, 0)
-        assert out.time == 0
-        assert np.array_equal(out.amplitudes, start.amplitudes)
 
     def test_support_stays_within_light_cone(self):
         out = evolve_line(TEST_STATES[4], 7)
@@ -233,13 +225,13 @@ class TestConservationCheck:
 
 class TestCycleEvolution:
     def test_rejects_even_or_tiny_rings(self):
-        with pytest.raises(ValueError):
-            initial_cycle_state(FIGURE_STATE, 4)
-        with pytest.raises(ValueError):
-            initial_cycle_state(FIGURE_STATE, 1)
+        for n_sites in (4, 1):
+            for t in (0, 3):
+                with pytest.raises(ValueError, match="cycle size"):
+                    evolve_cycle(FIGURE_STATE, n_sites, t)
 
     def test_localized_start(self):
-        state = initial_cycle_state(FIGURE_STATE, 7)
+        state = evolve_cycle(FIGURE_STATE, 7, 0)
         assert state.n_sites == 7
         dist = distribution(state)
         assert dist.total(0) == pytest.approx(1.0, abs=1e-15)
@@ -276,7 +268,7 @@ class TestCycleEvolution:
         assert abs(sum(distribution(out).totals.tolist()) - 1.0) < 1e-12
 
     def test_step_preserves_shape(self):
-        state = initial_cycle_state(FIGURE_STATE, 9)
+        state = evolve_cycle(FIGURE_STATE, 9, 0)
         for _ in range(4):
             state = step_cycle(state)
         assert isinstance(state, CycleState)
@@ -322,10 +314,21 @@ STEPPER_STATES = (
 
 
 class TestStepper:
+    def test_zero_steps_hold_the_qubit_at_site_0(self):
+        for q in TEST_STATES:
+            line = evolve_line(q, 0)
+            assert (line.origin_offset, line.time) == (0, 0)
+            assert np.array_equal(line.amplitudes, q.as_array()[None, :])
+            for n_sites in (3, 9):
+                ring = evolve_cycle(q, n_sites, 0)
+                assert ring.time == 0
+                assert np.array_equal(ring.amplitudes[0], q.as_array())
+                assert not ring.amplitudes[1:].any()
+
     def test_evolve_line_is_chained_step_line(self):
         checkpoints = (0, 1, 2, 37, 300)
         for q in STEPPER_STATES:
-            state = initial_line_state(q)
+            state = evolve_line(q, 0)
             for t in range(checkpoints[-1] + 1):
                 if t in checkpoints:
                     out = evolve_line(q, t)
@@ -339,7 +342,7 @@ class TestStepper:
         # evolve_line matches the padded one-step wrapper bit for bit at
         # t = 1 and 2 only if no window shrinks to the previous light cone.
         q = TEST_STATES[11]
-        state = initial_line_state(q)
+        state = evolve_line(q, 0)
         for t in (1, 2):
             state = step_line(state)
             assert np.array_equal(evolve_line(q, t).amplitudes, state.amplitudes)
@@ -348,7 +351,7 @@ class TestStepper:
         # Every run goes past the wrap, at t > (n_sites - 1) / 2.
         for n_sites, t in ((3, 7), (7, 20), (101, 230)):
             for q in STEPPER_STATES:
-                state = initial_cycle_state(q, n_sites)
+                state = evolve_cycle(q, n_sites, 0)
                 for _ in range(t):
                     state = step_cycle(state)
                 out = evolve_cycle(q, n_sites, t)

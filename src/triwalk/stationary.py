@@ -32,18 +32,21 @@ __all__ = [
 GEOMETRIC_RATIO = -5.0 + 2.0 * math.sqrt(6.0)
 
 
-def _clamp_probability(p: float) -> float:
-    # Squared moduli can come out as tiny negatives after cancellation;
-    # anything above -1e-15 is rounding noise on an exact zero.
-    if -1e-15 < p < 0.0:
-        return 0.0
-    return p
-
-
 def _sequence_value(n: int) -> float:
     """The base geometric sequence value at site n: 2 c^(|n|+1) / (c^2 - 1)."""
     c = GEOMETRIC_RATIO
     return 2.0 * c ** (abs(n) + 1) / (c * c - 1.0)
+
+
+def _limit_amplitudes(n: int | np.ndarray, q: QubitState) -> tuple:
+    """The amplitudes of ``limit_amplitude`` for l = 1, 2, 3 at an int site or an int64 array."""
+    here, right, left = (_sequence_value(n + d) for d in (0, 1, -1))
+    a, b, g = q.alpha, q.beta, q.gamma
+    return (
+        2.0 * a * here + b * (here + right) + 2.0 * g * right,
+        a * (left + here) + 0.5 * b * (left + 2.0 * here + right) + g * (here + right),
+        2.0 * a * left + b * (left + here) + 2.0 * g * here,
+    )
 
 
 def limit_amplitude(n: int, l: int, q: QubitState) -> complex:
@@ -54,26 +57,19 @@ def limit_amplitude(n: int, l: int, q: QubitState) -> complex:
     exactly (up to quadrature error on the integral side). Each weighs the
     initial components with the geometric sequence at sites n - 1, n, n + 1.
     """
-    n = operator.index(n)
-    here, right, left = (_sequence_value(n + d) for d in (0, 1, -1))
-    a, b, g = q.alpha, q.beta, q.gamma
-    if l == 1:
-        return 2.0 * a * here + b * (here + right) + 2.0 * g * right
-    if l == 2:
-        return a * (left + here) + 0.5 * b * (left + 2.0 * here + right) + g * (here + right)
-    if l == 3:
-        return 2.0 * a * left + b * (left + here) + 2.0 * g * here
-    raise ValueError("chirality index must be 1, 2, or 3")
+    if l not in (1, 2, 3):
+        raise ValueError("chirality index must be 1, 2, or 3")
+    return _limit_amplitudes(operator.index(n), q)[l - 1]
 
 
 def limit_component(n: int, l: int, q: QubitState) -> float:
     """Limit probability at site ``n`` restricted to chirality ``l``."""
-    return _clamp_probability(abs(limit_amplitude(n, l, q)) ** 2)
+    return abs(limit_amplitude(n, l, q)) ** 2
 
 
 def limit_probability(n: int, q: QubitState) -> float:
     """Limit probability at site ``n``, summed over the three chiralities."""
-    return sum(limit_component(n, l, q) for l in (1, 2, 3))
+    return sum(abs(z) ** 2 for z in _limit_amplitudes(operator.index(n), q))
 
 
 def total_mass(q: QubitState) -> float:
@@ -98,6 +94,8 @@ def stationary_profile(q: QubitState, window: int) -> Distribution:
     """
     if window < 1:
         raise ValueError("window must be a positive site count")
-    sites = range(-window, window + 1)
-    table = np.array([[limit_component(n, l, q) for l in (1, 2, 3)] for n in sites])
+    # Python's abs(z) ** 2, as in limit_component: np.abs(z) ** 2 is 1 ulp off at
+    # some tiny values (weaklimit keeps math.atan per value for the same reason).
+    columns = _limit_amplitudes(np.arange(-window, window + 1), q)
+    table = np.array([[abs(z) ** 2 for z in column.tolist()] for column in columns]).T
     return Distribution(first_site=-window, probabilities=table)

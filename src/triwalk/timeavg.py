@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import _eigenvector_components, dispersion, fourier_operator
-from .stationary import _clamp_probability
 from .walk import ChiralVector, QubitState
 
 __all__ = [
@@ -166,10 +165,7 @@ def cycle_time_average(n_sites: int, q: QubitState, site: int = 0) -> float:
     Sums, per chirality, the squared moduli of the coherent per-eigenvalue
     amplitudes. Equals the limit of (1/T) sum_{t<T} P(site, t) as T grows.
     """
-    total = 0.0
-    for group in eigenvalue_groups(n_sites, q, site):
-        total += group.amplitude.probability()
-    return _clamp_probability(total)
+    return sum(group.amplitude.probability() for group in eigenvalue_groups(n_sites, q, site))
 
 
 _SQRT6 = math.sqrt(6.0)
@@ -180,12 +176,12 @@ def infinite_time_average_component(l: int, q: QubitState) -> float:
     a, b, g = q.alpha, q.beta, q.gamma
     if l == 1:
         amplitude = _SQRT6 * a - 2.0 * (_SQRT6 - 3.0) * b + (12.0 - 5.0 * _SQRT6) * g
-        return _clamp_probability(abs(amplitude) ** 2 / 36.0)
+        return abs(amplitude) ** 2 / 36.0
     if l == 2:
-        return _clamp_probability((_SQRT6 - 3.0) ** 2 * abs(a + b + g) ** 2 / 9.0)
+        return (_SQRT6 - 3.0) ** 2 * abs(a + b + g) ** 2 / 9.0
     if l == 3:
         amplitude = _SQRT6 * g - 2.0 * (_SQRT6 - 3.0) * b + (12.0 - 5.0 * _SQRT6) * a
-        return _clamp_probability(abs(amplitude) ** 2 / 36.0)
+        return abs(amplitude) ** 2 / 36.0
     raise ValueError("chirality index must be 1, 2, or 3")
 
 
@@ -201,4 +197,5 @@ def infinite_time_average_total(q: QubitState) -> float:
     value = (5.0 - 2.0 * _SQRT6) * (
         1.0 + abs(a + b) ** 2 + abs(b + g) ** 2 - 2.0 * abs(b) ** 2
     )
-    return _clamp_probability(value)
+    # Rounding leaves -2.2e-17 on the exact 0 of the zero-localization state.
+    return 0.0 if -1e-15 < value < 0.0 else value

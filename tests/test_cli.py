@@ -1023,6 +1023,17 @@ class TestTopLevel:
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(["verify", "--suite=--"], "--suite"), (["timeavg", "--qubit=--", "--sites", "3"], "--qubit")],
+    )
+    def test_double_dash_value_names_the_option(self, argv, option, capsys):
+        # argparse in Python 3.11 reads an option's "--" value as [], skipping its type.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {option}: " in captured.err
+
     def test_import_loads_no_scipy(self):
         # numpy is the only runtime dependency; importing scipy would take
         # most of the CLI start-up time.

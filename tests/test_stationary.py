@@ -165,11 +165,16 @@ class TestTotalMass:
 
 class TestProfile:
     def test_window_contents(self):
+        # Each profile is the scalar closed forms row by row, bit for bit.
+        for q in (*TEST_STATES, ZERO_LOCALIZATION_STATE):
+            for window in (4, 333):
+                profile = stationary_profile(q, window)
+                assert list(profile.sites()) == list(range(-window, window + 1))
+                rows = [[limit_component(n, l, q) for l in (1, 2, 3)] for n in profile.sites()]
+                assert profile.probabilities.tobytes() == np.array(rows).tobytes()
         profile = stationary_profile(FIGURE_STATE, 4)
-        assert list(profile.sites()) == list(range(-4, 5))
-        for row, n in zip(profile.probabilities.tolist(), profile.sites()):
+        for n in profile.sites():
             assert profile.total(n) == limit_probability(n, FIGURE_STATE)
-            assert row == [limit_component(n, l, FIGURE_STATE) for l in (1, 2, 3)]
         for n in (-5, 5, 99):
             assert profile.total(n) == 0.0
         # The window misses only the tail beyond |n| = 4, below c^10 ~ 1e-10.

@@ -367,9 +367,9 @@ def _time_average_vs_stationary() -> tuple[float, str]:
         QubitState(0.5, 0.5j, math.sqrt(0.5)),
     ]
     gaps = (
-        abs(timeavg.infinite_time_average_component(l, q) - stationary.limit_component(0, l, q))
+        abs(timeavg.infinite_time_average_component(l, q) - abs(z) ** 2)
         for q in sample
-        for l in (1, 2, 3)
+        for l, z in enumerate(stationary._limit_amplitudes(0, q), start=1)
     )
     return _worst(max(gaps))
 
@@ -427,7 +427,7 @@ def _quadrature_vs_direct() -> tuple[float, str]:
 
 def _reconstruction() -> tuple[float, str]:
     times = (0, 5, 20)
-    localized = [[stationary.limit_amplitude(n, l, _FIGURE_STATE) for l in (1, 2, 3)] for n in range(-2, 3)]
+    localized = np.array(stationary._limit_amplitudes(np.arange(-2, 3), _FIGURE_STATE)).T
     return _gap_to_direct(spectral.remainder_window(2, times, _FIGURE_STATE) + localized, times, 2)
 
 

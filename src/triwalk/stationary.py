@@ -81,9 +81,7 @@ def total_mass(q: QubitState) -> float:
     exact tail factor.
     """
     c = GEOMETRIC_RATIO
-    center = limit_probability(0, q)
-    right = limit_probability(1, q)
-    left = limit_probability(-1, q)
+    center, right, left = (limit_probability(n, q) for n in (0, 1, -1))
     return center + (left + right) / (1.0 - c * c)
 
 
@@ -92,6 +90,7 @@ def stationary_profile(q: QubitState, window: int) -> Distribution:
 
     The all-site total of the profile is ``total_mass(q)``.
     """
+    window = operator.index(window)
     if window < 1:
         raise ValueError("window must be a positive site count")
     # Python's abs(z) ** 2, as in limit_component: np.abs(z) ** 2 is 1 ulp off at

@@ -165,7 +165,10 @@ def cycle_time_average(n_sites: int, q: QubitState, site: int = 0) -> float:
     Sums, per chirality, the squared moduli of the coherent per-eigenvalue
     amplitudes. Equals the limit of (1/T) sum_{t<T} P(site, t) as T grows.
     """
-    return sum(group.amplitude.probability() for group in eigenvalue_groups(n_sites, q, site))
+    total = 0.0
+    for group in eigenvalue_groups(n_sites, q, site):
+        total += group.amplitude.probability()
+    return total
 
 
 _SQRT6 = math.sqrt(6.0)
@@ -194,8 +197,6 @@ def infinite_time_average_total(q: QubitState) -> float:
     3(5 - 2 sqrt 6).
     """
     a, b, g = q.alpha, q.beta, q.gamma
-    value = (5.0 - 2.0 * _SQRT6) * (
-        1.0 + abs(a + b) ** 2 + abs(b + g) ** 2 - 2.0 * abs(b) ** 2
-    )
+    value = (5.0 - 2.0 * _SQRT6) * (1.0 + abs(a + b) ** 2 + abs(b + g) ** 2 - 2.0 * abs(b) ** 2)
     # Rounding leaves -2.2e-17 on the exact 0 of the zero-localization state.
     return 0.0 if -1e-15 < value < 0.0 else value

@@ -184,6 +184,10 @@ class TestProfile:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             stationary_profile(FIGURE_STATE, 0)
+        # A float window would build sites -4.5..4.5 and a profile full of NaN.
+        for window in (0.5, 4.0):
+            with pytest.raises(TypeError):
+                stationary_profile(FIGURE_STATE, window)
 
 
 class TestConvergenceOfSimulation:

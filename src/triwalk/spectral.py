@@ -77,6 +77,7 @@ def quadrature_nodes(size: int) -> np.ndarray:
     which the eigenvector formula cannot handle (see module notes). Midpoint
     construction keeps every node strictly inside (-pi, pi) and away from 0.
     """
+    size = operator.index(size)
     if size < 2 or size % 2 != 0:
         raise ValueError("quadrature grid size must be an even integer >= 2")
     return -np.pi + (np.arange(size) + 0.5) * (2.0 * np.pi / size)
@@ -305,6 +306,7 @@ def stationary_component_integral(n: int, l: int, q: QubitState) -> complex:
     limit probability component. It needs |n| + 16 <= 16384.
     """
     _check_reach(n, kernel=True)
+    l = operator.index(l)
     if l not in (1, 2, 3):
         raise ValueError("chirality index must be 1, 2, or 3")
     k, _, vectors, conjugates, _, _ = _tableau(DEFAULT_GRID_SIZE)

@@ -57,6 +57,7 @@ def limit_amplitude(n: int, l: int, q: QubitState) -> complex:
     exactly (up to quadrature error on the integral side). Each weighs the
     initial components with the geometric sequence at sites n - 1, n, n + 1.
     """
+    l = operator.index(l)
     if l not in (1, 2, 3):
         raise ValueError("chirality index must be 1, 2, or 3")
     return _limit_amplitudes(operator.index(n), q)[l - 1]

@@ -22,6 +22,7 @@ rounds differently, so ``evolve_*`` and ``step_*`` agree bitwise.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,6 +153,8 @@ class LineState:
     time: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "origin_offset", operator.index(self.origin_offset))
+        object.__setattr__(self, "time", operator.index(self.time))
         object.__setattr__(self, "amplitudes", _frozen_rows(self.amplitudes, complex))
         if self.time < 0:
             raise ValueError("time must be a non-negative step count")
@@ -178,6 +181,8 @@ class CycleState:
     time: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_sites", operator.index(self.n_sites))
+        object.__setattr__(self, "time", operator.index(self.time))
         if self.n_sites < 3 or self.n_sites % 2 == 0:
             raise ValueError("cycle size must be an odd integer >= 3")
         object.__setattr__(self, "amplitudes", _frozen_rows(self.amplitudes, complex))
@@ -206,6 +211,7 @@ class Distribution:
     totals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "first_site", operator.index(self.first_site))
         p = _frozen_rows(self.probabilities, float)
         totals = p[:, 0] + p[:, 1] + p[:, 2]
         totals.setflags(write=False)

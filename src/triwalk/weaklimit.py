@@ -2,10 +2,8 @@
 
 Rescaled by time, the walker's position converges in distribution to a
 mixture: a point mass of weight 1/3 at the origin (the trapped fraction)
-plus 2/3 spread by an arcsine-type law. One law, f_r(x) = sqrt(r - 1) /
-(pi (1 - x^2) sqrt(1 - r x^2)) on |x| < 1/sqrt(r), gives both densities:
-r = 3 here (edge 1/sqrt 3) and r = 2, with no point mass, for the two-state
-Hadamard walk kept for comparison (edge 1/sqrt 2).
+plus 2/3 spread by the arcsine-type density 2 sqrt(2) / (3 pi (1 - x^2)
+sqrt(1 - 3 x^2)) on |x| < 1/sqrt(3).
 
 Empirical checks build the distribution of X_t / t under the uniform
 mixture of the three pure chirality initial states and compare its CDF
@@ -24,92 +22,64 @@ from .walk import QubitState
 
 __all__ = [
     "SUPPORT_EDGE",
-    "HADAMARD_EDGE",
     "EmpiricalRescaled",
     "density",
     "continuous_mass",
-    "hadamard_density",
-    "hadamard_mass",
     "localization_mass",
     "limit_cdf",
     "empirical_rescaled",
     "cdf_distance",
 ]
 
-#: Edge of the continuous support of the three-state limit density.
+#: Edge of the continuous support of the limit density.
 SUPPORT_EDGE = 1.0 / math.sqrt(3.0)
-
-#: Edge of the Hadamard-walk comparison density.
-HADAMARD_EDGE = 1.0 / math.sqrt(2.0)
 
 #: Weight of the point mass at the origin.
 POINT_MASS = 1.0 / 3.0
 
-#: (r, weight) of the arcsine law of each walk's continuous part.
-_THREE_STATE = (3.0, 2.0 * POINT_MASS)
-_HADAMARD = (2.0, 1.0)
-
-
-def _arcsine_density(x: float, r: float, weight: float) -> float:
-    """weight sqrt(r - 1) / (pi (1 - x^2) sqrt(1 - r x^2)) on |x| < 1/sqrt(r), else 0."""
-    if not -1.0 <= x <= 1.0:
-        raise ValueError("rescaled position must lie in [-1, 1]")
-    if abs(x) >= 1.0 / math.sqrt(r):
-        return 0.0
-    return weight * math.sqrt(r - 1.0) / (math.pi * (1.0 - x * x) * math.sqrt(1.0 - r * x * x))
-
-
-def _arcsine_cdf(x: float | np.ndarray, r: float, weight: float) -> float | np.ndarray:
-    """Mass of ``_arcsine_density`` on (-inf, x]: 0 below the support, ``weight`` above.
-
-    Closed form weight (1/2 + arctan(sqrt(r - 1) x / sqrt(1 - r x^2)) / pi)
-    inside the support; differentiating recovers the density. The clip
-    comes first: at the edge, 1 - r x^2 rounds to about 1e-16 instead of 0
-    and the arctan falls short of pi/2 by about 2e-8. Strictly inside, it
-    stays positive for r = 2 and 3. A float gives a float, an array the same
-    values bit for bit: ``math.atan`` per point, as ``np.arctan`` is 1 ulp off at some.
-    """
-    a = np.asarray(x, dtype=float)
-    if np.isnan(a).any():
-        raise ValueError("rescaled position is NaN")
-    edge = 1.0 / math.sqrt(r)
-    inside, cdf = abs(a) < edge, np.where(a >= edge, weight, 0.0)
-    y = a[inside]
-    atan = [math.atan(s) for s in (math.sqrt(r - 1.0) * y / np.sqrt(1.0 - r * y * y)).tolist()]
-    cdf[inside] = 0.5 * weight + weight * (1.0 / math.pi) * np.array(atan)
-    return cdf if cdf.ndim else float(cdf)
-
-
-def _arcsine_mass(lower: float, upper: float, r: float, weight: float) -> float:
-    """Difference of ``_arcsine_cdf`` at the bounds; 0 for an empty or reversed interval."""
-    if lower >= upper:
-        return 0.0
-    return _arcsine_cdf(upper, r, weight) - _arcsine_cdf(lower, r, weight)
+#: Weight of the continuous part.
+_CONTINUOUS = 2.0 * POINT_MASS
 
 
 def density(x: float) -> float:
-    """Continuous part of the limit density at ``x``: the arcsine law with r = 3.
+    """Continuous part of the limit density at ``x``; 0 off |x| < ``SUPPORT_EDGE``.
 
     The point mass at 0 is never folded into this value; it is reported
     separately by ``localization_mass``. Raises ``ValueError`` if ``x`` lies
     outside [-1, 1] (the rescaled position cannot).
     """
-    return _arcsine_density(x, *_THREE_STATE)
+    if not -1.0 <= x <= 1.0:
+        raise ValueError("rescaled position must lie in [-1, 1]")
+    if abs(x) >= SUPPORT_EDGE:
+        return 0.0
+    return _CONTINUOUS * math.sqrt(2.0) / (math.pi * (1.0 - x * x) * math.sqrt(1.0 - 3.0 * x * x))
+
+
+def _continuous_cdf(x: float | np.ndarray) -> np.ndarray:
+    """Mass of ``density`` on (-inf, x]: 0 below the support, 2/3 above.
+
+    Closed form (2/3) (1/2 + arctan(sqrt(2) x / sqrt(1 - 3 x^2)) / pi) inside
+    the support; differentiating recovers the density. The clip comes first:
+    at the edge, 1 - 3 x^2 rounds to about 1e-16 instead of 0 and the arctan
+    falls short of pi/2 by about 2e-8. Strictly inside, it stays positive. A
+    float gives a 0-d array, an array the same values bit for bit:
+    ``math.atan`` per point, as ``np.arctan`` is 1 ulp off at some.
+    """
+    a = np.asarray(x, dtype=float)
+    if np.isnan(a).any():
+        raise ValueError("rescaled position is NaN")
+    inside, cdf = abs(a) < SUPPORT_EDGE, np.where(a >= SUPPORT_EDGE, _CONTINUOUS, 0.0)
+    y = a[inside]
+    atan = [math.atan(s) for s in (math.sqrt(2.0) * y / np.sqrt(1.0 - 3.0 * y * y)).tolist()]
+    cdf[inside] = 0.5 * _CONTINUOUS + _CONTINUOUS * (1.0 / math.pi) * np.array(atan)
+    return cdf
 
 
 def continuous_mass(lower: float = -SUPPORT_EDGE, upper: float = SUPPORT_EDGE) -> float:
     """Continuous mass on [lower, upper], clipped to the support; 0 if empty or reversed."""
-    return _arcsine_mass(lower, upper, *_THREE_STATE)
-
-
-def hadamard_density(x: float) -> float:
-    """Limit density of the rescaled two-state Hadamard walk (no point mass): r = 2."""
-    return _arcsine_density(x, *_HADAMARD)
-
-
-def hadamard_mass(lower: float = -HADAMARD_EDGE, upper: float = HADAMARD_EDGE) -> float:
-    """Hadamard mass on [lower, upper], clipped to the support; 0 if empty or reversed."""
-    return _arcsine_mass(lower, upper, *_HADAMARD)
+    if lower >= upper:
+        return 0.0
+    return float(_continuous_cdf(upper) - _continuous_cdf(lower))
 
 
 def localization_mass() -> float:
@@ -124,10 +94,10 @@ def localization_mass() -> float:
 def limit_cdf(x: float | np.ndarray) -> float | np.ndarray:
     """CDF of the limit distribution, point mass included as a jump at 0.
 
-    The continuous part is the r = 3 arcsine CDF, of total mass 2/3, and the
-    jump adds 1/3 for x >= 0. Takes a float or an array, as ``_arcsine_cdf`` does.
+    The continuous part has total mass 2/3, and the jump adds 1/3 for
+    x >= 0. A float gives a float, an array an array of the same values.
     """
-    cdf = _arcsine_cdf(x, *_THREE_STATE) + np.where(np.asarray(x) >= 0.0, POINT_MASS, 0.0)
+    cdf = _continuous_cdf(x) + np.where(np.asarray(x) >= 0.0, POINT_MASS, 0.0)
     return cdf if cdf.ndim else float(cdf)
 
 

@@ -243,6 +243,9 @@ class TestQuadratureGrid:
             quadrature_nodes(511)
         with pytest.raises(ValueError):
             quadrature_nodes(0)
+        with pytest.raises(TypeError):
+            quadrature_nodes(4.0)
+        assert np.array_equal(quadrature_nodes(np.int64(8)), quadrature_nodes(8))
 
     def test_nodes_are_interior_midpoints(self):
         nodes = quadrature_nodes(8)
@@ -416,6 +419,17 @@ class TestStationaryIntegral:
     def test_rejects_bad_chirality(self):
         with pytest.raises(ValueError):
             stationary_component_integral(0, 4, FIGURE_STATE)
+
+    @pytest.mark.parametrize("amplitude", [stationary_component_integral, limit_amplitude])
+    def test_chirality_must_be_an_int(self, amplitude):
+        # 1.0 passed the ``l in (1, 2, 3)`` check and then failed as an index.
+        for l in (1.0, 2.5):
+            with pytest.raises(TypeError):
+                amplitude(0, l, FIGURE_STATE)
+        for l in (0, 4):
+            with pytest.raises(ValueError):
+                amplitude(0, l, FIGURE_STATE)
+        assert amplitude(0, np.int64(2), FIGURE_STATE) == amplitude(0, 2, FIGURE_STATE)
 
     def test_rejects_aliasing_grid(self):
         # The integrand's Fourier tail falls like c^|m|, as the kernels' at

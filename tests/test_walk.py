@@ -511,3 +511,25 @@ class TestDistribution:
         assert vec.probability() == pytest.approx(
             abs(vec.left) ** 2 + abs(vec.zero) ** 2 + abs(vec.right) ** 2
         )
+
+
+class TestIntegerFields:
+    # A float used to be stored as given: LineState(0.5, a, 0).amplitude(0)
+    # and Distribution(0.5, p).total(0) read 0, and CycleState(5.0, a, 0)
+    # constructed. A numpy int is stored as a plain int.
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda v: LineState(v, [[1.0, 0.0, 0.0]], 0), "origin_offset"),
+            (lambda v: LineState(0, [[1.0, 0.0, 0.0]], v), "time"),
+            (lambda v: CycleState(5 + v, [[1.0, 0.0, 0.0]] + [[0.0] * 3] * 4, 0), "n_sites"),
+            (lambda v: CycleState(5, [[1.0, 0.0, 0.0]] + [[0.0] * 3] * 4, v), "time"),
+            (lambda v: Distribution(v, [[1.0, 0.0, 0.0]]), "first_site"),
+        ],
+        ids=["line-offset", "line-time", "cycle-sites", "cycle-time", "distribution-first-site"],
+    )
+    def test_rejects_a_float(self, build, name):
+        for v in (0.0, 0.5):
+            with pytest.raises(TypeError):
+                build(v)
+        assert type(getattr(build(np.int64(0)), name)) is int

@@ -9,7 +9,6 @@ import pytest
 
 from triwalk import walk
 from triwalk import (
-    HADAMARD_EDGE,
     SUPPORT_EDGE,
     EmpiricalRescaled,
     QubitState,
@@ -18,8 +17,6 @@ from triwalk import (
     density,
     empirical_rescaled,
     evolve_line,
-    hadamard_density,
-    hadamard_mass,
     limit_cdf,
     localization_mass,
 )
@@ -27,17 +24,18 @@ from triwalk import (
 POINT_MASS = 1.0 / 3.0
 
 
-def gauss_mass(f, scale: float, lower: float, upper: float) -> float:
-    """Integral of ``f`` over [lower, upper] by 40-node Gauss-Legendre.
+def gauss_mass(lower: float, upper: float) -> float:
+    """Integral of ``density`` over [lower, upper] by 40-node Gauss-Legendre.
 
     A reference independent of the closed-form antiderivatives. The
-    substitution x = sin(u) / scale, with ``scale`` the inverse support edge,
-    removes the inverse-square-root blowup of the density at the edge.
+    substitution x = sin(u) / sqrt(3) removes the inverse-square-root blowup
+    of the density at the support edge.
     """
+    scale = math.sqrt(3.0)
     u_lo, u_hi = math.asin(lower * scale), math.asin(upper * scale)
     nodes, weights = np.polynomial.legendre.leggauss(40)
     u = 0.5 * (u_hi - u_lo) * nodes + 0.5 * (u_hi + u_lo)
-    values = np.array([f(float(x)) for x in np.sin(u) / scale]) * np.cos(u) / scale
+    values = np.array([density(float(x)) for x in np.sin(u) / scale]) * np.cos(u) / scale
     return 0.5 * (u_hi - u_lo) * float(weights @ values)
 
 
@@ -50,8 +48,10 @@ class TestDensity:
 
     def test_vanishes_outside_support(self):
         assert density(0.9) == 0.0
-        assert density(SUPPORT_EDGE) == 0.0
         assert density(-0.75) == 0.0
+        for edge in (SUPPORT_EDGE, -SUPPORT_EDGE):
+            assert density(edge) == 0.0
+            assert density(float(np.nextafter(edge, 0.0))) > 0.0
 
     def test_even_and_increasing_toward_edges(self):
         for x in (0.1, 0.3, 0.55):
@@ -86,32 +86,13 @@ class TestContinuousMass:
         )
         assert continuous_mass(0.9, 1.0) == 0.0
 
-
-class TestHadamardComparison:
-    def test_value_at_origin(self):
-        assert hadamard_density(0.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
-
-    def test_value_at_origin_is_exactly_one_over_pi(self):
-        assert hadamard_density(0.0) == 1.0 / math.pi
-
-    def test_masses_either_side_sum_to_one(self):
-        for x in (-1.0, -HADAMARD_EDGE, -0.5, -1e-9, 0.0, 0.123, 0.7, HADAMARD_EDGE, 1.0):
-            total = hadamard_mass(-1.0, x) + hadamard_mass(x, 1.0)
-            assert abs(total - 1.0) <= 1e-15, x
-
-    def test_vanishes_outside_support(self):
-        assert hadamard_density(0.8) == 0.0
-        assert hadamard_density(HADAMARD_EDGE) == 0.0
-
-    def test_no_point_mass_needed(self):
-        # The whole distribution is continuous: it integrates to 1 alone.
-        assert hadamard_mass() == pytest.approx(1.0, abs=1e-9)
-
-    def test_wider_support_than_three_state(self):
-        assert HADAMARD_EDGE > SUPPORT_EDGE
-        x = 0.62
-        assert density(x) == 0.0
-        assert hadamard_density(x) > 0.0
+    def test_masses_either_side_add_up(self):
+        edges = (-1.0, -SUPPORT_EDGE, SUPPORT_EDGE, 1.0)
+        inner = [float(np.nextafter(e, 0.0)) for e in edges]
+        whole = continuous_mass(-1.0, 1.0)
+        for x in (*edges, *inner, -1e-9, 0.0, 0.123, 0.55):
+            total = continuous_mass(-1.0, x) + continuous_mass(x, 1.0)
+            assert abs(total - whole) <= 1e-15, x
 
 
 class TestLocalizationMass:
@@ -155,8 +136,6 @@ class TestLimitCdf:
             lambda: limit_cdf(np.array([-0.9, 0.1, math.nan])),
             lambda: continuous_mass(math.nan, 0.0),
             lambda: continuous_mass(-0.2, math.nan),
-            lambda: hadamard_mass(math.nan, 0.0),
-            lambda: hadamard_mass(-0.2, math.nan),
         ]
         for call in calls:
             with pytest.raises(ValueError):
@@ -194,21 +173,14 @@ class TestLimitCdf:
             assert type(limit_cdf(x)) is float
 
     def test_increments_match_quadrature(self):
-        sqrt3, sqrt2 = math.sqrt(3.0), math.sqrt(2.0)
-        reference = gauss_mass(density, sqrt3, -0.2, 0.2)
+        reference = gauss_mass(-0.2, 0.2)
         gap = limit_cdf(0.2) - limit_cdf(-0.2)
         assert gap == pytest.approx(reference + POINT_MASS, abs=1e-9)
         assert continuous_mass(-0.2, 0.2) == pytest.approx(reference, abs=1e-9)
-        reference = gauss_mass(density, sqrt3, 0.1, 0.5)
+        reference = gauss_mass(0.1, 0.5)
         gap_positive = limit_cdf(0.5) - limit_cdf(0.1)
         assert gap_positive == pytest.approx(reference, abs=1e-9)
         assert continuous_mass(0.1, 0.5) == pytest.approx(reference, abs=1e-9)
-        assert hadamard_mass(-0.5, 0.3) == pytest.approx(
-            gauss_mass(hadamard_density, sqrt2, -0.5, 0.3), abs=1e-9
-        )
-        assert hadamard_mass(0.1, 0.6) == pytest.approx(
-            gauss_mass(hadamard_density, sqrt2, 0.1, 0.6), abs=1e-9
-        )
 
 
 class TestEmpiricalRescaled:

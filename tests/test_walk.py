@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from states import FIGURE_STATE, TEST_STATES, mirrored, qubit_states
-from triwalk import walk
+from states import FIGURE_STATE, TEST_STATES, UNIFORM_STATE, mirrored, qubit_states
+from triwalk import walk, weaklimit
 from triwalk import (
     ChiralVector,
     CycleState,
@@ -173,54 +174,41 @@ class TestConservationCheck:
         with pytest.raises(ValueError, match="conservation"):
             LineState(0, self._single_site(math.nan), time=0)
 
-    @staticmethod
-    def _window(states: int, m: int, n: int = 9) -> np.ndarray:
-        # A (states, m, n) window of a (rows, 3, n + 2) buffer, strided as walk._evolve
-        # checks it, with each state's total exactly 1.
-        buffer = np.zeros((states * m // 3, 3, n + 2))
-        window = buffer[:, :, 1:-1].reshape(states, m, n)
-        assert np.shares_memory(window, buffer) and not window.flags.c_contiguous
-        window[:, 0, n // 2] = 1.0
-        return window
-
-    @staticmethod
-    def _fill(state: np.ndarray, units: int) -> None:
-        # Entries c 2^-26 whose squares c^2 2^-52 sum exactly to units 2^-52.
-        state[...] = 0.0
-        for index in np.ndindex(state.shape):
-            c = math.isqrt(units)
-            state[index], units = c * 2.0**-26, units - c * c
-        assert units == 0
-
-    @pytest.mark.parametrize("states, m", [(3, 3), (1, 6)])
-    def test_stepping_window_rejects_nan_or_inf_in_one_row(self, states, m):
-        walk._check_total_probability(self._window(states, m), 5, "line state")
-        for state in range(states):
-            for row in (0, m - 1):
-                for bad in (math.nan, math.inf, -math.inf):
-                    window = self._window(states, m)
-                    window[state, row, -1] = bad
-                    with pytest.raises(ValueError, match="conservation"):
-                        walk._check_total_probability(window, 5, "line state")
-
-    @pytest.mark.parametrize("states, m", [(3, 3), (1, 6)])
-    def test_stepping_window_bound_is_sharp(self, states, m):
-        # A total of 1 +- k 2^-52 is exact in floats, so the check admits it
-        # exactly when k 2^-52 is within NORM_TOLERANCE + (time + 1) STEP_ROUNDOFF.
-        one = 2**52
-        for time in (0, 10000):
-            bound = walk.NORM_TOLERANCE + (time + 1) * walk.STEP_ROUNDOFF
-            inside = math.floor(bound * 2.0**52)
+    @pytest.mark.parametrize("states", [1, 3])
+    def test_block_rejects_nan_or_inf_in_one_total(self, states):
+        # evolve_* compare a block of steps at once; one bad total anywhere in
+        # it fails the block, and the first in step order is the one named.
+        walk._check_totals(np.ones((8, states)), 1, "line state")
+        for step in range(8):
             for state in range(states):
-                for units, admitted in ((inside, True), (inside + 1, False)):
-                    for total in (one + units, one - units):
-                        window = self._window(states, m)
-                        self._fill(window[state], total)
-                        if admitted:
-                            walk._check_total_probability(window, time, "cycle state")
-                        else:
-                            with pytest.raises(ValueError, match="cycle state breaks"):
-                                walk._check_total_probability(window, time, "cycle state")
+                for bad in (math.nan, math.inf, -math.inf):
+                    totals = np.ones((8, states))
+                    totals[-1, -1] = 2.0  # a later failure, not the one named
+                    totals[step, state] = bad
+                    with pytest.raises(ValueError, match=f"line state breaks .*: total = {bad!r}$"):
+                        walk._check_totals(totals, 1, "line state")
+
+    @pytest.mark.parametrize("states", [1, 3])
+    def test_block_bound_is_sharp_at_every_step(self, states):
+        # A total of 1 +- k 2^-52 is exact in floats, so the check admits it
+        # exactly when k 2^-52 is within NORM_TOLERANCE + (s + 1) STEP_ROUNDOFF
+        # for its own step s; STEP_ROUNDOFF is 16 units, so a neighbour's bound
+        # would be off by 16.
+        one = 2**52
+        for first in (0, 10000):
+            for row in range(8):
+                bound = walk.NORM_TOLERANCE + (first + row + 1) * walk.STEP_ROUNDOFF
+                inside = math.floor(bound * 2.0**52)
+                for state in range(states):
+                    for units, admitted in ((inside, True), (inside + 1, False)):
+                        for total in (one + units, one - units):
+                            totals = np.ones((8, states))
+                            totals[row, state] = total * 2.0**-52
+                            if admitted:
+                                walk._check_totals(totals, first, "cycle state")
+                            else:
+                                with pytest.raises(ValueError, match="cycle state breaks"):
+                                    walk._check_totals(totals, first, "cycle state")
 
 
 class TestCycleEvolution:
@@ -382,44 +370,85 @@ class TestStepper:
                 assert not np.shares_memory(after.amplitudes, state.amplitudes)
 
     def test_conservation_checked_after_every_step(self, monkeypatch):
-        # Each state's total on the active window [-s, s] of the line after
-        # every step s, then once more on the frozen result; the cycle's
-        # initial state is checked as well. Each window holds the real and
-        # imaginary parts of exactly the state after s steps.
+        # evolve_* compare each state's total after every step s against the
+        # bound of step s, a block of steps at a time, then once more on the
+        # frozen result; the cycle's initial state is checked as well. Each
+        # total is the sum of the squares of the real and imaginary parts of
+        # exactly the state after s steps, on the live window: [-s, s] here. A
+        # coin scaled by 1 + 2^-40 (within the bound) makes every step's total
+        # differ from its neighbours' by about 2^-39.
         q = FIGURE_STATE
-        line = {s: evolve_line(q, s).amplitudes for s in (1, 2, 3)}
-        ring = {s: evolve_cycle(q, 5, s).amplitudes for s in (0, 1, 2)}
         seen = []
-        check = walk._check_total_probability
+        check_block, check_state = walk._check_totals, walk._check_total_probability
+        coin = np.asarray(walk._coin()) * (1.0 + 2.0**-40)
+        monkeypatch.setattr(walk, "_coin", lambda: coin)
 
-        def record(values, time, what):
+        def record_block(totals, first, what):
+            seen.append((what, first, totals.shape, np.array(totals)))
+            check_block(totals, first, what)
+
+        def record_state(values, time, what):
             seen.append((what, time, values.shape, np.array(values)))
-            check(values, time, what)
+            check_state(values, time, what)
 
-        def complex_window(values):
-            parts = values.reshape(2, 3, -1)
-            return parts[0].T + 1j * parts[1].T
+        def total(amplitudes, cols, lo):
+            # One dot per row of the real and imaginary parts, laid out as in
+            # evolve_*'s (2, 3, cols) buffer from column lo: BLAS may round a
+            # dot differently for other strides.
+            buffer = np.zeros((2, 3, cols))
+            window = buffer[:, :, lo : lo + len(amplitudes)]
+            window[...] = amplitudes.real.T, amplitudes.imag.T
+            rows = window.reshape(6, -1)
+            return float((rows[:, None, :] @ rows[:, :, None]).sum())
 
-        monkeypatch.setattr(walk, "_check_total_probability", record)
-        evolve_line(q, 3)
-        assert [entry[:3] for entry in seen] == [
-            *(("line state", s, (1, 6, 2 * s + 1)) for s in (1, 2, 3)),
-            ("line state", 3, (7, 3)),
+        monkeypatch.setattr(walk, "_check_totals", record_block)
+        monkeypatch.setattr(walk, "_check_total_probability", record_state)
+        t = 2 * walk._SCAN + 3
+        line = evolve_line(q, t)
+        recorded = seen[:]
+        assert [entry[:3] for entry in recorded] == [
+            ("line state", 1, (walk._SCAN, 1)),
+            ("line state", walk._SCAN + 1, (walk._SCAN, 1)),
+            ("line state", 2 * walk._SCAN + 1, (3, 1)),
+            ("line state", t, (2 * t + 1, 3)),
         ]
-        for s, entry in zip((1, 2, 3), seen):
-            assert np.array_equal(complex_window(entry[3]), line[s])
-        assert np.array_equal(seen[-1][3], line[3])
+        totals = np.concatenate([entry[3] for entry in recorded[:-1]])
+        assert np.all(np.diff(totals[:, 0]) > 2.0**-40)
+        for s in range(1, t + 1):
+            assert totals[s - 1, 0] == total(evolve_line(q, s).amplitudes, 2 * t + 3, t + 1 - s)
+        assert np.array_equal(recorded[-1][3], line.amplitudes)
         seen.clear()
-        evolve_cycle(q, 5, 2)
-        assert [entry[:3] for entry in seen] == [
+        ring = evolve_cycle(q, 5, 2)
+        recorded = seen[:]
+        assert [entry[:3] for entry in recorded] == [
             ("cycle state", 0, (5, 3)),
-            *(("cycle state", s, (1, 6, 5)) for s in (1, 2)),
+            ("cycle state", 1, (2, 1)),
             ("cycle state", 2, (5, 3)),
         ]
-        assert np.array_equal(seen[0][3], ring[0])
+        assert np.array_equal(recorded[0][3], evolve_cycle(q, 5, 0).amplitudes)
         for s in (1, 2):
-            assert np.array_equal(complex_window(seen[s][3]), ring[s])
-        assert np.array_equal(seen[-1][3], ring[2])
+            assert recorded[1][3][s - 1, 0] == total(evolve_cycle(q, 5, s).amplitudes, 7, 1)
+        assert np.array_equal(recorded[-1][3], ring.amplitudes)
+
+    def test_a_norm_moving_coin_stops_within_one_block(self, monkeypatch):
+        seen = []
+        check = walk._check_totals
+
+        def record(totals, first, what):
+            seen.append((first, totals.shape))
+            check(totals, first, what)
+
+        coin = np.asarray(walk._coin()) * np.sqrt([1.0 + 1e-6, 1.0 - 1e-6, 1.0])
+        monkeypatch.setattr(walk, "_check_totals", record)
+        monkeypatch.setattr(walk, "_coin", lambda: coin)
+        q = QubitState(1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"line state breaks .*: total = 1\.000001"):
+            evolve_line(q, 100)
+        assert seen == [(1, (walk._SCAN, 1))]
+        seen.clear()
+        with pytest.raises(ValueError, match=r"cycle state breaks .*: total = 1\.000001"):
+            evolve_cycle(q, 7, 100)
+        assert seen == [(1, (walk._SCAN, 1))]
 
     def test_steps_accept_any_memory_layout(self):
         # The wrappers read the frozen amplitudes as pairs of floats, so a
@@ -439,6 +468,68 @@ class TestStepper:
                 out = evolve_line(q, t)
                 assert out.amplitudes.shape == (2 * t + 1, 3)
                 assert list(out.sites) == list(range(-t, t + 1))
+
+
+#: States for the live-window tests: the three pure states, which the weak
+#: limit steps together, and three states with imaginary parts.
+LIVE_WINDOW_STATES = (
+    QubitState(1.0, 0.0, 0.0),
+    QubitState(0.0, 1.0, 0.0),
+    QubitState(0.0, 0.0, 1.0),
+    FIGURE_STATE,
+    QubitState(0.5, 0.5j, math.sqrt(0.5)),
+    UNIFORM_STATE,
+)
+LIVE_WINDOW_TIMES = (1000, 2000, 4000)
+
+
+@functools.cache
+def full_light_cone() -> dict[int, np.ndarray]:
+    """LIVE_WINDOW_STATES stepped over the whole light cone [-s, s] every step.
+
+    The stepping loop from before the live window, with every state's real
+    and imaginary parts as rows of one buffer. Returns the (states, 2t + 1, 3)
+    amplitudes at each of LIVE_WINDOW_TIMES.
+    """
+    t = max(LIVE_WINDOW_TIMES)
+    cols = 2 * t + 3
+    start = np.array([q.as_array() for q in LIVE_WINDOW_STATES])
+    bufs = (np.zeros((2 * len(start), 3, cols)), np.zeros((2 * len(start), 3, cols)))
+    bufs[0][0::2, :, t + 1], bufs[0][1::2, :, t + 1] = start.real, start.imag
+    r, c, j = bufs[0].strides
+    landings = [np.ndarray((len(b), 3, cols - 2), float, b, strides=(r, c + j, j)) for b in bufs]
+    out = {}
+    for s in range(1, t + 1):
+        lo, hi = cols // 2 - s, cols // 2 + s + 1
+        src, landing = bufs[1 - s % 2], landings[s % 2]
+        np.matmul(walk.coin_matrix().real, src[:, :, lo:hi], out=landing[:, :, lo - 1 : hi - 1])
+        if s in LIVE_WINDOW_TIMES:
+            parts = bufs[s % 2][:, :, lo:hi].transpose(0, 2, 1)
+            amplitudes = np.empty((len(start), hi - lo, 3), dtype=complex)
+            amplitudes.real, amplitudes.imag = parts[0::2], parts[1::2]
+            out[s] = amplitudes
+    return out
+
+
+class TestLiveWindow:
+    # evolve_line steps only the columns that hold more than 2^-1000; the
+    # cells it drops would only have fed subnormal floats into the product.
+    @pytest.mark.parametrize("t", LIVE_WINDOW_TIMES)
+    def test_probabilities_match_the_full_light_cone(self, t):
+        # The full light cone holds 86, 88 and 168 subnormal floats at
+        # t = 2000 for the first two pure states and FIGURE_STATE.
+        for q, reference in zip(LIVE_WINDOW_STATES, full_light_cone()[t]):
+            state = evolve_line(q, t)
+            assert state.amplitudes.shape == reference.shape
+            assert np.array_equal(np.abs(state.amplitudes) ** 2, np.abs(reference) ** 2)
+            expected = Distribution(-t, np.abs(reference) ** 2).totals
+            assert np.array_equal(distribution(state).totals, expected)
+            assert np.abs(state.amplitudes - reference).max() <= 2.0**-990
+            parts = np.abs(state.amplitudes.view(float))
+            assert not np.any((parts > 0.0) & (parts < np.finfo(float).tiny))
+        pure = np.stack([a.real.T for a in full_light_cone()[t][:3]])
+        masses = (pure**2).sum(axis=1).sum(axis=0) / 3.0
+        assert np.array_equal(weaklimit.empirical_rescaled(t).masses, masses)
 
 
 class TestDistribution:
@@ -533,3 +624,21 @@ class TestIntegerFields:
             with pytest.raises(TypeError):
                 build(v)
         assert type(getattr(build(np.int64(0)), name)) is int
+
+    def test_site_lookups_reject_a_float(self):
+        # amplitude(100.5) used to return a zero ChiralVector and total(-50.5)
+        # 0.0, while amplitude(1.0) raised numpy's IndexError.
+        line = evolve_line(FIGURE_STATE, 3)
+        ring = evolve_cycle(FIGURE_STATE, 7, 3)
+        for lookup in (line.amplitude, ring.amplitude, distribution(line).total):
+            for n in (1.0, 100.5, -50.5, 0.0):
+                with pytest.raises(TypeError):
+                    lookup(n)
+        for n in (-1, 1, 100, -50):
+            for same in (np.int64(n), np.int32(n)):
+                assert line.amplitude(same) == line.amplitude(n)
+                assert ring.amplitude(same) == ring.amplitude(n)
+                assert distribution(line).total(same) == distribution(line).total(n)
+        assert line.amplitude(100) == ChiralVector(0.0, 0.0, 0.0)
+        assert distribution(line).total(-50) == 0.0
+        assert ring.amplitude(8) == ring.amplitude(1)

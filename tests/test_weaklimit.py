@@ -220,27 +220,44 @@ class TestEmpiricalRescaled:
             assert np.array_equal(empirical_rescaled(t).masses, mixture)
 
     def test_each_state_is_checked_every_step(self, monkeypatch):
-        # The window [-s, s] of each pure state is checked on its own after
-        # every step s: a coin that moves norm from the first basis state to
-        # the second fails on the first step, although the mixture keeps its
-        # total.
+        # Each pure state's total on its live window, [-s, s] here, is
+        # compared on its own after every step s, a block of steps at a time:
+        # a coin that moves norm from the first basis state to the second
+        # fails in the first block, although the mixture keeps its total.
         seen = []
-        check = walk._check_total_probability
+        check = walk._check_totals
 
-        def record(values, time, what):
-            seen.append((time, values.shape))
-            check(values, time, what)
+        def record(totals, first, what):
+            seen.append((first, np.array(totals)))
+            check(totals, first, what)
 
-        monkeypatch.setattr(walk, "_check_total_probability", record)
-        empirical_rescaled(3)
-        assert seen == [(s, (3, 3, 2 * s + 1)) for s in (1, 2, 3)]
+        monkeypatch.setattr(walk, "_check_totals", record)
+        t = walk._SCAN + 3
+        empirical_rescaled(t)
+        assert [(first, totals.shape) for first, totals in seen] == [
+            (1, (walk._SCAN, 3)),
+            (walk._SCAN + 1, (3, 3)),
+        ]
+        totals = np.concatenate([totals for _, totals in seen])
+        for s in range(1, t + 1):
+            # One dot per chirality, on the columns [t + 1 - s, t + 2 + s) of
+            # a (3, 3, 2t + 3) buffer, as empirical_rescaled lays them out.
+            buffer = np.zeros((3, 3, 2 * t + 3))
+            for i, components in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
+                amplitudes = evolve_line(QubitState(*components), s).amplitudes
+                buffer[i, :, t + 1 - s : t + 2 + s] = amplitudes.real.T
+            rows = buffer[:, :, t + 1 - s : t + 2 + s]
+            dots = rows[:, :, None, :] @ rows[:, :, :, None]
+            assert np.array_equal(totals[s - 1], dots.sum(axis=(1, 2, 3)))
         seen.clear()
         coin = np.asarray(walk._coin()) * np.sqrt([1.0 + 1e-6, 1.0 - 1e-6, 1.0])
         assert float(np.sum(coin**2)) / 3.0 == pytest.approx(1.0, abs=1e-15)
         monkeypatch.setattr(walk, "_coin", lambda: coin)
         with pytest.raises(ValueError, match=r"conservation: total = 1\.000001"):
             empirical_rescaled(100)
-        assert seen == [(1, (3, 3, 3))]
+        assert [(first, totals.shape) for first, totals in seen] == [(1, (walk._SCAN, 3))]
+        first_step = seen[0][1][0]
+        assert first_step[0] > 1.0 + 5e-7 and first_step[1] < 1.0 - 5e-7
 
     def test_validation_of_hand_built_atoms(self):
         with pytest.raises(ValueError):

@@ -260,7 +260,7 @@ def _cmd_timeavg(args: argparse.Namespace) -> int:
 
 
 #: Longest ``weaklimit --steps``. Time grows like t^2; at t = 12000 the
-#: command takes about 1.3-1.5 s and peaks at 44 MiB on 2 CPUs.
+#: command takes about 1.3-1.6 s and peaks at 44 MiB on 2 CPUs.
 _MAX_WEAKLIMIT_STEPS = 12000
 
 

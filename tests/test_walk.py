@@ -471,7 +471,7 @@ class TestStepper:
 
 
 #: States for the live-window tests: the three pure states, which the weak
-#: limit steps together, and three states with imaginary parts.
+#: limit steps together, and three superpositions, two of them complex.
 LIVE_WINDOW_STATES = (
     QubitState(1.0, 0.0, 0.0),
     QubitState(0.0, 1.0, 0.0),

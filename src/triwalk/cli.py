@@ -55,15 +55,19 @@ def _parse_complex(text: str) -> complex:
         raise UsageError(f"cannot parse complex number {text!r}") from None
 
 
+def _physical(build, *args):
+    """``build(*args)``, its ValueError raised as InvalidInputError (exit 3)."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise InvalidInputError(str(exc)) from None
+
+
 def _parse_qubit(text: str) -> QubitState:
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError("a qubit is three comma-separated complex numbers")
-    alpha, beta, gamma = (_parse_complex(p) for p in parts)
-    try:
-        return QubitState(alpha, beta, gamma)
-    except ValueError as exc:
-        raise InvalidInputError(str(exc)) from None
+    return _physical(QubitState, *(_parse_complex(p) for p in parts))
 
 
 def _fmt(value: float) -> str:
@@ -124,10 +128,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     q = _parse_qubit(args.qubit)
     if not 0 <= args.steps <= _MAX_EVOLVE_STEPS:
         raise UsageError(f"--steps must be from 0 to {_MAX_EVOLVE_STEPS}")
-    if args.cycle is not None and (args.cycle < 3 or args.cycle % 2 == 0):
-        raise InvalidInputError("cycle size must be an odd integer >= 3")
-    if args.cycle is not None and (args.cycle > _MAX_EVOLVE_CYCLE or args.cycle * args.steps > _MAX_EVOLVE_STEPS**2):
-        raise UsageError(f"--cycle must be at most {_MAX_EVOLVE_CYCLE} and {_MAX_EVOLVE_STEPS**2} / --steps")
+    if args.cycle is not None:
+        _physical(walk._cycle_size, args.cycle)
+        if args.cycle > _MAX_EVOLVE_CYCLE or args.cycle * args.steps > _MAX_EVOLVE_STEPS**2:
+            raise UsageError(f"--cycle must be at most {_MAX_EVOLVE_CYCLE} and {_MAX_EVOLVE_STEPS**2} / --steps")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -238,8 +242,7 @@ _MAX_TIMEAVG_SITES = 20001
 
 def _cmd_timeavg(args: argparse.Namespace) -> int:
     q = _parse_qubit(args.qubit)
-    if args.sites < 3 or args.sites % 2 == 0:
-        raise InvalidInputError("--sites must be an odd integer >= 3")
+    _physical(walk._cycle_size, args.sites)
     if args.sites > _MAX_TIMEAVG_SITES:
         raise UsageError(f"--sites must be at most {_MAX_TIMEAVG_SITES}")
     out_dir = Path(args.out)

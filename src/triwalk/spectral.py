@@ -35,7 +35,7 @@ import operator
 
 import numpy as np
 
-from .walk import ChiralVector, QubitState, coin_matrix
+from .walk import ChiralVector, QubitState, _chirality, _count, _momentum, coin_matrix
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
@@ -105,8 +105,7 @@ def dispersion(k: float | np.ndarray) -> tuple:
     ``nan`` and ``+-inf`` raise ``ValueError``. An array of momenta gives
     three arrays of its shape, element for element the floats.
     """
-    if not (np.isfinite(k).all() if isinstance(k, np.ndarray) else math.isfinite(k)):
-        raise ValueError(f"momentum must be finite, got {k}")
+    k = _momentum(k)
     _, _, cos_theta, sin_theta, theta = _dispersion_terms(k)
     if isinstance(k, np.ndarray):
         return cos_theta, sin_theta, theta
@@ -115,8 +114,7 @@ def dispersion(k: float | np.ndarray) -> tuple:
 
 def fourier_operator(k: float) -> np.ndarray:
     """One step of the walk at finite momentum ``k``: diag(e^{ik}, 1, e^{-ik}) coin."""
-    if not math.isfinite(k):
-        raise ValueError(f"momentum must be finite, got {k}")
+    k = float(_momentum(k))  # one momentum: float() refuses an array of several
     return np.exp(1j * k * np.array([1.0, 0.0, -1.0]))[:, None] * _COIN
 
 
@@ -200,9 +198,7 @@ def _check_reach(n: int, t: int = 0, *, kernel: bool = False) -> None:
     ``stationary_component_integral`` takes the kernel rule at t = 0. On the
     16384 nodes the kernels reach t = 28086 at n = 0.
     """
-    n, t = operator.index(n), operator.index(t)
-    if t < 0:
-        raise ValueError("step count must be non-negative")
+    n, t = operator.index(n), _count(t)
     if kernel:
         need = t / math.sqrt(3.0) + abs(n) + 5.0 * t ** (1.0 / 3.0) + 16.0
         if DEFAULT_GRID_SIZE < need:
@@ -279,9 +275,9 @@ def wavefunction(n: int, t: int, q: QubitState) -> ChiralVector:
 
 def _over_window(rows_at, m: int, t: int | tuple[int, ...], *args) -> np.ndarray:
     """``rows_at(sites, times, *args)`` on the sites -m..m at ``t`` steps, or at each of several."""
-    times = tuple(t) if np.ndim(t) else (t,)
-    if operator.index(m) < 0 or not times:
-        raise ValueError("a window needs a non-negative half-width and at least one step count")
+    m, times = _count(m, what="half-width"), (tuple(t) if np.ndim(t) else (t,))
+    if not times:
+        raise ValueError("a window needs at least one step count")
     rows = rows_at(range(-m, m + 1), times, *args)
     return rows if np.ndim(t) else rows[0]
 
@@ -306,9 +302,7 @@ def stationary_component_integral(n: int, l: int, q: QubitState) -> complex:
     limit probability component. It needs |n| + 16 <= 16384.
     """
     _check_reach(n, kernel=True)
-    l = operator.index(l)
-    if l not in (1, 2, 3):
-        raise ValueError("chirality index must be 1, 2, or 3")
+    l = _chirality(l)
     k, _, vectors, conjugates, _, _ = _tableau(DEFAULT_GRID_SIZE)
     coefficients = conjugates[0] @ q.as_array()
     amplitude = (np.exp(1j * k * n) * coefficients) @ vectors[0] / DEFAULT_GRID_SIZE

@@ -16,7 +16,7 @@ import operator
 
 import numpy as np
 
-from .walk import Distribution, QubitState
+from .walk import Distribution, QubitState, _chirality, _count
 
 __all__ = [
     "GEOMETRIC_RATIO",
@@ -57,9 +57,7 @@ def limit_amplitude(n: int, l: int, q: QubitState) -> complex:
     exactly (up to quadrature error on the integral side). Each weighs the
     initial components with the geometric sequence at sites n - 1, n, n + 1.
     """
-    l = operator.index(l)
-    if l not in (1, 2, 3):
-        raise ValueError("chirality index must be 1, 2, or 3")
+    l = _chirality(l)
     return _limit_amplitudes(operator.index(n), q)[l - 1]
 
 
@@ -91,9 +89,7 @@ def stationary_profile(q: QubitState, window: int) -> Distribution:
 
     The all-site total of the profile is ``total_mass(q)``.
     """
-    window = operator.index(window)
-    if window < 1:
-        raise ValueError("window must be a positive site count")
+    window = _count(window, 1, "window")
     # Python's abs(z) ** 2, as in limit_component: np.abs(z) ** 2 is 1 ulp off at
     # some tiny values (weaklimit keeps math.atan per value for the same reason).
     columns = _limit_amplitudes(np.arange(-window, window + 1), q)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import _eigenvector_components, dispersion, fourier_operator
-from .walk import ChiralVector, QubitState
+from .walk import ChiralVector, QubitState, _chirality, _cycle_size
 
 __all__ = [
     "MomentumBlock",
@@ -85,8 +85,7 @@ def momentum_blocks(n_sites: int) -> tuple[MomentumBlock, ...]:
 
     Every block's projectors are read-only views into one (3, N, 3, 3) stack.
     """
-    if n_sites < 3 or n_sites % 2 == 0:
-        raise ValueError("cycle size must be an odd integer >= 3")
+    n_sites = _cycle_size(n_sites)
     half = (n_sites - 1) // 2
     modes = range(-half, half + 1)
     momenta = [2.0 * math.pi * mode / n_sites for mode in modes]
@@ -176,16 +175,13 @@ _SQRT6 = math.sqrt(6.0)
 
 def infinite_time_average_component(l: int, q: QubitState) -> float:
     """Closed-form infinite-cycle time average at the origin, chirality ``l``."""
+    l = _chirality(l)
     a, b, g = q.alpha, q.beta, q.gamma
-    if l == 1:
-        amplitude = _SQRT6 * a - 2.0 * (_SQRT6 - 3.0) * b + (12.0 - 5.0 * _SQRT6) * g
-        return abs(amplitude) ** 2 / 36.0
     if l == 2:
         return (_SQRT6 - 3.0) ** 2 * abs(a + b + g) ** 2 / 9.0
-    if l == 3:
-        amplitude = _SQRT6 * g - 2.0 * (_SQRT6 - 3.0) * b + (12.0 - 5.0 * _SQRT6) * a
-        return abs(amplitude) ** 2 / 36.0
-    raise ValueError("chirality index must be 1, 2, or 3")
+    near, far = (a, g) if l == 1 else (g, a)  # chirality 3 mirrors chirality 1
+    amplitude = _SQRT6 * near - 2.0 * (_SQRT6 - 3.0) * b + (12.0 - 5.0 * _SQRT6) * far
+    return abs(amplitude) ** 2 / 36.0
 
 
 def infinite_time_average_total(q: QubitState) -> float:

@@ -34,6 +34,7 @@ t = 1000, 2000 and 4000 (tests pin both there) and within 2^-821 at 12000.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -90,7 +91,10 @@ class QubitState:
     gamma: complex
 
     def __post_init__(self) -> None:
-        norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2 + abs(self.gamma) ** 2
+        try:
+            norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2 + abs(self.gamma) ** 2
+        except OverflowError:  # a square beyond the largest float
+            norm_sq = math.inf
         if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:  # also rejects NaN
             raise ValueError(
                 f"initial state is not normalized: |state|^2 = {norm_sq!r}"
@@ -99,6 +103,40 @@ class QubitState:
     def as_array(self) -> np.ndarray:
         """Return the state as a length-3 complex array."""
         return np.array([self.alpha, self.beta, self.gamma], dtype=complex)
+
+
+# One rule per kind of argument, each returning it as the type the code computes
+# with. operator.index refuses a float with TypeError and takes a numpy int or
+# a bool as the int it stands for; float64 keeps a bool or a small numpy int
+# out of numpy's float16 and float32 loops.
+
+
+def _count(n: int, least: int = 0, what: str = "step count") -> int:
+    n = operator.index(n)
+    if n < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {n}")
+    return n
+
+
+def _cycle_size(n: int) -> int:
+    n = operator.index(n)
+    if n < 3 or n % 2 == 0:
+        raise ValueError("cycle size must be an odd integer >= 3")
+    return n
+
+
+def _chirality(l: int) -> int:
+    l = operator.index(l)
+    if l not in (1, 2, 3):
+        raise ValueError("chirality index must be 1, 2, or 3")
+    return l
+
+
+def _momentum(k: float | np.ndarray) -> float | np.ndarray:
+    array = isinstance(k, np.ndarray)
+    if not (np.isfinite(k).all() if array else math.isfinite(k)):
+        raise ValueError(f"momentum must be finite, got {k}")
+    return k.astype(float, copy=False) if array else float(k)
 
 
 @dataclass(frozen=True)
@@ -171,10 +209,8 @@ class LineState:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "origin_offset", operator.index(self.origin_offset))
-        object.__setattr__(self, "time", operator.index(self.time))
+        object.__setattr__(self, "time", _count(self.time))
         object.__setattr__(self, "amplitudes", _frozen_rows(self.amplitudes, complex))
-        if self.time < 0:
-            raise ValueError("time must be a non-negative step count")
         _check_total_probability(self.amplitudes, self.time, "line state")
 
     @property
@@ -198,15 +234,11 @@ class CycleState:
     time: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_sites", operator.index(self.n_sites))
-        object.__setattr__(self, "time", operator.index(self.time))
-        if self.n_sites < 3 or self.n_sites % 2 == 0:
-            raise ValueError("cycle size must be an odd integer >= 3")
+        object.__setattr__(self, "n_sites", _cycle_size(self.n_sites))
+        object.__setattr__(self, "time", _count(self.time))
         object.__setattr__(self, "amplitudes", _frozen_rows(self.amplitudes, complex))
         if self.amplitudes.shape[0] != self.n_sites:
             raise ValueError("amplitude field does not match the cycle size")
-        if self.time < 0:
-            raise ValueError("time must be a non-negative step count")
         _check_total_probability(self.amplitudes, self.time, "cycle state")
 
     def amplitude(self, n: int) -> ChiralVector:
@@ -220,7 +252,8 @@ class Distribution:
 
     Row ``i`` of the read-only (window, 3) array ``probabilities`` holds
     (p_L, p_0, p_R) at site ``first_site + i``; ``totals`` holds the row sums
-    p_L + p_0 + p_R, added left to right.
+    p_L + p_0 + p_R, added left to right. A NaN, infinite or negative entry
+    raises ``ValueError``, as does a row sum that overflows.
     """
 
     first_site: int
@@ -231,6 +264,9 @@ class Distribution:
         object.__setattr__(self, "first_site", operator.index(self.first_site))
         p = _frozen_rows(self.probabilities, float)
         totals = p[:, 0] + p[:, 1] + p[:, 2]
+        # min fails on NaN and negatives, max on +inf; initial lets an empty table pass.
+        if not (p.min(initial=0.0) >= 0.0 and totals.max(initial=0.0) < math.inf):
+            raise ValueError("probabilities must be finite and non-negative")
         totals.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "totals", totals)
@@ -393,8 +429,7 @@ def evolve_line(q: QubitState, t: int) -> LineState:
     LineState
         The state after ``t`` steps; its window spans exactly [-t, t].
     """
-    if t < 0:
-        raise ValueError("step count must be non-negative")
+    t = _count(t)
     parts = _evolve(_parts(q.as_array()[None, :], pad=t + 1), t, cycle=False)
     return LineState(origin_offset=-t, amplitudes=_amplitudes(parts), time=t)
 
@@ -406,10 +441,7 @@ def step_cycle(s: CycleState) -> CycleState:
 
 def evolve_cycle(q: QubitState, n_sites: int, t: int) -> CycleState:
     """Evolve the walker for ``t`` steps on a cycle of ``n_sites`` sites."""
-    if t < 0:
-        raise ValueError("step count must be non-negative")
-    if n_sites < 3 or n_sites % 2 == 0:
-        raise ValueError("cycle size must be an odd integer >= 3")
+    t, n_sites = _count(t), _cycle_size(n_sites)
     start = np.zeros((n_sites, 3), dtype=complex)
     start[0] = q.as_array()
     _check_total_probability(start, 0, "cycle state")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stationary, walk
-from .walk import QubitState
+from .walk import QubitState, _count
 
 __all__ = [
     "SUPPORT_EDGE",
@@ -110,17 +110,19 @@ class EmpiricalRescaled:
     masses: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "time", _count(self.time, 1))
         positions = np.array(self.positions, dtype=float)
         masses = np.array(self.masses, dtype=float)
         if positions.shape != masses.shape or positions.ndim != 1:
             raise ValueError("positions and masses must be matching 1-d arrays")
-        if np.any(np.diff(positions) <= 0.0):
+        if not np.all(np.diff(positions) > 0.0):  # NaN fails too
             raise ValueError("positions must be strictly increasing")
         # Each pure state's total drifts by at most walk.STEP_ROUNDOFF per step
-        # from an exact start, so the mixture's does too.
-        if not abs(float(masses.sum()) - 1.0) <= (self.time + 1) * walk.STEP_ROUNDOFF:
-            raise ValueError("atom masses must sum to 1")
-        if positions.size and (positions[0] < -1.0 or positions[-1] > 1.0):
+        # from an exact start, so the mixture's does too. NaN and inf fail the
+        # sum; an empty table fails it before min, which has nothing to reduce.
+        if not (abs(float(masses.sum()) - 1.0) <= (self.time + 1) * walk.STEP_ROUNDOFF and masses.min() >= 0.0):
+            raise ValueError("atom masses must be non-negative and sum to 1")
+        if not (-1.0 <= positions[0] and positions[-1] <= 1.0):  # NaN fails too
             raise ValueError("rescaled support must lie within [-1, 1]")
         for a in (positions, masses):
             a.setflags(write=False)
@@ -136,8 +138,7 @@ def empirical_rescaled(t: int) -> EmpiricalRescaled:
     for any t >= 1; the weak-limit comparison is meaningful from t of order
     a few hundred.
     """
-    if t < 1:
-        raise ValueError("step count must be at least 1")
+    t = _count(t, 1)
     # Row i of one real buffer holds the pure state i, at the origin in column
     # t + 1; each state's sum comes first, as in three separate evolutions.
     parts = np.zeros((3, 3, 2 * t + 3))

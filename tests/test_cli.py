@@ -139,9 +139,11 @@ class TestEvolve:
         )
         assert code == 3
         assert "error" in capsys.readouterr().err
-        # NaN amplitudes used to pass the norm check and write NaN tables.
+        # NaN amplitudes used to pass the norm check and write NaN tables, and
+        # an amplitude whose square overflows raised OverflowError.
         for argv in (
             ["evolve", "--qubit=nan,0,0", "--steps", "3"],
+            ["evolve", "--qubit=1e200,0,0", "--steps", "3"],
             ["stationary", "--qubit=1,nan,0"],
             ["timeavg", "--qubit=0,0,nan", "--sites", "5"],
         ):

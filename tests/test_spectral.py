@@ -238,15 +238,6 @@ class TestEigenSystem:
 
 
 class TestQuadratureGrid:
-    def test_rejects_odd_or_tiny(self):
-        with pytest.raises(ValueError):
-            quadrature_nodes(511)
-        with pytest.raises(ValueError):
-            quadrature_nodes(0)
-        with pytest.raises(TypeError):
-            quadrature_nodes(4.0)
-        assert np.array_equal(quadrature_nodes(np.int64(8)), quadrature_nodes(8))
-
     def test_nodes_are_interior_midpoints(self):
         nodes = quadrature_nodes(8)
         assert len(nodes) == 8
@@ -334,14 +325,6 @@ class TestWavefunction:
             with pytest.raises(ValueError):
                 wavefunction(n, t, FIGURE_STATE)
 
-    def test_rejects_non_integer_site_or_time(self):
-        # wavefunction(0.5, 3, q) used to return amplitudes silently.
-        for n, t in ((0.5, 3), (0, 3.0), (np.float64(2.0), 3)):
-            with pytest.raises(TypeError):
-                wavefunction(n, t, FIGURE_STATE)
-        exact = wavefunction(2, 3, FIGURE_STATE).as_array()
-        numpy_ints = wavefunction(np.int64(2), np.int32(3), FIGURE_STATE).as_array()
-        assert numpy_ints.tobytes() == exact.tobytes()
 
 
 #: States of the window tests: complex, uniform real, zero localization and
@@ -389,12 +372,6 @@ class TestWavefunctionWindow:
             with pytest.raises(ValueError):
                 wavefunction_window(m, t, FIGURE_STATE)
 
-    def test_rejects_non_integer_half_width_or_time(self):
-        for m, t in ((2.0, 3), (0.5, 3), (2, 3.0), (np.float64(2.0), 3)):
-            with pytest.raises(TypeError):
-                wavefunction_window(m, t, FIGURE_STATE)
-        exact = wavefunction_window(2, 3, FIGURE_STATE)
-        assert wavefunction_window(np.int64(2), np.int32(3), FIGURE_STATE).tobytes() == exact.tobytes()
 
 
 class TestStationaryIntegral:
@@ -415,21 +392,6 @@ class TestStationaryIntegral:
             for l in (1, 2, 3):
                 value = stationary_component_integral(n, l, ZERO_LOCALIZATION_STATE)
                 assert abs(value) < 1e-8
-
-    def test_rejects_bad_chirality(self):
-        with pytest.raises(ValueError):
-            stationary_component_integral(0, 4, FIGURE_STATE)
-
-    @pytest.mark.parametrize("amplitude", [stationary_component_integral, limit_amplitude])
-    def test_chirality_must_be_an_int(self, amplitude):
-        # 1.0 passed the ``l in (1, 2, 3)`` check and then failed as an index.
-        for l in (1.0, 2.5):
-            with pytest.raises(TypeError):
-                amplitude(0, l, FIGURE_STATE)
-        for l in (0, 4):
-            with pytest.raises(ValueError):
-                amplitude(0, l, FIGURE_STATE)
-        assert amplitude(0, np.int64(2), FIGURE_STATE) == amplitude(0, 2, FIGURE_STATE)
 
     def test_rejects_aliasing_grid(self):
         # The integrand's Fourier tail falls like c^|m|, as the kernels' at
@@ -489,15 +451,6 @@ class TestOscillatoryKernels:
                 call(0, 28087)
         with pytest.raises(ValueError):
             oscillatory_remainder(0, 28087, FIGURE_STATE)
-
-    def test_rejects_non_integer_site_or_time(self):
-        # j_kernel(0, 2.5) used to return 0.1072 silently.
-        for call in (j_kernel, k_kernel, remainder_matrix):
-            for n, t in ((0, 2.5), (0.5, 3), (0, 3.0)):
-                with pytest.raises(TypeError):
-                    call(n, t)
-        assert j_kernel(np.int64(0), np.int64(3)) == j_kernel(0, 3)
-        assert k_kernel(np.int64(0), np.int64(3)) == k_kernel(0, 3)
 
     def test_smallest_accepted_grid_matches_fine_grid(self):
         # The sums on the smallest even node count the rule admits agree

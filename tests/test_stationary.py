@@ -110,18 +110,6 @@ class TestLimitValues:
             for l in (1, 2, 3):
                 assert limit_component(n, l, ZERO_LOCALIZATION_STATE) < 1e-30
 
-    def test_rejects_bad_chirality(self):
-        with pytest.raises(ValueError):
-            limit_amplitude(0, 0, FIGURE_STATE)
-
-    def test_rejects_non_integer_site(self):
-        # limit_amplitude(0.5, 1, (1, 0, 0)) used to return 0.1298j: c ** 1.5
-        # of the negative ratio is complex.
-        for n in (0.5, 1.0):
-            with pytest.raises(TypeError):
-                limit_amplitude(n, 1, QubitState(1.0, 0.0, 0.0))
-        assert limit_amplitude(np.int64(3), 2, FIGURE_STATE) == limit_amplitude(3, 2, FIGURE_STATE)
-
     @given(qubit_states())
     def test_components_are_nonnegative(self, q):
         for n in (-2, 0, 3):
@@ -180,14 +168,6 @@ class TestProfile:
         # The window misses only the tail beyond |n| = 4, below c^10 ~ 1e-10.
         assert sum(profile.totals.tolist()) < total_mass(FIGURE_STATE)
         assert sum(profile.totals.tolist()) == pytest.approx(total_mass(FIGURE_STATE), abs=1e-8)
-
-    def test_rejects_empty_window(self):
-        with pytest.raises(ValueError):
-            stationary_profile(FIGURE_STATE, 0)
-        # A float window would build sites -4.5..4.5 and a profile full of NaN.
-        for window in (0.5, 4.0):
-            with pytest.raises(TypeError):
-                stationary_profile(FIGURE_STATE, window)
 
 
 class TestConvergenceOfSimulation:

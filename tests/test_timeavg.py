@@ -213,15 +213,6 @@ class TestEigenvalueGroups:
             assert min(np.diff(phases)) > 1e-6
             assert phases[0] == 0.0 and phases[-1] < 2.0 * math.pi
 
-    def test_rejects_non_integer_site(self):
-        with pytest.raises(TypeError):
-            eigenvalue_groups(9, FIGURE_STATE, 0.5)
-        with pytest.raises(TypeError):
-            cycle_time_average(9, FIGURE_STATE, site=2.0)
-        assert cycle_time_average(9, FIGURE_STATE, site=np.int64(2)) == cycle_time_average(
-            9, FIGURE_STATE, site=2
-        )
-
 
 class TestCycleTimeAverage:
     def test_matches_eig_reference(self):
@@ -325,10 +316,6 @@ class TestInfiniteAverage:
     def test_middle_component_vanishes_for_zero_sum_states(self):
         q = QubitState(1.0 / math.sqrt(2.0), 0.0, -1.0 / math.sqrt(2.0))
         assert infinite_time_average_component(2, q) == 0.0
-
-    def test_rejects_bad_chirality(self):
-        with pytest.raises(ValueError):
-            infinite_time_average_component(4, FIGURE_STATE)
 
     @given(qubit_states())
     def test_total_is_sum_of_components(self, q):

@@ -605,26 +605,6 @@ class TestDistribution:
 
 
 class TestIntegerFields:
-    # A float used to be stored as given: LineState(0.5, a, 0).amplitude(0)
-    # and Distribution(0.5, p).total(0) read 0, and CycleState(5.0, a, 0)
-    # constructed. A numpy int is stored as a plain int.
-    @pytest.mark.parametrize(
-        "build, name",
-        [
-            (lambda v: LineState(v, [[1.0, 0.0, 0.0]], 0), "origin_offset"),
-            (lambda v: LineState(0, [[1.0, 0.0, 0.0]], v), "time"),
-            (lambda v: CycleState(5 + v, [[1.0, 0.0, 0.0]] + [[0.0] * 3] * 4, 0), "n_sites"),
-            (lambda v: CycleState(5, [[1.0, 0.0, 0.0]] + [[0.0] * 3] * 4, v), "time"),
-            (lambda v: Distribution(v, [[1.0, 0.0, 0.0]]), "first_site"),
-        ],
-        ids=["line-offset", "line-time", "cycle-sites", "cycle-time", "distribution-first-site"],
-    )
-    def test_rejects_a_float(self, build, name):
-        for v in (0.0, 0.5):
-            with pytest.raises(TypeError):
-                build(v)
-        assert type(getattr(build(np.int64(0)), name)) is int
-
     def test_site_lookups_reject_a_float(self):
         # amplitude(100.5) used to return a zero ChiralVector and total(-50.5)
         # 0.0, while amplitude(1.0) raised numpy's IndexError.

@@ -252,8 +252,7 @@ class Distribution:
 
     Row ``i`` of the read-only (window, 3) array ``probabilities`` holds
     (p_L, p_0, p_R) at site ``first_site + i``; ``totals`` holds the row sums
-    p_L + p_0 + p_R, added left to right. A NaN, infinite or negative entry
-    raises ``ValueError``, as does a row sum that overflows.
+    p_L + p_0 + p_R, added left to right.
     """
 
     first_site: int
@@ -264,9 +263,6 @@ class Distribution:
         object.__setattr__(self, "first_site", operator.index(self.first_site))
         p = _frozen_rows(self.probabilities, float)
         totals = p[:, 0] + p[:, 1] + p[:, 2]
-        # min fails on NaN and negatives, max on +inf; initial lets an empty table pass.
-        if not (p.min(initial=0.0) >= 0.0 and totals.max(initial=0.0) < math.inf):
-            raise ValueError("probabilities must be finite and non-negative")
         totals.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "totals", totals)

@@ -288,7 +288,7 @@ def test_each_input_raises_or_gives_a_finite_value(name):
         assert list(_violations(value, row)) == []
 
 
-@pytest.mark.xfail(strict=True, reason="Distribution does not check its probabilities (CHANGES.md FOUND)")
+@pytest.mark.xfail(strict=True, reason="Distribution takes its probabilities as given (ROADMAP item 13)")
 def test_distribution_refuses_a_bad_probability():
     # Distribution(0, [[nan, 0, 0]]).total(0) is nan and [[-1, 0, 0]] gives -1.0.
     # A check by p.min() and totals.max() cost evolve 5% of its wall time.

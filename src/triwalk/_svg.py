@@ -15,6 +15,11 @@ _MARGIN_R = 20
 _MARGIN_T = 40
 _MARGIN_B = 50
 _COLORS = ("#1f6fb4", "#c23b22", "#2e8b57")
+#: Every chart's first two lines: the canvas and its white background.
+_HEADER = (
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+    f'viewBox="0 0 {_WIDTH} {_HEIGHT}">\n<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>'
+)
 
 
 def _fmt_tick(v: float) -> str:
@@ -74,8 +79,15 @@ def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, title, y_tick_fmt=_fm
     )
 
 
+def _write(path, parts):
+    """Write the chart of ``parts``, the header first; returns ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts) + "\n</svg>\n")
+    return path
+
+
 def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False):
-    """Write a line chart; ``series`` is a list of (xs, ys, label) triples.
+    """Write a line chart and return ``path``; ``series`` is a list of (xs, ys, label) triples.
 
     With ``log_y`` the y axis is base-10 logarithmic and non-positive values
     are dropped from the plot.
@@ -104,11 +116,7 @@ def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False
     x_lo, x_hi = _scale(x_lo, x_hi)
     y_lo, y_hi = _scale(y_lo, y_hi)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-    ]
+    parts = [_HEADER]
     tick = (lambda v: f"1e{v:.2g}") if log_y else _fmt_tick
     _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, title, y_tick_fmt=tick)
     if hline is not None and not log_y:
@@ -130,9 +138,7 @@ def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False
                 f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 16 + 14 * idx}" '
                 f'font-size="11" text-anchor="end" fill="{color}">{label}</text>'
             )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return _write(path, parts)
 
 
 def heat_blocks(rows: int, cols: int):
@@ -158,7 +164,7 @@ def heat_blocks(rows: int, cols: int):
 
 def heatmap(path, means, *, extent, x0, title, x_label, y_label):
     """Write a space-time heatmap of the ``means`` that ``heat_blocks`` took of
-    an ``extent = (steps + 1, sites)`` field whose first site is ``x0``."""
+    an ``extent = (steps + 1, sites)`` field whose first site is ``x0``; returns ``path``."""
     peak = float(means.max()) or 1.0
     # Square-root intensity keeps faint ballistic fronts visible next to the
     # bright localized column.
@@ -166,11 +172,6 @@ def heatmap(path, means, *, extent, x0, title, x_label, y_label):
     rows, cols = means.shape
     cell_w = (_WIDTH - _MARGIN_L - _MARGIN_R) / cols
     cell_h = (_HEIGHT - _MARGIN_T - _MARGIN_B) / rows
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-    ]
     # Each drawn cell is its column's head (opening a new line), its row's middle
     # and its colour's tail. Time increases upward, as in space-time diagrams.
     size = f'width="{cell_w + 0.3:.2f}" height="{cell_h + 0.3:.2f}"'
@@ -183,8 +184,7 @@ def heatmap(path, means, *, extent, x0, title, x_label, y_label):
     tails = [f'{c >> 16},{c >> 8 & 255},{c & 255})"/>' for c in colours.tolist()]
     table = np.array(heads + mids + tails, dtype=object)
     r_idx, c_idx = np.nonzero(drawn)
-    parts[-1] += "".join(table[np.stack((c_idx, cols + r_idx, cols + rows + which), axis=1)].ravel().tolist())
+    cells = table[np.stack((c_idx, cols + r_idx, cols + rows + which), axis=1)].ravel().tolist()
+    parts = [_HEADER + "".join(cells)]
     _axes(parts, x0, x0 + extent[1], 0, extent[0], x_label, y_label, title)
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return _write(path, parts)

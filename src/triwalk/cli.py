@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -74,38 +75,42 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: str, *columns) -> Path:
+    """Write ``columns`` under the comma-separated ``header``; returns ``path``."""
+    columns = [np.asarray(c).tolist() for c in columns]
     # One %-format per table from the first row's column types: "%d" % n is
     # str(n) and "%.17g" % x is _fmt(x).
-    row_fmt = ",".join("%d" if isinstance(v, int) else "%.17g" for v in rows[0])
-    lines = [",".join(header), *(row_fmt % tuple(row) for row in rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row_fmt = ",".join("%d" if isinstance(c[0], int) else "%.17g" for c in columns)
+    path.write_text("\n".join([header, *(row_fmt % row for row in zip(*columns))]) + "\n", encoding="utf-8")
+    return path
 
 
-def _finish(out_dir: Path, args: argparse.Namespace, files: list[Path], **parameters) -> None:
-    """Write ``manifest.json``: command, argv, parameters, version, output checksums."""
+def _write_distribution(path: Path, dist: walk.Distribution) -> Path:
+    return _write_csv(path, "n,p_total,p_L,p_0,p_R", dist.sites(), dist.totals, *dist.probabilities.T)
+
+
+def _finish(args: argparse.Namespace, files: list[Path | str | None], **computed) -> list[str]:
+    """Write ``manifest.json`` and return the names it lists its outputs by.
+
+    ``parameters`` are the parsed options but ``--out``, plus the ``computed``
+    values; each output (a ``None`` is one not asked for) is keyed by its path
+    relative to ``--out``.
+    """
+    files = [f for f in files if f]
+    names = [os.path.relpath(f, args.out) for f in files]
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "out", "raw_argv")}
     manifest = {
         "command": args.command,
         "argv": args.raw_argv,
         # grid_size stays because perfbench/golden.json pins the manifest bytes.
-        "parameters": {**parameters, "grid_size": DEFAULT_GRID_SIZE},
+        "parameters": {**options, **computed, "grid_size": DEFAULT_GRID_SIZE},
         "version": __version__,
-        "outputs": {f.name: _sha256(f) for f in files},
+        "outputs": {name: hashlib.sha256(Path(f).read_bytes()).hexdigest() for name, f in zip(names, files)},
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (out_dir / "manifest.json").write_text(text, encoding="utf-8")
+    (Path(args.out) / "manifest.json").write_text(text, encoding="utf-8")
+    return names
 
-
-def _distribution_rows(dist: walk.Distribution) -> list[list]:
-    rows = zip(dist.sites(), dist.totals.tolist(), dist.probabilities.tolist())
-    return [[n, total, *parts] for n, total, parts in rows]
-
-
-_DISTRIBUTION_HEADER = ["n", "p_total", "p_L", "p_0", "p_R"]
 
 #: The localizing state of the paper's probability-trace figure.
 _FIGURE_STATE = QubitState(1j / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))
@@ -156,39 +161,20 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             add_heat_row(t, dist.first_site - first_site, dist.totals)
 
     final = walk.distribution(state)
-    files = []
-    dist_path = out_dir / "distribution.csv"
-    _write_csv(dist_path, _DISTRIBUTION_HEADER, _distribution_rows(final))
-    files.append(dist_path)
-    trace_path = out_dir / "trace.csv"
-    _write_csv(trace_path, ["t", "p0"], [[t, p] for t, p in enumerate(trace)])
-    files.append(trace_path)
-
-    if args.svg:
-        svg_path = Path(args.svg)
-        _svg.line_chart(
-            svg_path,
-            [(np.arange(len(trace)), np.array(trace), "P(0, t)")],
-            title="Probability at the origin",
-            x_label="t",
-            y_label="P(0, t)",
-            hline=_NO_STAYER_LEVEL,
-        )
-        files.append(svg_path)
-    if args.heatmap:
-        heat_path = Path(args.heatmap)
-        _svg.heatmap(
-            heat_path, heat, extent=(args.steps + 1, width), x0=first_site,
+    names = _finish(args, [
+        _write_distribution(out_dir / "distribution.csv", final),
+        _write_csv(out_dir / "trace.csv", "t,p0", range(len(trace)), trace),
+        args.svg and _svg.line_chart(
+            args.svg, [(np.arange(len(trace)), np.array(trace), "P(0, t)")], title="Probability at the origin",
+            x_label="t", y_label="P(0, t)", hline=_NO_STAYER_LEVEL,
+        ),
+        args.heatmap and _svg.heatmap(
+            args.heatmap, heat, extent=(args.steps + 1, width), x0=first_site,
             title="Space-time probability density", x_label="n", y_label="t",
-        )
-        files.append(heat_path)
-
-    _finish(
-        out_dir, args, files, qubit=args.qubit, steps=args.steps, cycle=args.cycle,
-        svg=args.svg, heatmap=args.heatmap,
-    )
+        ),
+    ])
     print(f"final P(0, {args.steps}) = {_fmt(trace[-1])}")
-    print(f"wrote {', '.join(f.name for f in files)} and manifest.json in {out_dir}")
+    print(f"wrote {', '.join(names)} and manifest.json in {out_dir}")
     return EXIT_OK
 
 
@@ -209,27 +195,13 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
 
     profile = stationary.stationary_profile(q, args.window)
     mass = stationary.total_mass(q)
-    files = []
-    csv_path = out_dir / "stationary.csv"
-    _write_csv(csv_path, _DISTRIBUTION_HEADER, _distribution_rows(profile))
-    files.append(csv_path)
-
-    if args.svg:
-        svg_path = Path(args.svg)
-        _svg.line_chart(
-            svg_path,
-            [(np.array(profile.sites()), profile.totals, "limit P(n)")],
-            title="Stationary profile (log scale)",
-            x_label="n",
-            y_label="P(n)",
-            log_y=True,
-        )
-        files.append(svg_path)
-
-    _finish(
-        out_dir, args, files, qubit=args.qubit, window=args.window, svg=args.svg,
-        total_mass=mass,
-    )
+    _finish(args, [
+        _write_distribution(out_dir / "stationary.csv", profile),
+        args.svg and _svg.line_chart(
+            args.svg, [(np.array(profile.sites()), profile.totals, "limit P(n)")],
+            title="Stationary profile (log scale)", x_label="n", y_label="P(n)", log_y=True,
+        ),
+    ], total_mass=mass)
     print(f"P(0) = {_fmt(profile.total(0))}")
     print(f"total localized mass = {_fmt(mass)}")
     return EXIT_OK
@@ -250,13 +222,10 @@ def _cmd_timeavg(args: argparse.Namespace) -> int:
 
     cycle_value = timeavg.cycle_time_average(args.sites, q, site=0)
     limit_value = timeavg.infinite_time_average_total(q)
-    csv_path = out_dir / "timeavg.csv"
-    _write_csv(
-        csv_path,
-        ["n_sites", "site", "cycle_average", "limit_average"],
-        [[args.sites, 0, cycle_value, limit_value]],
-    )
-    _finish(out_dir, args, [csv_path], qubit=args.qubit, sites=args.sites)
+    _finish(args, [_write_csv(
+        out_dir / "timeavg.csv", "n_sites,site,cycle_average,limit_average",
+        [args.sites], [0], [cycle_value], [limit_value],
+    )])
     print(f"cycle average at origin (N = {args.sites}): {_fmt(cycle_value)}")
     print(f"infinite-cycle limit at origin:            {_fmt(limit_value)}")
     return EXIT_OK
@@ -280,28 +249,13 @@ def _cmd_weaklimit(args: argparse.Namespace) -> int:
     xs = empirical.positions
     cumulative = np.cumsum(empirical.masses)
     limit = weaklimit.limit_cdf(xs)
-    csv_path = out_dir / "weaklimit.csv"
-    _write_csv(
-        csv_path,
-        ["x", "cdf_empirical", "cdf_limit"],
-        np.column_stack((xs, cumulative, limit)).tolist(),
-    )
-    files = [csv_path]
-
-    if args.svg:
-        svg_path = Path(args.svg)
-        _svg.line_chart(
-            svg_path,
-            [(xs, cumulative, "empirical CDF"), (xs, limit, "limit CDF")],
-            title=f"Rescaled position CDF at t = {args.steps}",
-            x_label="x = n / t",
-            y_label="CDF",
-        )
-        files.append(svg_path)
-
-    _finish(
-        out_dir, args, files, steps=args.steps, svg=args.svg, kolmogorov_distance=distance
-    )
+    _finish(args, [
+        _write_csv(out_dir / "weaklimit.csv", "x,cdf_empirical,cdf_limit", xs, cumulative, limit),
+        args.svg and _svg.line_chart(
+            args.svg, [(xs, cumulative, "empirical CDF"), (xs, limit, "limit CDF")],
+            title=f"Rescaled position CDF at t = {args.steps}", x_label="x = n / t", y_label="CDF",
+        ),
+    ], kolmogorov_distance=distance)
     print(f"Kolmogorov distance at t = {args.steps}: {_fmt(distance)}")
     return EXIT_OK
 

@@ -200,7 +200,10 @@ def _check_reach(n: int, t: int = 0, *, kernel: bool = False) -> None:
     """
     n, t = operator.index(n), _count(t)
     if kernel:
-        need = t / math.sqrt(3.0) + abs(n) + 5.0 * t ** (1.0 / 3.0) + 16.0
+        # |n| or t / sqrt(3) alone at the node count is beyond reach, and is
+        # refused as ints: a larger int would overflow a float.
+        beyond = abs(n) >= DEFAULT_GRID_SIZE or t >= 2 * DEFAULT_GRID_SIZE
+        need = math.inf if beyond else t / math.sqrt(3.0) + abs(n) + 5.0 * t ** (1.0 / 3.0) + 16.0
         if DEFAULT_GRID_SIZE < need:
             raise ValueError(
                 f"(n, t) = ({n}, {t}) is beyond the kernels' reach: t/sqrt(3) + |n|"
@@ -270,6 +273,7 @@ def wavefunction(n: int, t: int, q: QubitState) -> ChiralVector:
     q : QubitState
         Normalized initial internal state.
     """
+    n = operator.index(n)
     return ChiralVector.from_array(_line_amplitudes(range(n, n + 1), (t,), q)[0, 0])
 
 
@@ -333,6 +337,7 @@ def j_kernel(n: int, t: int) -> float:
     t/sqrt(3) + |n| + 5 t^(1/3) + 16 exceeds the 16384 nodes, as aliasing
     would spoil the value.
     """
+    n = operator.index(n)
     return float(_kernel_means(range(n, n + 1), (t,))[0][0, 0])
 
 
@@ -343,6 +348,7 @@ def k_kernel(n: int, t: int) -> float:
     t the factor sin(theta_k t) vanishes linearly in |k| there. Midpoint
     nodes of an even grid never touch k = 0. Same reach as ``j_kernel``.
     """
+    n = operator.index(n)
     return float(_kernel_means(range(n, n + 1), (t,))[1][0, 0])
 
 
@@ -370,6 +376,7 @@ def remainder_matrix(n: int, t: int) -> np.ndarray:
     structural identities (the middle entry is 4 J at n, the corners are
     -2 J at n +- 1) follow directly from the assembly.
     """
+    n = operator.index(n)
     return _remainder_matrices(range(n, n + 1), (t,))[0, 0]
 
 

@@ -454,17 +454,17 @@ class TestWriters:
 
     def test_integer_columns_keep_str_int(self, tmp_path):
         tables = [
-            (["n_sites", "site", "cycle_average", "limit_average"],
+            ("n_sites,site,cycle_average,limit_average",
              [[4001, 0, 0.10101951754089237, 1e-05]]),
-            (["n", "p_total", "p_L", "p_0", "p_R"],
+            ("n,p_total,p_L,p_0,p_R",
              [[-12, 0.0, 1e16, 5e-324, -0.0], [0, 0.25, 1.0 / 3.0, 2.0 / 3.0, 1.5],
               # Beyond 17 digits "%.17g" would print an exponent.
               [10**17 + 1, 1.0, 0.0, 0.0, 1.0]]),
         ]
         for header, rows in tables:
             path = tmp_path / "table.csv"
-            _write_csv(path, header, rows)
-            expected = [",".join(header)] + [
+            assert _write_csv(path, header, *zip(*rows)) == path
+            expected = [header] + [
                 ",".join(str(v) if isinstance(v, int) else format(v, ".17g") for v in row)
                 for row in rows
             ]
@@ -824,7 +824,56 @@ class TestVerify:
         assert manifest["parameters"]["grid_size"] == DEFAULT_GRID_SIZE == 16384
 
 
+#: One small run of each writing subcommand and the manifest parameters it
+#: records: every option but --out, plus the computed values.
+MANIFEST_PARAMETERS = {
+    "evolve on the line": (
+        ["evolve", "--qubit", "1,0,0", "--steps", "3", "--svg", "t.svg"],
+        {"qubit": "1,0,0", "steps": 3, "cycle": None, "svg": "t.svg", "heatmap": None, "grid_size": 16384},
+    ),
+    "evolve on a cycle": (
+        ["evolve", "--qubit", "1,0,0", "--steps", "3", "--cycle", "5", "--heatmap", "h.svg"],
+        {"qubit": "1,0,0", "steps": 3, "cycle": 5, "svg": None, "heatmap": "h.svg", "grid_size": 16384},
+    ),
+    "stationary": (
+        ["stationary", "--qubit", "1,0,0", "--window", "4"],
+        {"qubit": "1,0,0", "window": 4, "svg": None, "grid_size": 16384,
+         "total_mass": 0.40824829046386657},
+    ),
+    "timeavg": (
+        ["timeavg", "--qubit", "1,0,0", "--sites", "5"],
+        {"qubit": "1,0,0", "sites": 5, "grid_size": 16384},
+    ),
+    "weaklimit": (
+        ["weaklimit", "--steps", "100", "--svg", "cdf.svg"],
+        {"steps": 100, "svg": "cdf.svg", "grid_size": 16384,
+         "kolmogorov_distance": pytest.approx(0.09602034547337879, abs=1e-15)},
+    ),
+}
+
+
 class TestManifest:
+    @pytest.mark.parametrize("case", sorted(MANIFEST_PARAMETERS))
+    def test_parameters_are_the_options_but_out(self, case, tmp_path, monkeypatch):
+        argv, expected = MANIFEST_PARAMETERS[case]
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "out"]) == 0
+        parameters = json.loads((tmp_path / "out" / "manifest.json").read_text())["parameters"]
+        assert parameters == expected
+        assert not {"out", "handler", "command", "raw_argv"} & set(parameters)
+
+    def test_outputs_are_keyed_by_their_path_from_out(self, tmp_path, monkeypatch, capsys):
+        # The plot outside --out shares the trace table's file name.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p").mkdir()
+        assert main(["evolve", "--qubit", "1,0,0", "--steps", "3", "--out", "o", "--svg", "p/trace.csv"]) == 0
+        outputs = json.loads((tmp_path / "o" / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == ["../p/trace.csv", "distribution.csv", "trace.csv"]
+        assert outputs == {name: sha256_of(tmp_path / "o" / name) for name in outputs}
+        assert outputs["trace.csv"] != outputs["../p/trace.csv"]
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "wrote distribution.csv, trace.csv, ../p/trace.csv and manifest.json in o"
+
     def test_round_trip(self, tmp_path):
         main(["timeavg", "--qubit", "1,0,0", "--sites", "5", "--out", str(tmp_path)])
         text = (tmp_path / "manifest.json").read_text()

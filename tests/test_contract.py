@@ -15,9 +15,10 @@ every number is finite. Beyond that, each kind pins its rule:
   float or an int, numpy int or bool as the plain float; NaN raises
   ``ValueError``, and so does ``+-inf`` for a momentum or an amplitude.
 
-Huge values (2^63 and beyond int64) are drawn only for parameters that a rule
-or the quadrature reach refuses before any work; sizes that allocate or step
-in proportion stay small. One known gap stays visible as an expected failure:
+Huge values (the int64 extremes, 2^63 and 10^400, of both signs) are drawn
+only for parameters that a rule or the quadrature reach refuses before any
+work, which must not overflow on the way; sizes that allocate or step in
+proportion stay small. One known gap stays visible as an expected failure:
 ``Distribution`` takes a NaN, infinite or negative probability as given.
 """
 
@@ -37,7 +38,7 @@ from triwalk import ChiralVector, Distribution, EmpiricalRescaled, QubitState, e
 
 OK = "a finite value"
 EITHER = "ValueError or a finite value"
-HUGE = (2**63, -(2**63), np.int64(2**62))
+HUGE = (2**63, -(2**63), np.int64(2**62), np.int64(2**63 - 1), np.int64(-(2**63)), 10**400, -(10**400))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -42,47 +42,49 @@ def _y_pix(y, lo, hi):
 
 def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, title, y_tick_fmt=_fmt_tick):
     parts.append(
-        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{_WIDTH - _MARGIN_L - _MARGIN_R}" '
+        f'\n<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{_WIDTH - _MARGIN_L - _MARGIN_R}" '
         f'height="{_HEIGHT - _MARGIN_T - _MARGIN_B}" fill="none" stroke="#333"/>'
     )
     for i in range(5):
         fx = x_lo + (x_hi - x_lo) * i / 4
         px = _x_pix(fx, x_lo, x_hi)
         parts.append(
-            f'<line x1="{px:.1f}" y1="{_HEIGHT - _MARGIN_B}" x2="{px:.1f}" '
+            f'\n<line x1="{px:.1f}" y1="{_HEIGHT - _MARGIN_B}" x2="{px:.1f}" '
             f'y2="{_HEIGHT - _MARGIN_B + 5}" stroke="#333"/>'
         )
         parts.append(
-            f'<text x="{px:.1f}" y="{_HEIGHT - _MARGIN_B + 18}" font-size="11" '
+            f'\n<text x="{px:.1f}" y="{_HEIGHT - _MARGIN_B + 18}" font-size="11" '
             f'text-anchor="middle">{_fmt_tick(fx)}</text>'
         )
         fy = y_lo + (y_hi - y_lo) * i / 4
         py = _y_pix(fy, y_lo, y_hi)
         parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{py:.1f}" x2="{_MARGIN_L}" y2="{py:.1f}" stroke="#333"/>'
+            f'\n<line x1="{_MARGIN_L - 5}" y1="{py:.1f}" x2="{_MARGIN_L}" y2="{py:.1f}" stroke="#333"/>'
         )
         parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{py + 4:.1f}" font-size="11" '
+            f'\n<text x="{_MARGIN_L - 8}" y="{py + 4:.1f}" font-size="11" '
             f'text-anchor="end">{y_tick_fmt(fy)}</text>'
         )
     parts.append(
-        f'<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2}" y="{_HEIGHT - 12}" '
+        f'\n<text x="{(_MARGIN_L + _WIDTH - _MARGIN_R) / 2}" y="{_HEIGHT - 12}" '
         f'font-size="12" text-anchor="middle">{x_label}</text>'
     )
     parts.append(
-        f'<text x="16" y="{(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2}" font-size="12" '
+        f'\n<text x="16" y="{(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2}" font-size="12" '
         f'text-anchor="middle" transform="rotate(-90 16 {(_MARGIN_T + _HEIGHT - _MARGIN_B) / 2})">'
         f"{y_label}</text>"
     )
     parts.append(
-        f'<text x="{_WIDTH / 2}" y="22" font-size="14" text-anchor="middle">{title}</text>'
+        f'\n<text x="{_WIDTH / 2}" y="22" font-size="14" text-anchor="middle">{title}</text>'
     )
 
 
 def _write(path, parts):
-    """Write the chart of ``parts``, the header first; returns ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts) + "\n</svg>\n")
+    """Write the chart of ``parts``, the header and then pieces that each open
+    their own line, as UTF-8 in one write; returns ``path``."""
+    parts.append("\n</svg>\n")
+    with open(path, "wb") as fh:
+        fh.write("".join(parts).encode())
     return path
 
 
@@ -122,7 +124,7 @@ def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False
     if hline is not None and not log_y:
         py = _y_pix(hline, y_lo, y_hi)
         parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{py:.1f}" x2="{_WIDTH - _MARGIN_R}" y2="{py:.1f}" '
+            f'\n<line x1="{_MARGIN_L}" y1="{py:.1f}" x2="{_WIDTH - _MARGIN_R}" y2="{py:.1f}" '
             f'stroke="#777" stroke-dasharray="6 4"/>'
         )
     for idx, (xs, ys, label) in enumerate(cleaned):
@@ -131,11 +133,11 @@ def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False
         xy = np.column_stack((_x_pix(xs, x_lo, x_hi), _y_pix(ys, y_lo, y_hi))).ravel().tolist()
         points = " ".join(["%.1f,%.1f"] * xs.size) % tuple(xy)
         parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.3"/>'
+            f'\n<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.3"/>'
         )
         if label:
             parts.append(
-                f'<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 16 + 14 * idx}" '
+                f'\n<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 16 + 14 * idx}" '
                 f'font-size="11" text-anchor="end" fill="{color}">{label}</text>'
             )
     return _write(path, parts)
@@ -157,7 +159,8 @@ def heat_blocks(rows: int, cols: int):
         block[i] = 0.0
         block[i, start : start + len(values)] = values
         if i == row_step - 1 and r < len(means):
-            means[r] = block[:, : means.shape[1] * col_step].reshape(1, row_step, -1, col_step).mean(axis=(1, 3))
+            blocks = block[:, : means.shape[1] * col_step].reshape(1, row_step, -1, col_step)
+            means[r] = np.add.reduce(blocks, axis=(1, 3)) / (row_step * col_step)  # .mean(axis=(1, 3)) bit for bit
 
     return means, add
 
@@ -184,7 +187,7 @@ def heatmap(path, means, *, extent, x0, title, x_label, y_label):
     tails = [f'{c >> 16},{c >> 8 & 255},{c & 255})"/>' for c in colours.tolist()]
     table = np.array(heads + mids + tails, dtype=object)
     r_idx, c_idx = np.nonzero(drawn)
-    cells = table[np.stack((c_idx, cols + r_idx, cols + rows + which), axis=1)].ravel().tolist()
-    parts = [_HEADER + "".join(cells)]
+    parts = table[np.stack((c_idx, cols + r_idx, cols + rows + which), axis=1)].ravel().tolist()
+    parts.insert(0, _HEADER)
     _axes(parts, x0, x0 + extent[1], 0, extent[0], x_label, y_label, title)
     return _write(path, parts)

@@ -8,8 +8,8 @@ invocations produce identical bytes at a fixed BLAS thread count (verify's
 quadrature gap moves with the thread count).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an output
-path that cannot be written included), 3 invalid physical input
-(non-normalized state, even cycle size).
+path that cannot be written or that another output of the run also names
+included), 3 invalid physical input (non-normalized state, even cycle size).
 """
 
 from __future__ import annotations
@@ -78,15 +78,37 @@ def _fmt(value: float) -> str:
 def _write_csv(path: Path, header: str, *columns) -> Path:
     """Write ``columns`` under the comma-separated ``header``; returns ``path``."""
     columns = [np.asarray(c).tolist() for c in columns]
-    # One %-format per table from the first row's column types: "%d" % n is
-    # str(n) and "%.17g" % x is _fmt(x).
+    # One %-format over the whole table, its values row after row, from the first
+    # row's column types: "%d" % n is str(n) and "%.17g" % x is _fmt(x).
     row_fmt = ",".join("%d" if isinstance(c[0], int) else "%.17g" for c in columns)
-    path.write_text("\n".join([header, *(row_fmt % row for row in zip(*columns))]) + "\n", encoding="utf-8")
+    values = [None] * (len(columns) * len(columns[0]))
+    for i, c in enumerate(columns):
+        values[i :: len(columns)] = c
+    path.write_bytes(("\n".join([header, *[row_fmt] * len(columns[0]), ""]) % tuple(values)).encode())
     return path
 
 
 def _write_distribution(path: Path, dist: walk.Distribution) -> Path:
     return _write_csv(path, "n,p_total,p_L,p_0,p_R", dist.sites(), dist.totals, *dist.probabilities.T)
+
+
+def _output_dir(args: argparse.Namespace, *names: str) -> Path:
+    """Make ``--out`` and return it, once no two outputs of the run name one file.
+
+    ``names`` are the files written in ``--out`` besides ``manifest.json``; the
+    plots asked for by ``--svg`` and ``--heatmap`` are outputs too.
+    """
+    files = [("--out", os.path.join(args.out, name)) for name in (*names, "manifest.json")]
+    files += [(f"--{option}", getattr(args, option)) for option in ("svg", "heatmap") if getattr(args, option, None)]
+    owners: dict[str, str] = {}
+    for option, path in files:
+        real = os.path.realpath(path)
+        if real in owners:
+            raise UsageError(f"{owners[real]} and {option} both write {path}")
+        owners[real] = option
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _finish(args: argparse.Namespace, files: list[Path | str | None], **computed) -> list[str]:
@@ -137,8 +159,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         _physical(walk._cycle_size, args.cycle)
         if args.cycle > _MAX_EVOLVE_CYCLE or args.cycle * args.steps > _MAX_EVOLVE_STEPS**2:
             raise UsageError(f"--cycle must be at most {_MAX_EVOLVE_CYCLE} and {_MAX_EVOLVE_STEPS**2} / --steps")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args, "distribution.csv", "trace.csv")
 
     if args.cycle is None:
         state: walk.LineState | walk.CycleState = walk.evolve_line(q, 0)
@@ -190,8 +211,7 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
         raise UsageError("--window must be at least 1")
     if args.window > _MAX_STATIONARY_WINDOW:
         raise UsageError(f"--window must be at most {_MAX_STATIONARY_WINDOW}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args, "stationary.csv")
 
     profile = stationary.stationary_profile(q, args.window)
     mass = stationary.total_mass(q)
@@ -217,8 +237,7 @@ def _cmd_timeavg(args: argparse.Namespace) -> int:
     _physical(walk._cycle_size, args.sites)
     if args.sites > _MAX_TIMEAVG_SITES:
         raise UsageError(f"--sites must be at most {_MAX_TIMEAVG_SITES}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args, "timeavg.csv")
 
     cycle_value = timeavg.cycle_time_average(args.sites, q, site=0)
     limit_value = timeavg.infinite_time_average_total(q)
@@ -241,8 +260,7 @@ def _cmd_weaklimit(args: argparse.Namespace) -> int:
         raise UsageError("--steps must be at least 100 for a meaningful comparison")
     if args.steps > _MAX_WEAKLIMIT_STEPS:
         raise UsageError(f"--steps must be at most {_MAX_WEAKLIMIT_STEPS}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args, "weaklimit.csv")
 
     empirical = weaklimit.empirical_rescaled(args.steps)
     distance = weaklimit.cdf_distance(empirical)

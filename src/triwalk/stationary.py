@@ -16,7 +16,7 @@ import operator
 
 import numpy as np
 
-from .walk import Distribution, QubitState, _chirality, _count
+from .walk import Distribution, QubitState, _chirality, _count, _own
 
 __all__ = [
     "GEOMETRIC_RATIO",
@@ -93,5 +93,7 @@ def stationary_profile(q: QubitState, window: int) -> Distribution:
     # Python's abs(z) ** 2, as in limit_component: np.abs(z) ** 2 is 1 ulp off at
     # some tiny values (weaklimit keeps math.atan per value for the same reason).
     columns = _limit_amplitudes(np.arange(-window, window + 1), q)
-    table = np.array([[abs(z) ** 2 for z in column.tolist()] for column in columns]).T
-    return Distribution(first_site=-window, probabilities=table)
+    table = np.empty((2 * window + 1, 3))
+    for l, column in enumerate(columns):
+        table[:, l] = [abs(z) ** 2 for z in column.tolist()]
+    return _own(Distribution, first_site=-window, probabilities=table)

@@ -252,7 +252,8 @@ class Distribution:
 
     Row ``i`` of the read-only (window, 3) array ``probabilities`` holds
     (p_L, p_0, p_R) at site ``first_site + i``; ``totals`` holds the row sums
-    p_L + p_0 + p_R, added left to right.
+    p_L + p_0 + p_R, added left to right. A NaN, infinite or negative
+    probability, or a row whose sum overflows, raises ``ValueError``.
     """
 
     first_site: int
@@ -262,7 +263,10 @@ class Distribution:
     def __post_init__(self) -> None:
         object.__setattr__(self, "first_site", operator.index(self.first_site))
         p = _frozen_rows(self.probabilities, float)
-        totals = p[:, 0] + p[:, 1] + p[:, 2]
+        with np.errstate(over="ignore"):  # an infinite total is refused below
+            totals = p[:, 0] + p[:, 1] + p[:, 2]
+        if not (p.min(initial=0.0) >= 0.0 and totals.max(initial=0.0) < math.inf):  # NaN fails too
+            raise ValueError("probabilities must be finite and non-negative")
         totals.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "totals", totals)
@@ -277,6 +281,23 @@ class Distribution:
         """Total probability at site ``n``; zero for sites outside the window."""
         i = operator.index(n) - self.first_site
         return float(self.totals[i]) if 0 <= i < len(self) else 0.0
+
+
+def _own(cls: type, **fields):
+    # cls(**fields) for valid arrays that triwalk has just built and no caller
+    # holds: each is frozen in place where the public constructor would copy it.
+    if cls is Distribution:
+        p = fields["probabilities"]
+        fields["totals"] = p[:, 0] + p[:, 1] + p[:, 2]
+    else:  # a state, checked for conservation once, as its constructor checks it
+        what = "line state" if cls is LineState else "cycle state"
+        _check_total_probability(fields["amplitudes"], fields["time"], what)
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def coin_matrix() -> np.ndarray:
@@ -407,7 +428,8 @@ def _evolve(parts: np.ndarray, t: int, cycle: bool, states: int = 1) -> np.ndarr
 
 def step_line(s: LineState) -> LineState:
     """Advance a line state by one step, widening the window by one site per side."""
-    return LineState(s.origin_offset - 1, _step(s.amplitudes, cycle=False), s.time + 1)
+    amplitudes = _step(s.amplitudes, cycle=False)
+    return _own(LineState, origin_offset=s.origin_offset - 1, amplitudes=amplitudes, time=s.time + 1)
 
 
 def evolve_line(q: QubitState, t: int) -> LineState:
@@ -427,12 +449,12 @@ def evolve_line(q: QubitState, t: int) -> LineState:
     """
     t = _count(t)
     parts = _evolve(_parts(q.as_array()[None, :], pad=t + 1), t, cycle=False)
-    return LineState(origin_offset=-t, amplitudes=_amplitudes(parts), time=t)
+    return _own(LineState, origin_offset=-t, amplitudes=_amplitudes(parts), time=t)
 
 
 def step_cycle(s: CycleState) -> CycleState:
     """Advance a cycle state by one step (site indices wrap modulo the size)."""
-    return CycleState(s.n_sites, _step(s.amplitudes, cycle=True), s.time + 1)
+    return _own(CycleState, n_sites=s.n_sites, amplitudes=_step(s.amplitudes, cycle=True), time=s.time + 1)
 
 
 def evolve_cycle(q: QubitState, n_sites: int, t: int) -> CycleState:
@@ -442,10 +464,12 @@ def evolve_cycle(q: QubitState, n_sites: int, t: int) -> CycleState:
     start[0] = q.as_array()
     _check_total_probability(start, 0, "cycle state")
     parts = _evolve(_parts(start, pad=1), t, cycle=True)
-    return CycleState(n_sites=n_sites, amplitudes=_amplitudes(parts), time=t)
+    return _own(CycleState, n_sites=n_sites, amplitudes=_amplitudes(parts), time=t)
 
 
 def distribution(s: LineState | CycleState) -> Distribution:
     """Per-site probabilities of a state, broken down by chirality."""
+    p = np.abs(s.amplitudes)
+    p **= 2  # in place, with the bits of np.abs(a) ** 2
     first_site = s.origin_offset if isinstance(s, LineState) else 0
-    return Distribution(first_site=first_site, probabilities=np.abs(s.amplitudes) ** 2)
+    return _own(Distribution, first_site=first_site, probabilities=p)

@@ -14,17 +14,12 @@ settings.register_profile(
 settings.load_profile("default")
 
 # Acceptance reporting: tests in test_acceptance.py carry an `acceptance`
-# marker with (order, title); after the run a one-line verdict per criterion
-# is printed so the pass/fail state of each is visible at a glance.
+# marker with (order, title), declared in pyproject.toml; after the run a
+# one-line verdict per criterion is printed so the pass/fail state of each is
+# visible at a glance.
 
 _ACCEPTANCE_MARKS: dict[str, tuple[float, str]] = {}
 _ACCEPTANCE_DETAILS: dict[str, str] = {}
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "acceptance(order, title): acceptance criterion metadata"
-    )
 
 
 def pytest_collection_modifyitems(items):

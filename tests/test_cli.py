@@ -284,6 +284,16 @@ PINNED_OUTPUTS = {
             "heat.svg": "e6d9a77f611e18e4d270ad2332fefb51da42b8b3e151abf0dbe52b3961673228",
         },
     ),
+    "cycle heatmap, 2 x 5 blocks": (
+        ["evolve", f"--qubit={FIGURE_QUBIT}", "--cycle", "1001", "--steps", "300", "--svg", "trace.svg",
+         "--heatmap", "heat.svg"],
+        {
+            "distribution.csv": "ca216dcd62a4998a73fb0cb2147e3a63ace7cb98010c43efa6932f250a7b8b04",
+            "trace.csv": "7316b6ddddc21db40e316e83f3cbffac0ab9d00a369de008c742eb5b205ff0c6",
+            "trace.svg": "074942f446ffbe2169ab37af8191ee2f0952328ff3b8ef175b9dea91cceafb97",
+            "heat.svg": "71096cdbd5601b4a925ab4f5f6d2ec2f5e9aafc8cf23066ff4fe69307eba7080",
+        },
+    ),
     "stationary log plot drops zeros": (
         ["stationary", f"--qubit={ZERO_LOCALIZATION_QUBIT}", "--svg", "profile.svg"],
         {
@@ -898,6 +908,43 @@ class TestOutputPaths:
         argv = ["evolve", "--qubit", "1,0,0", "--steps", "1", "--out", str(tmp_path), flag, str(plot)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--out", "o", "--svg", "o/trace.csv"],
+             "--out and --svg both write o/trace.csv"),
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--out", "o", "--svg", "x.svg", "--heatmap", "x.svg"],
+             "--svg and --heatmap both write x.svg"),
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--out", "o", "--heatmap", "o/manifest.json"],
+             "--out and --heatmap both write o/manifest.json"),
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--cycle", "5", "--svg", "./distribution.csv"],
+             "--out and --svg both write ./distribution.csv"),
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--out", "o", "--heatmap", "link/../o/trace.csv"],
+             "--out and --heatmap both write link/../o/trace.csv"),
+            (["stationary", "--qubit", "1,0,0", "--out", "o", "--svg", "o/stationary.csv"],
+             "--out and --svg both write o/stationary.csv"),
+            (["stationary", "--qubit", "1,0,0", "--out", "link", "--svg", "real/manifest.json"],
+             "--out and --svg both write real/manifest.json"),
+            (["weaklimit", "--steps", "100", "--out", "o", "--svg", "o/weaklimit.csv"],
+             "--out and --svg both write o/weaklimit.csv"),
+        ],
+        ids=["svg on trace.csv", "svg and heatmap", "heatmap on the manifest", "default --out",
+             "through a symlink", "stationary", "stationary through a symlink", "weaklimit"],
+    )
+    def test_an_output_path_used_twice_exits_2_before_any_work(self, argv, message, tmp_path, capsys, monkeypatch):
+        # Outputs are compared after os.path.realpath; link is a symlink to the directory real.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "real").mkdir()
+        (tmp_path / "link").symlink_to("real")
+        for module, name in WORKERS:
+            monkeypatch.setattr(module, name, functools.partial(_stand_in, [], name))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+        assert list((tmp_path / "real").iterdir()) == []
 
     @pytest.mark.parametrize(
         "message, printed",

@@ -18,8 +18,7 @@ every number is finite. Beyond that, each kind pins its rule:
 Huge values (the int64 extremes, 2^63 and 10^400, of both signs) are drawn
 only for parameters that a rule or the quadrature reach refuses before any
 work, which must not overflow on the way; sizes that allocate or step in
-proportion stay small. One known gap stays visible as an expected failure:
-``Distribution`` takes a NaN, infinite or negative probability as given.
+proportion stay small.
 """
 
 from __future__ import annotations
@@ -159,8 +158,14 @@ ROWS = {
               tuple((ring(value[0]), ring(floats[0])) for value, floats in AS_FLOATS)),
         count(0),
     ),
-    # Its probabilities are taken as given: see test_distribution_refuses_a_bad_probability.
-    "Distribution": (site(), Table(SINGLE, (), AS_FLOATS + (([[1e300, 0, 0]], [[1e300, 0.0, 0.0]]),))),
+    "Distribution": (
+        site(),
+        Table(
+            SINGLE,
+            ([[math.nan, 0, 0]], [[math.inf, 0, 0]], [[-math.inf, 0, 0]], [[-1.0, 0, 0]], [[1e308, 1e308, 0]]),
+            AS_FLOATS + (([[1e300, 0, 0]], [[1e300, 0.0, 0.0]]),),
+        ),
+    ),
     "coin_matrix": (),
     "projector_matrices": (),
     "step_line": (Given(evolve_line(FIGURE_STATE, 2)),),
@@ -289,10 +294,9 @@ def test_each_input_raises_or_gives_a_finite_value(name):
         assert list(_violations(value, row)) == []
 
 
-@pytest.mark.xfail(strict=True, reason="Distribution takes its probabilities as given (ROADMAP item 13)")
 def test_distribution_refuses_a_bad_probability():
-    # Distribution(0, [[nan, 0, 0]]).total(0) is nan and [[-1, 0, 0]] gives -1.0.
-    # A check by p.min() and totals.max() cost evolve 5% of its wall time.
+    # Distribution(0, [[nan, 0, 0]]).total(0) was nan and [[-1, 0, 0]] gave -1.0.
+    # distribution() and stationary_profile build valid squares and skip the check.
     for table in ([[math.nan, 0, 0]], [[math.inf, 0, 0]], [[-1.0, 0, 0]], [[-0.5, 1.0, 0.5]]):
         with pytest.raises(ValueError):
             Distribution(0, table)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 
 from states import FIGURE_STATE, TEST_STATES, UNIFORM_STATE, mirrored, qubit_states
-from triwalk import walk, weaklimit
+from triwalk import stationary, walk, weaklimit
 from triwalk import (
     ChiralVector,
     CycleState,
@@ -450,6 +450,16 @@ class TestStepper:
             evolve_cycle(q, 7, 100)
         assert seen == [(1, (walk._SCAN, 1))]
 
+    def test_a_norm_moving_coin_stops_the_first_step(self, monkeypatch):
+        coin = np.asarray(walk._coin()) * np.sqrt([1.0 + 1e-6, 1.0 - 1e-6, 1.0])
+        q = QubitState(1.0, 0.0, 0.0)
+        line, ring = evolve_line(q, 0), evolve_cycle(q, 7, 0)
+        monkeypatch.setattr(walk, "_coin", lambda: coin)
+        # The coin's first column, which a left mover meets, gains a factor sqrt(1 + 1e-6).
+        for state, step, what in ((line, step_line, "line"), (ring, step_cycle, "cycle")):
+            with pytest.raises(ValueError, match=rf"{what} state breaks .*: total = 1\.000001"):
+                step(state)
+
     def test_steps_accept_any_memory_layout(self):
         # The wrappers read the frozen amplitudes as pairs of floats, so a
         # state built from a Fortran-ordered or strided array must step alike.
@@ -509,6 +519,57 @@ def full_light_cone() -> dict[int, np.ndarray]:
             amplitudes.real, amplitudes.imag = parts[0::2], parts[1::2]
             out[s] = amplitudes
     return out
+
+
+def arrays(result) -> dict:
+    """The array fields of a state or a distribution, by name."""
+    return {name: getattr(result, name) for name in ("amplitudes", "probabilities", "totals") if hasattr(result, name)}
+
+
+#: Each library call that returns arrays it has just built, with its arguments.
+OWNED = {
+    "step_line": (step_line, (evolve_line(FIGURE_STATE, 4),)),
+    "step_cycle": (step_cycle, (evolve_cycle(FIGURE_STATE, 7, 4),)),
+    "evolve_line": (evolve_line, (FIGURE_STATE, 4)),
+    "evolve_cycle": (evolve_cycle, (FIGURE_STATE, 7, 4)),
+    "distribution of a line state": (distribution, (evolve_line(FIGURE_STATE, 4),)),
+    "distribution of a cycle state": (distribution, (evolve_cycle(FIGURE_STATE, 7, 4),)),
+    "stationary_profile": (stationary.stationary_profile, (FIGURE_STATE, 6)),
+}
+
+
+class TestOwnedArrays:
+    @pytest.mark.parametrize("name", OWNED)
+    def test_results_hold_their_own_frozen_arrays(self, name):
+        # The library freezes the arrays it has just built instead of copying
+        # them, and they equal what the public constructor builds from a copy.
+        call, args = OWNED[name]
+        result, again = call(*args), call(*args)
+        given = [a for arg in args if dataclasses.is_dataclass(arg) for a in arrays(arg).values()]
+        built = dataclasses.replace(result, **{k: v.copy() for k, v in arrays(result).items() if k != "totals"})
+        for key, mine in arrays(result).items():
+            theirs = getattr(built, key)
+            assert not mine.flags.writeable
+            assert (mine.dtype, mine.shape, mine.flags.c_contiguous) == (theirs.dtype, theirs.shape, True)
+            assert mine.tobytes() == theirs.tobytes()
+            assert not any(np.shares_memory(mine, other) for other in (*given, *arrays(again).values()))
+
+    @pytest.mark.parametrize(
+        "build, table",
+        [
+            (lambda a: LineState(0, a, 0), np.array([[1.0, 0.0, 0.0]], dtype=complex)),
+            (lambda a: CycleState(3, a, 0), np.array([[1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3], dtype=complex)),
+            (lambda a: Distribution(0, a), np.array([[0.25, 0.5, 0.25]])),
+        ],
+        ids=["LineState", "CycleState", "Distribution"],
+    )
+    def test_constructors_copy_a_callers_array(self, build, table):
+        # The caller's array already has the stored dtype, shape and order.
+        assert table.flags.c_contiguous
+        result = build(table)
+        assert table.flags.writeable
+        assert not any(np.shares_memory(table, a) for a in arrays(result).values())
+        assert not any(a.flags.writeable for a in arrays(result).values())
 
 
 class TestLiveWindow:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -81,15 +82,17 @@ def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, title, y_tick_fmt=_fm
 
 def _write(path, parts):
     """Write the chart of ``parts``, the header and then pieces that each open
-    their own line, as UTF-8 in one write; returns ``path``."""
+    their own line, as UTF-8 in one write; returns ``path`` and the SHA-256 hex
+    digest of the bytes written."""
     parts.append("\n</svg>\n")
+    data = "".join(parts).encode()
     with open(path, "wb") as fh:
-        fh.write("".join(parts).encode())
-    return path
+        fh.write(data)
+    return path, hashlib.sha256(data).hexdigest()
 
 
 def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False):
-    """Write a line chart and return ``path``; ``series`` is a list of (xs, ys, label) triples.
+    """Write a line chart; returns ``path`` and its SHA-256. ``series`` is a list of (xs, ys, label) triples.
 
     With ``log_y`` the y axis is base-10 logarithmic and non-positive values
     are dropped from the plot.
@@ -167,7 +170,8 @@ def heat_blocks(rows: int, cols: int):
 
 def heatmap(path, means, *, extent, x0, title, x_label, y_label):
     """Write a space-time heatmap of the ``means`` that ``heat_blocks`` took of
-    an ``extent = (steps + 1, sites)`` field whose first site is ``x0``; returns ``path``."""
+    an ``extent = (steps + 1, sites)`` field whose first site is ``x0``;
+    returns ``path`` and its SHA-256."""
     peak = float(means.max()) or 1.0
     # Square-root intensity keeps faint ballistic fronts visible next to the
     # bright localized column.

@@ -75,8 +75,9 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: Path, header: str, *columns) -> Path:
-    """Write ``columns`` under the comma-separated ``header``; returns ``path``."""
+def _write_csv(path: Path, header: str, *columns) -> tuple[Path, str]:
+    """Write ``columns`` under the comma-separated ``header``; returns ``path``
+    and the SHA-256 hex digest of the bytes written."""
     columns = [np.asarray(c).tolist() for c in columns]
     # One %-format over the whole table, its values row after row, from the first
     # row's column types: "%d" % n is str(n) and "%.17g" % x is _fmt(x).
@@ -84,11 +85,12 @@ def _write_csv(path: Path, header: str, *columns) -> Path:
     values = [None] * (len(columns) * len(columns[0]))
     for i, c in enumerate(columns):
         values[i :: len(columns)] = c
-    path.write_bytes(("\n".join([header, *[row_fmt] * len(columns[0]), ""]) % tuple(values)).encode())
-    return path
+    data = ("\n".join([header, *[row_fmt] * len(columns[0]), ""]) % tuple(values)).encode()
+    path.write_bytes(data)
+    return path, hashlib.sha256(data).hexdigest()
 
 
-def _write_distribution(path: Path, dist: walk.Distribution) -> Path:
+def _write_distribution(path: Path, dist: walk.Distribution) -> tuple[Path, str]:
     return _write_csv(path, "n,p_total,p_L,p_0,p_R", dist.sites(), dist.totals, *dist.probabilities.T)
 
 
@@ -111,15 +113,14 @@ def _output_dir(args: argparse.Namespace, *names: str) -> Path:
     return out_dir
 
 
-def _finish(args: argparse.Namespace, files: list[Path | str | None], **computed) -> list[str]:
+def _finish(args: argparse.Namespace, written: list[tuple[Path | str, str] | None], **computed) -> list[str]:
     """Write ``manifest.json`` and return the names it lists its outputs by.
 
     ``parameters`` are the parsed options but ``--out``, plus the ``computed``
-    values; each output (a ``None`` is one not asked for) is keyed by its path
-    relative to ``--out``.
+    values; each output, a writer's (path, SHA-256) pair (a ``None`` is one not
+    asked for), is keyed by its path relative to ``--out``.
     """
-    files = [f for f in files if f]
-    names = [os.path.relpath(f, args.out) for f in files]
+    outputs = {os.path.relpath(path, args.out): digest for path, digest in filter(None, written)}
     options = {k: v for k, v in vars(args).items() if k not in ("command", "handler", "out", "raw_argv")}
     manifest = {
         "command": args.command,
@@ -127,11 +128,11 @@ def _finish(args: argparse.Namespace, files: list[Path | str | None], **computed
         # grid_size stays because perfbench/golden.json pins the manifest bytes.
         "parameters": {**options, **computed, "grid_size": DEFAULT_GRID_SIZE},
         "version": __version__,
-        "outputs": {name: hashlib.sha256(Path(f).read_bytes()).hexdigest() for name, f in zip(names, files)},
+        "outputs": outputs,
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     (Path(args.out) / "manifest.json").write_text(text, encoding="utf-8")
-    return names
+    return list(outputs)
 
 
 #: The localizing state of the paper's probability-trace figure.
@@ -146,7 +147,8 @@ _NO_STAYER_LEVEL = 2.0 * (5.0 - 2.0 * math.sqrt(6.0))
 
 #: Longest ``evolve --steps``. Time grows like the site-steps, about t^2 on
 #: the line; a cycle takes as many (N t) and at most the line's widest window
-#: of sites. At the caps ``--svg --heatmap`` takes 2-3 s and 50 MiB on 2 CPUs.
+#: of sites. At the caps ``--svg --heatmap`` takes 1.5-2.6 s on the line and
+#: 0.9-1.5 s on a cycle, and 41-45 MiB, on 2 CPUs.
 _MAX_EVOLVE_STEPS = 5000
 _MAX_EVOLVE_CYCLE = 2 * _MAX_EVOLVE_STEPS + 1
 
@@ -201,7 +203,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 #: Widest ``stationary --window``. Time grows linearly in the window, and the
 #: profile underflows to exactly 0 beyond |n| of about 330; at 10000 the
-#: command takes about 0.06 s and peaks at 43 MiB on 2 CPUs.
+#: command takes 0.04-0.06 s and peaks at 41 MiB on 2 CPUs.
 _MAX_STATIONARY_WINDOW = 10000
 
 
@@ -228,7 +230,7 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
 
 
 #: Largest cycle ``timeavg`` accepts. Time and memory grow linearly in N; at
-#: N = 20001 the command takes about 0.6 s and peaks at 87 MiB on 2 CPUs.
+#: N = 20001 the command takes 0.33-0.56 s and peaks at 87 MiB on 2 CPUs.
 _MAX_TIMEAVG_SITES = 20001
 
 
@@ -251,7 +253,7 @@ def _cmd_timeavg(args: argparse.Namespace) -> int:
 
 
 #: Longest ``weaklimit --steps``. Time grows like t^2; at t = 12000 the
-#: command takes about 1.3-1.6 s and peaks at 44 MiB on 2 CPUs.
+#: command takes 0.7-0.9 s and peaks at 41 MiB on 2 CPUs.
 _MAX_WEAKLIMIT_STEPS = 12000
 
 

@@ -15,20 +15,23 @@ through a landing view ``landing[r, c, j] = buf[r, c, j + c]`` that shifts
 each chirality as it lands. The buffers alternate, and both stay exactly zero
 outside a live window of columns, so cells that nothing lands on read zero;
 the cycle's live window is the whole ring, whose edge movers land in a spare
-end column and wrap around. On the line the live window grows by one column
-per side each step, and every 8 steps it drops the edge columns whose
-amplitudes all lie below 2^-1000, zeroing them in both buffers. Past the
-ballistic front at |n| = t/sqrt(3) the amplitudes fall off faster than
-exponentially, so the outer columns of the light cone hold only floats whose
-squares underflow to 0, many of them subnormal, which x86 multiplies in
-microcode. 2^-1000 sits 22 binades above the smallest normal float, so the
-cells kept stay normal for the 8 steps between scans. Each step covers the
-live window with a zero column per side, never one column, whose product BLAS
-rounds differently. So ``evolve_*`` and ``step_*`` agree bitwise until a
-column is dropped. After it the difference spreads inward only in amplitudes
-whose squares underflow: every probability matched the full light cone bit
-for bit up to t = 12000, and every amplitude was within 2^-990 of it at
-t = 1000, 2000 and 4000 (tests pin both there) and within 2^-821 at 12000.
+end column and wrap around. ``evolve_*`` step in scan blocks of 8 steps,
+each from one set of views and with one dot per buffer row per step, the
+block's totals checked at its end. On the line a block first widens the live
+window by its step count, one column per side per step, and at its end drops
+the edge columns whose amplitudes all lie below 2^-1000, zeroing them in both
+buffers. Past the ballistic front at |n| = t/sqrt(3) the amplitudes fall off
+faster than exponentially, so the outer columns of the light cone hold only
+floats whose squares underflow to 0, many of them subnormal, which x86
+multiplies in microcode. 2^-1000 sits 22 binades above the smallest normal
+float, so the cells kept stay normal for the 8 steps between scans. Each step
+covers the live state with at least one zero column per side, which lands as
++0, and never one column, whose product BLAS rounds differently. So
+``evolve_*`` and ``step_*`` agree bitwise until a column is dropped. After it
+the difference spreads inward only in amplitudes whose squares underflow:
+every probability matched the full light cone bit for bit up to t = 12000,
+and every amplitude was within 2^-990 of it at t = 1000, 2000 and 4000
+(tests pin both there) and within 2^-821 at 12000.
 """
 
 from __future__ import annotations
@@ -395,29 +398,34 @@ def _edge(columns: np.ndarray) -> int:
 
 
 def _evolve(parts: np.ndarray, t: int, cycle: bool, states: int = 1) -> np.ndarray:
-    # t steps of a (rows, 3, cols) buffer of ``states`` states, each checked every
-    # step; the line starts in column cols // 2 = t + 1. Both buffers stay zero
-    # outside the live columns [lo, hi). Drops the end columns.
+    # t steps of a (rows, 3, cols) buffer of ``states`` states in blocks of _SCAN,
+    # each state checked every step; the line starts in column cols // 2 = t + 1.
+    # Both buffers stay zero outside the live columns [lo, hi). A line block steps
+    # each of its k steps over the window its last step reaches, which leaves at
+    # least one zero column, landing as +0, per side. Drops the end columns.
     cols = parts.shape[2]
     bufs = (parts, np.zeros_like(parts))
     r, c, j = parts.strides
     landings = [np.ndarray((len(b), 3, cols - 2), float, b, strides=(r, c + j, j)) for b in bufs]
-    dots = np.empty((t, 3 * len(parts)))  # row s - 1: each row's squared norm after step s
+    totals = np.empty((_SCAN, 3 * len(parts)))  # row i: each row's squared norm after step i + 1 of a block
     what = "cycle state" if cycle else "line state"
     lo, hi = (1, cols - 1) if cycle else (cols // 2, cols // 2 + 1)
-    for s in range(1, t + 1):
-        if not cycle:  # step the live window with a zero column per side
-            lo, hi = lo - 1, hi + 1
-        src, dst, landing = bufs[1 - s % 2], bufs[s % 2], landings[s % 2]
-        np.matmul(_coin(), src[:, :, lo:hi], out=landing[:, :, lo - 1 : hi - 1])
-        if cycle:
-            dst[:, 0, -2], dst[:, 2, 1] = dst[:, 0, 0], dst[:, 2, -1]
-        rows = dst[:, :, lo:hi].reshape(-1, hi - lo)  # a view: the rows are equally strided
-        np.matmul(rows[:, None, :], rows[:, :, None], out=dots[s - 1, :, None, None])
-        if s % _SCAN and s < t:
-            continue
-        done = (s - 1) // _SCAN * _SCAN  # steps checked before this block
-        _check_totals(dots[done:s].reshape(s - done, states, -1).sum(axis=2), done + 1, what)
+    for done in range(0, t, _SCAN):
+        k = min(_SCAN, t - done)
+        if not cycle:
+            lo, hi = lo - k, hi + k
+        # Per buffer: the source, the landing and the rows (a view: they are equally strided).
+        views = [(b[:, :, lo:hi], w[:, :, lo - 1 : hi - 1], b[:, :, lo:hi].reshape(-1, hi - lo))
+                 for b, w in zip(bufs, landings)]
+        coin = _coin()
+        for s in range(done + 1, done + k + 1):
+            (src, _, _), (_, landing, rows) = views[1 - s % 2], views[s % 2]
+            np.matmul(coin, src, out=landing)
+            if cycle:
+                dst = bufs[s % 2]
+                dst[:, 0, -2], dst[:, 2, 1] = dst[:, 0, 0], dst[:, 2, -1]
+            np.vecdot(rows, rows, out=totals[s - 1 - done])
+        _check_totals(totals[:k].reshape(k, states, -1).sum(axis=2), done + 1, what)
         if not cycle:  # checked, so some column holds amplitude: live_lo < live_hi
             live_lo, live_hi = lo + _edge(rows), hi - _edge(rows[:, ::-1])
             for b in bufs:

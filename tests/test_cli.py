@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -473,7 +475,8 @@ class TestWriters:
         ]
         for header, rows in tables:
             path = tmp_path / "table.csv"
-            assert _write_csv(path, header, *zip(*rows)) == path
+            written = _write_csv(path, header, *zip(*rows))
+            assert written == (path, hashlib.sha256(path.read_bytes()).hexdigest())
             expected = [header] + [
                 ",".join(str(v) if isinstance(v, int) else format(v, ".17g") for v in row)
                 for row in rows
@@ -883,6 +886,29 @@ class TestManifest:
         assert outputs["trace.csv"] != outputs["../p/trace.csv"]
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == "wrote distribution.csv, trace.csv, ../p/trace.csv and manifest.json in o"
+
+    def test_outputs_are_hashed_from_the_bytes_written(self, tmp_path, monkeypatch):
+        # Each writer hands its digest to the manifest: no file is opened for
+        # reading (Path.read_bytes opens through io.open, the SVG writer
+        # through the builtin).
+        written = []
+        real_open = io.open
+
+        def write_only(file, mode="r", *args, **kwargs):
+            assert set(mode) & set("wax+"), f"read back {file}"
+            written.append(os.path.basename(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", write_only)
+        monkeypatch.setattr(builtins, "open", write_only)
+        argv = ["evolve", "--qubit", "1,0,0", "--steps", "3", "--svg", "t.svg", "--heatmap", "h.svg"]
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "o"]) == 0
+        monkeypatch.undo()
+        files = ["o/distribution.csv", "o/trace.csv", "t.svg", "h.svg"]
+        assert written == [*map(os.path.basename, files), "manifest.json"]
+        outputs = json.loads((tmp_path / "o" / "manifest.json").read_text())["outputs"]
+        assert outputs == {os.path.relpath(f, "o"): sha256_of(tmp_path / f) for f in files}
 
     def test_round_trip(self, tmp_path):
         main(["timeavg", "--qubit", "1,0,0", "--sites", "5", "--out", str(tmp_path)])

@@ -374,9 +374,10 @@ class TestStepper:
         # bound of step s, a block of steps at a time, then once more on the
         # frozen result; the cycle's initial state is checked as well. Each
         # total is the sum of the squares of the real and imaginary parts of
-        # exactly the state after s steps, on the live window: [-s, s] here. A
-        # coin scaled by 1 + 2^-40 (within the bound) makes every step's total
-        # differ from its neighbours' by about 2^-39.
+        # exactly the state after s steps, on the window of its block: the
+        # live window that the block's last step reaches, [-e, e] here, with e
+        # the block's last step. A coin scaled by 1 + 2^-40 (within the bound)
+        # makes every step's total differ from its neighbours' by about 2^-39.
         q = FIGURE_STATE
         seen = []
         check_block, check_state = walk._check_totals, walk._check_total_probability
@@ -391,15 +392,15 @@ class TestStepper:
             seen.append((what, time, values.shape, np.array(values)))
             check_state(values, time, what)
 
-        def total(amplitudes, cols, lo):
+        def total(amplitudes, cols, lo, window):
             # One dot per row of the real and imaginary parts, laid out as in
-            # evolve_*'s (2, 3, cols) buffer from column lo: BLAS may round a
-            # dot differently for other strides.
+            # evolve_*'s (2, 3, cols) buffer from column lo, over the block's
+            # columns window: BLAS may round a dot differently for other
+            # strides, or with the state elsewhere among the zeros.
             buffer = np.zeros((2, 3, cols))
-            window = buffer[:, :, lo : lo + len(amplitudes)]
-            window[...] = amplitudes.real.T, amplitudes.imag.T
-            rows = window.reshape(6, -1)
-            return float((rows[:, None, :] @ rows[:, :, None]).sum())
+            buffer[:, :, lo : lo + len(amplitudes)] = amplitudes.real.T, amplitudes.imag.T
+            rows = buffer[:, :, window].reshape(6, -1)
+            return float(np.vecdot(rows, rows).sum())
 
         monkeypatch.setattr(walk, "_check_totals", record_block)
         monkeypatch.setattr(walk, "_check_total_probability", record_state)
@@ -415,7 +416,9 @@ class TestStepper:
         totals = np.concatenate([entry[3] for entry in recorded[:-1]])
         assert np.all(np.diff(totals[:, 0]) > 2.0**-40)
         for s in range(1, t + 1):
-            assert totals[s - 1, 0] == total(evolve_line(q, s).amplitudes, 2 * t + 3, t + 1 - s)
+            e = min(-(-s // walk._SCAN) * walk._SCAN, t)
+            window = slice(t + 1 - e, t + 2 + e)
+            assert totals[s - 1, 0] == total(evolve_line(q, s).amplitudes, 2 * t + 3, t + 1 - s, window)
         assert np.array_equal(recorded[-1][3], line.amplitudes)
         seen.clear()
         ring = evolve_cycle(q, 5, 2)
@@ -427,7 +430,7 @@ class TestStepper:
         ]
         assert np.array_equal(recorded[0][3], evolve_cycle(q, 5, 0).amplitudes)
         for s in (1, 2):
-            assert recorded[1][3][s - 1, 0] == total(evolve_cycle(q, 5, s).amplitudes, 7, 1)
+            assert recorded[1][3][s - 1, 0] == total(evolve_cycle(q, 5, s).amplitudes, 7, 1, slice(1, 6))
         assert np.array_equal(recorded[-1][3], ring.amplitudes)
 
     def test_a_norm_moving_coin_stops_within_one_block(self, monkeypatch):
@@ -519,6 +522,73 @@ def full_light_cone() -> dict[int, np.ndarray]:
             amplitudes.real, amplitudes.imag = parts[0::2], parts[1::2]
             out[s] = amplitudes
     return out
+
+
+def per_step_evolve(parts: np.ndarray, t: int, cycle: bool) -> np.ndarray:
+    """walk._evolve's loop from before its scan blocks, without the checks.
+
+    Every step builds its own views and steps the live window with exactly
+    one zero column per side; the line drops its edge columns after steps
+    _SCAN, 2 _SCAN, ... and after step t, as walk._evolve does. Steps
+    ``parts`` in place and returns the stepped buffer without its end columns.
+    """
+    cols = parts.shape[2]
+    bufs = (parts, np.zeros_like(parts))
+    r, c, j = parts.strides
+    landings = [np.ndarray((len(b), 3, cols - 2), float, b, strides=(r, c + j, j)) for b in bufs]
+    coin = walk.coin_matrix().real
+    lo, hi = (1, cols - 1) if cycle else (cols // 2, cols // 2 + 1)
+    for s in range(1, t + 1):
+        if not cycle:
+            lo, hi = lo - 1, hi + 1
+        src, dst, landing = bufs[1 - s % 2], bufs[s % 2], landings[s % 2]
+        np.matmul(coin, src[:, :, lo:hi], out=landing[:, :, lo - 1 : hi - 1])
+        if cycle:
+            dst[:, 0, -2], dst[:, 2, 1] = dst[:, 0, 0], dst[:, 2, -1]
+        elif s % walk._SCAN == 0 or s == t:
+            rows = dst[:, :, lo:hi].reshape(-1, hi - lo)
+            live_lo, live_hi = lo + walk._edge(rows), hi - walk._edge(rows[:, ::-1])
+            for b in bufs:
+                b[:, :, lo:live_lo] = b[:, :, live_hi:hi] = 0.0
+            lo, hi = live_lo, live_hi
+    return bufs[t % 2][:, :, 1:-1]
+
+
+#: Times around the scan blocks' ends, and one long enough to drop columns.
+BLOCK_TIMES = (1, 2, 7, 8, 9, 16, 17, 1000)
+
+
+class TestScanBlocks:
+    # walk._evolve steps each block of _SCAN steps over the window that its
+    # last step reaches; every state equals the per-step loop's bit for bit.
+    def test_line_states_match_the_per_step_loop(self):
+        for q in TEST_STATES:
+            for t in BLOCK_TIMES:
+                parts = per_step_evolve(walk._parts(q.as_array()[None, :], pad=t + 1), t, cycle=False)
+                assert evolve_line(q, t).amplitudes.tobytes() == walk._amplitudes(parts).tobytes()
+
+    @pytest.mark.parametrize("n_sites", (3, 31))
+    def test_cycle_states_match_the_per_step_loop(self, n_sites):
+        # A cycle steps its rows apart, so one run steps every state; a ring
+        # of 3 wraps from step 2 on, a ring of 31 from step 16 on.
+        starts = []
+        for q in TEST_STATES:
+            start = np.zeros((n_sites, 3), dtype=complex)
+            start[0] = q.as_array()
+            starts.append(walk._parts(start, pad=1))
+        for t in BLOCK_TIMES:
+            parts = per_step_evolve(np.concatenate(starts), t, cycle=True)
+            rows = np.cumsum([len(start) for start in starts])[:-1]
+            for q, expected in zip(TEST_STATES, np.split(parts, rows)):
+                state = evolve_cycle(q, n_sites, t)
+                assert state.amplitudes.tobytes() == walk._amplitudes(expected).tobytes()
+
+    def test_weak_limit_matches_the_per_step_loop(self):
+        t = 2000
+        parts = np.zeros((3, 3, 2 * t + 3))
+        parts[:, :, t + 1] = np.eye(3)
+        masses = (per_step_evolve(parts, t, cycle=False) ** 2).sum(axis=1).sum(axis=0) / 3.0
+        assert weaklimit.empirical_rescaled(t).masses.tobytes() == masses.tobytes()
 
 
 def arrays(result) -> dict:

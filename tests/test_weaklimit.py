@@ -220,8 +220,9 @@ class TestEmpiricalRescaled:
             assert np.array_equal(empirical_rescaled(t).masses, mixture)
 
     def test_each_state_is_checked_every_step(self, monkeypatch):
-        # Each pure state's total on its live window, [-s, s] here, is
-        # compared on its own after every step s, a block of steps at a time:
+        # Each pure state's total on its block's window, the live window that
+        # the block's last step e reaches ([-e, e] here), is compared on its
+        # own after every step s, a block of steps at a time:
         # a coin that moves norm from the first basis state to the second
         # fails in the first block, although the mixture keeps its total.
         seen = []
@@ -240,15 +241,16 @@ class TestEmpiricalRescaled:
         ]
         totals = np.concatenate([totals for _, totals in seen])
         for s in range(1, t + 1):
-            # One dot per chirality, on the columns [t + 1 - s, t + 2 + s) of
-            # a (3, 3, 2t + 3) buffer, as empirical_rescaled lays them out.
+            # One dot per chirality, on the columns [t + 1 - e, t + 2 + e) of
+            # a (3, 3, 2t + 3) buffer, as empirical_rescaled lays them out,
+            # with the state after s steps in [t + 1 - s, t + 2 + s).
+            e = min(-(-s // walk._SCAN) * walk._SCAN, t)
             buffer = np.zeros((3, 3, 2 * t + 3))
             for i, components in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
                 amplitudes = evolve_line(QubitState(*components), s).amplitudes
                 buffer[i, :, t + 1 - s : t + 2 + s] = amplitudes.real.T
-            rows = buffer[:, :, t + 1 - s : t + 2 + s]
-            dots = rows[:, :, None, :] @ rows[:, :, :, None]
-            assert np.array_equal(totals[s - 1], dots.sum(axis=(1, 2, 3)))
+            rows = buffer[:, :, t + 1 - e : t + 2 + e]
+            assert np.array_equal(totals[s - 1], np.vecdot(rows, rows).sum(axis=1))
         seen.clear()
         coin = np.asarray(walk._coin()) * np.sqrt([1.0 + 1e-6, 1.0 - 1e-6, 1.0])
         assert float(np.sum(coin**2)) / 3.0 == pytest.approx(1.0, abs=1e-15)

@@ -3,35 +3,32 @@
 The walker carries three internal (chirality) components: a left mover, a
 stayer, and a right mover. One time step applies the Grover-type coin to the
 internal state and then routes each component one site left, nowhere, or one
-site right. Evolution is implemented on a finite window of the infinite line
-(the window spans the light cone; only amplitudes below 2^-1000 at its edges
-are dropped, see below) and on cycles with an odd number of sites.
+site right, on the infinite line or on a cycle with an odd number of sites.
 
 The coin and the shifts are real, so the real and imaginary parts of a state
 evolve apart, as float64 buffers (rows, 3, sites): one row for a real state,
 two otherwise, three for the weak limit's pure states. Each step is one BLAS
-product ``coin @ window``, which ``evolve_*`` write into a second buffer
-through a landing view ``landing[r, c, j] = buf[r, c, j + c]`` that shifts
-each chirality as it lands. The buffers alternate, and both stay exactly zero
-outside a live window of columns, so cells that nothing lands on read zero;
-the cycle's live window is the whole ring, whose edge movers land in a spare
-end column and wrap around. ``evolve_*`` step in scan blocks of 8 steps,
-each from one set of views and with one dot per buffer row per step, the
-block's totals checked at its end. On the line a block first widens the live
-window by its step count, one column per side per step, and at its end drops
-the edge columns whose amplitudes all lie below 2^-1000, zeroing them in both
-buffers. Past the ballistic front at |n| = t/sqrt(3) the amplitudes fall off
-faster than exponentially, so the outer columns of the light cone hold only
-floats whose squares underflow to 0, many of them subnormal, which x86
-multiplies in microcode. 2^-1000 sits 22 binades above the smallest normal
-float, so the cells kept stay normal for the 8 steps between scans. Each step
-covers the live state with at least one zero column per side, which lands as
-+0, and never one column, whose product BLAS rounds differently. So
-``evolve_*`` and ``step_*`` agree bitwise until a column is dropped. After it
-the difference spreads inward only in amplitudes whose squares underflow:
-every probability matched the full light cone bit for bit up to t = 12000,
-and every amplitude was within 2^-990 of it at t = 1000, 2000 and 4000
-(tests pin both there) and within 2^-821 at 12000.
+product ``coin @ window``, landed in a second buffer through a view
+``landing[r, c, j] = buf[r, c, j + c]`` that shifts each chirality. A buffer
+is a ring with a spare end column per side and the walker starting in its
+middle column: the line of t steps is the ring of 2t + 1 sites, which t steps
+never wrap, and a cycle is rolled back to site 0 at the end. Both buffers
+stay zero outside a live window, which ``evolve_*`` widen by one column per
+side per step, in scan blocks of 8 steps stepped from one set of views, with
+one dot per buffer row per step checked at the block's end. At its end a
+block drops the edge columns whose amplitudes all lie below 2^-1000; a block
+whose window would pass the ring's ends steps the whole ring instead, wraps
+its edge movers every step and drops nothing. Past the ballistic front at
+|n| = t/sqrt(3) amplitudes fall off faster than exponentially, so dropped
+columns hold only floats whose squares underflow to 0, many of them
+subnormal, which x86 multiplies in microcode; 2^-1000 sits 22 binades above
+the smallest normal float, so the cells kept stay normal between scans.
+Each step covers the live state with a zero column per side, which lands as
++0, or the whole ring, never one column, whose product BLAS rounds
+differently. So ``evolve_*`` and ``step_*`` agree bitwise until a column is
+dropped, then in probabilities only: the drops moved amplitudes by at most
+2^-990 on the line at t = 1000, 2000 and 4000 and on a ring of 2001 sites at
+t = 1001 and 2000 (tests pin these), and 2^-821 on the line at t = 12000.
 """
 
 from __future__ import annotations
@@ -356,24 +353,22 @@ def _amplitudes(parts: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
-def _step(amplitudes: np.ndarray, cycle: bool) -> np.ndarray:
-    # One step of frozen amplitudes: the coin over their parts (the line's padded by
-    # a zero site per side), landing shifted in an output with a spare end site.
-    parts = _parts(amplitudes, pad=0 if cycle else 1)
+def _step(parts: np.ndarray) -> np.ndarray:
+    # One step of a ring of parts, landing shifted in an output with a spare end site
+    # whose edge movers wrap around: only zeros for a line padded by a site per side.
     n = parts.shape[2]
     out = np.zeros((n + 2, 3), dtype=complex)
     site, item = out.strides
     landing = np.ndarray((len(parts), 3, n), float, out, strides=(item // 2, site + item, site))
     np.matmul(_coin(), parts, out=landing)
-    if cycle:
-        out[n, 0], out[1, 2] = out[0, 0], out[n + 1, 2]
+    out[n, 0], out[1, 2] = out[0, 0], out[n + 1, 2]
     return out[1:-1]
 
 
-#: Steps between scans of the line's live window.
+#: Steps between scans of the live window.
 _SCAN = 8
 
-#: Amplitude below which an edge column of the line leaves the live window.
+#: Amplitude below which an edge column leaves the live window.
 #: The front falls by about a factor 3 (1.6 binades) per step, the outermost
 #: left mover by exactly the coin's diagonal -1/3, so from 2^-1000 the cells
 #: that grow out of a kept edge stay above the smallest normal float, 2^-1022,
@@ -397,23 +392,22 @@ def _edge(columns: np.ndarray) -> int:
     return k
 
 
-def _evolve(parts: np.ndarray, t: int, cycle: bool, states: int = 1) -> np.ndarray:
-    # t steps of a (rows, 3, cols) buffer of ``states`` states in blocks of _SCAN,
-    # each state checked every step; the line starts in column cols // 2 = t + 1.
-    # Both buffers stay zero outside the live columns [lo, hi). A line block steps
-    # each of its k steps over the window its last step reaches, which leaves at
-    # least one zero column, landing as +0, per side. Drops the end columns.
+def _evolve(parts: np.ndarray, t: int, what: str, states: int = 1) -> np.ndarray:
+    # t steps of a (rows, 3, cols) buffer of ``states`` states in blocks of _SCAN, each
+    # checked every step: a ring of cols - 2 sites, site 0 in column cols // 2. Both
+    # buffers stay zero outside the live columns [lo, hi). A block steps its k steps over
+    # [lo - k, hi + k), leaving a zero column, landing as +0, per side, then drops the
+    # end columns; one that would pass the ring's ends steps and wraps the whole ring.
     cols = parts.shape[2]
     bufs = (parts, np.zeros_like(parts))
     r, c, j = parts.strides
     landings = [np.ndarray((len(b), 3, cols - 2), float, b, strides=(r, c + j, j)) for b in bufs]
     totals = np.empty((_SCAN, 3 * len(parts)))  # row i: each row's squared norm after step i + 1 of a block
-    what = "cycle state" if cycle else "line state"
-    lo, hi = (1, cols - 1) if cycle else (cols // 2, cols // 2 + 1)
+    lo, hi = cols // 2, cols // 2 + 1
     for done in range(0, t, _SCAN):
         k = min(_SCAN, t - done)
-        if not cycle:
-            lo, hi = lo - k, hi + k
+        ring = lo - k < 1 or hi + k > cols - 1
+        lo, hi = (1, cols - 1) if ring else (lo - k, hi + k)
         # Per buffer: the source, the landing and the rows (a view: they are equally strided).
         views = [(b[:, :, lo:hi], w[:, :, lo - 1 : hi - 1], b[:, :, lo:hi].reshape(-1, hi - lo))
                  for b, w in zip(bufs, landings)]
@@ -421,12 +415,12 @@ def _evolve(parts: np.ndarray, t: int, cycle: bool, states: int = 1) -> np.ndarr
         for s in range(done + 1, done + k + 1):
             (src, _, _), (_, landing, rows) = views[1 - s % 2], views[s % 2]
             np.matmul(coin, src, out=landing)
-            if cycle:
+            if ring:
                 dst = bufs[s % 2]
                 dst[:, 0, -2], dst[:, 2, 1] = dst[:, 0, 0], dst[:, 2, -1]
             np.vecdot(rows, rows, out=totals[s - 1 - done])
         _check_totals(totals[:k].reshape(k, states, -1).sum(axis=2), done + 1, what)
-        if not cycle:  # checked, so some column holds amplitude: live_lo < live_hi
+        if not ring:  # checked, so some column holds amplitude: live_lo < live_hi
             live_lo, live_hi = lo + _edge(rows), hi - _edge(rows[:, ::-1])
             for b in bufs:
                 b[:, :, lo:live_lo] = b[:, :, live_hi:hi] = 0.0
@@ -436,7 +430,7 @@ def _evolve(parts: np.ndarray, t: int, cycle: bool, states: int = 1) -> np.ndarr
 
 def step_line(s: LineState) -> LineState:
     """Advance a line state by one step, widening the window by one site per side."""
-    amplitudes = _step(s.amplitudes, cycle=False)
+    amplitudes = _step(_parts(s.amplitudes, pad=1))
     return _own(LineState, origin_offset=s.origin_offset - 1, amplitudes=amplitudes, time=s.time + 1)
 
 
@@ -456,23 +450,28 @@ def evolve_line(q: QubitState, t: int) -> LineState:
         The state after ``t`` steps; its window spans exactly [-t, t].
     """
     t = _count(t)
-    parts = _evolve(_parts(q.as_array()[None, :], pad=t + 1), t, cycle=False)
+    parts = _evolve(_parts(q.as_array()[None, :], pad=t + 1), t, "line state")
     return _own(LineState, origin_offset=-t, amplitudes=_amplitudes(parts), time=t)
 
 
 def step_cycle(s: CycleState) -> CycleState:
     """Advance a cycle state by one step (site indices wrap modulo the size)."""
-    return _own(CycleState, n_sites=s.n_sites, amplitudes=_step(s.amplitudes, cycle=True), time=s.time + 1)
+    return _own(CycleState, n_sites=s.n_sites, amplitudes=_step(_parts(s.amplitudes)), time=s.time + 1)
 
 
 def evolve_cycle(q: QubitState, n_sites: int, t: int) -> CycleState:
-    """Evolve the walker for ``t`` steps on a cycle of ``n_sites`` sites."""
+    """Evolve the walker for ``t`` steps on a cycle of ``n_sites`` sites.
+
+    Until its light cone covers the ring, edge columns below 2^-1000 are
+    dropped as on the line, which moves no probability.
+    """
     t, n_sites = _count(t), _cycle_size(n_sites)
     start = np.zeros((n_sites, 3), dtype=complex)
     start[0] = q.as_array()
     _check_total_probability(start, 0, "cycle state")
-    parts = _evolve(_parts(start, pad=1), t, cycle=True)
-    return _own(CycleState, n_sites=n_sites, amplitudes=_amplitudes(parts), time=t)
+    h = n_sites // 2  # site 0's row in the stepped ring
+    rolled = _amplitudes(_evolve(_parts(q.as_array()[None, :], pad=h + 1), t, "cycle state"))
+    return _own(CycleState, n_sites=n_sites, amplitudes=np.concatenate((rolled[h:], rolled[:h])), time=t)
 
 
 def distribution(s: LineState | CycleState) -> Distribution:

@@ -143,7 +143,7 @@ def empirical_rescaled(t: int) -> EmpiricalRescaled:
     # t + 1; each state's sum comes first, as in three separate evolutions.
     parts = np.zeros((3, 3, 2 * t + 3))
     parts[:, :, t + 1] = np.eye(3)
-    mixture = (walk._evolve(parts, t, cycle=False, states=3) ** 2).sum(axis=1).sum(axis=0) / 3.0
+    mixture = (walk._evolve(parts, t, "line state", states=3) ** 2).sum(axis=1).sum(axis=0) / 3.0
     positions = np.arange(-t, t + 1, dtype=float) / t
     return EmpiricalRescaled(time=t, positions=positions, masses=mixture)
 

@@ -1,0 +1,98 @@
+"""Direct evolution against an exact integer walk.
+
+The coin is (2J - 3I)/3, so the walk from a basis state, scaled by 3^t, has
+integer amplitudes: one exact step is 2 (a_L + a_0 + a_R) - 3 a_l, then the
+shift, in Python ints. A qubit of floats is an exact combination of the three
+basis walks, since each float is a dyadic rational, so the combination stays
+in integers too, and one ``int / int`` division rounds each amplitude to
+float64 correctly. The reference measures the rounding of ``evolve_line``,
+chained ``step_line`` and ``evolve_cycle``; it feeds no route of triwalk.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from states import TEST_STATES
+from triwalk import QubitState, evolve_cycle, evolve_line, step_line
+
+EPS = float(np.finfo(float).eps)
+
+#: Amplitude error allowed per step. As for walk.STEP_ROUNDOFF, each new real
+#: (or imaginary) component is a three-term dot product of a coin row with old
+#: components; with the coin's own rounding it takes at most 5 roundings of
+#: u = eps/2, so the error vector has ||delta|| <= 5u ||B|| <= 5u (5/3) ||psi||,
+#: |A| being symmetric with row sums 5/3. The shifts are exact and the step is
+#: unitary, so after t steps every amplitude lies within t (25/3) u of the
+#: exact walk, plus u for rounding the reference. Measured over the 13 test
+#: states at t = 200: about 0.1 eps per step (4.6e-15 on the line, 5.8e-15 on
+#: the ring of 31 sites), against the bound's 4.2 eps.
+AMPLITUDE_ROUNDOFF = 25.0 / 6.0 * EPS
+
+#: Times the line is pinned at; the ring of 2 * 200 + 1 sites carries it.
+LINE_TIMES = (1, 8, 9, 50, 200)
+
+#: A ring of 31 sites: its live window covers it at step 15 and wraps from 17.
+RING, RING_TIMES = 31, (8, 15, 19, 200)
+
+
+@functools.cache
+def exact_walks(n_sites: int, times: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """3^t times the walks from the three basis states at site 0 of a ring.
+
+    Returns, at each of ``times``, an integer (3 bases, 3 chiralities,
+    n_sites) object array, each basis walk's squared norm checked to be
+    exactly 9^t.
+    """
+    x = np.zeros((3, 3, n_sites), dtype=object)
+    x[:, :, 0] = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    out = {}
+    for t in range(1, max(times) + 1):
+        x = 2 * x.sum(axis=1, keepdims=True) - 3 * x
+        x[:, 0], x[:, 2] = np.roll(x[:, 0], -1, axis=1), np.roll(x[:, 2], 1, axis=1)
+        if t in times:
+            assert [int((walk * walk).sum()) for walk in x] == [9**t] * 3
+            out[t] = x
+    return out
+
+
+def exact_state(q: QubitState, x: np.ndarray, t: int) -> np.ndarray:
+    """The (sites, 3) amplitudes from q, each the exact value rounded once."""
+    amplitudes = np.empty((x.shape[2], 3), dtype=complex)
+    for part in ("real", "imag"):
+        ratios = [getattr(complex(z), part).as_integer_ratio() for z in (q.alpha, q.beta, q.gamma)]
+        den = max(d for _, d in ratios)  # each a power of two
+        num = sum(n * (den // d) * x[c] for c, (n, d) in enumerate(ratios))
+        setattr(amplitudes, part, (num / (den * 3**t)).astype(float).T)
+    return amplitudes
+
+
+def assert_within_bound(state: np.ndarray, exact: np.ndarray, t: int) -> None:
+    assert np.abs(state - exact).max() <= t * AMPLITUDE_ROUNDOFF + EPS / 2
+
+
+def test_the_integer_walk_is_exact_on_the_ring():
+    # A walk on the ring of 2t + 1 sites, which t steps never wrap, is the line's.
+    for t, x in exact_walks(2 * max(LINE_TIMES) + 1, LINE_TIMES).items():
+        assert not x[:, :, t + 1 : -t].any()
+
+
+def test_evolve_line_and_step_line_are_within_the_rounding_bound():
+    walks = exact_walks(2 * max(LINE_TIMES) + 1, LINE_TIMES)
+    for q in TEST_STATES:
+        stepped = evolve_line(q, 0)
+        for t in range(1, max(LINE_TIMES) + 1):
+            stepped = step_line(stepped)
+            if t in walks:
+                exact = np.roll(exact_state(q, walks[t], t), t, axis=0)[: 2 * t + 1]
+                assert_within_bound(evolve_line(q, t).amplitudes, exact, t)
+                assert_within_bound(stepped.amplitudes, exact, t)
+
+
+def test_evolve_cycle_is_within_the_rounding_bound_on_both_sides_of_the_wrap():
+    walks = exact_walks(RING, RING_TIMES)
+    for q in TEST_STATES:
+        for t, x in walks.items():
+            assert_within_bound(evolve_cycle(q, RING, t).amplitudes, exact_state(q, x, t), t)

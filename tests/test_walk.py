@@ -420,18 +420,29 @@ class TestStepper:
             window = slice(t + 1 - e, t + 2 + e)
             assert totals[s - 1, 0] == total(evolve_line(q, s).amplitudes, 2 * t + 3, t + 1 - s, window)
         assert np.array_equal(recorded[-1][3], line.amplitudes)
-        seen.clear()
-        ring = evolve_cycle(q, 5, 2)
-        recorded = seen[:]
-        assert [entry[:3] for entry in recorded] == [
-            ("cycle state", 0, (5, 3)),
-            ("cycle state", 1, (2, 1)),
-            ("cycle state", 2, (5, 3)),
-        ]
-        assert np.array_equal(recorded[0][3], evolve_cycle(q, 5, 0).amplitudes)
-        for s in (1, 2):
-            assert recorded[1][3][s - 1, 0] == total(evolve_cycle(q, 5, s).amplitudes, 7, 1, slice(1, 6))
-        assert np.array_equal(recorded[-1][3], ring.amplitudes)
+        # A cycle steps with site 0 in its middle column, over the window the
+        # line's would be until that window would pass the ring's ends, then
+        # over the whole ring. A ring of 5 sites fits 2 steps without wrapping;
+        # one of 31 spends its first block before the wrap and two after it.
+        for n_sites, t in ((5, 2), (31, 19)):
+            seen.clear()
+            ring = evolve_cycle(q, n_sites, t)
+            recorded = seen[:]
+            assert [entry[:3] for entry in recorded] == [
+                ("cycle state", 0, (n_sites, 3)),
+                *[("cycle state", first, (min(walk._SCAN, t + 1 - first), 1)) for first in range(1, t + 1, walk._SCAN)],
+                ("cycle state", t, (n_sites, 3)),
+            ]
+            assert np.array_equal(recorded[0][3], evolve_cycle(q, n_sites, 0).amplitudes)
+            totals = np.concatenate([entry[3] for entry in recorded[1:-1]])
+            assert np.all(np.diff(totals[:, 0]) > 2.0**-40)
+            middle = n_sites // 2 + 1
+            for s in range(1, t + 1):
+                e = min(-(-s // walk._SCAN) * walk._SCAN, t)
+                window = slice(1, n_sites + 1) if e > n_sites // 2 else slice(middle - e, middle + e + 1)
+                laid_out = np.roll(evolve_cycle(q, n_sites, s).amplitudes, n_sites // 2, axis=0)
+                assert totals[s - 1, 0] == total(laid_out, n_sites + 2, 1, window)
+            assert np.array_equal(recorded[-1][3], ring.amplitudes)
 
     def test_a_norm_moving_coin_stops_within_one_block(self, monkeypatch):
         seen = []
@@ -529,8 +540,11 @@ def per_step_evolve(parts: np.ndarray, t: int, cycle: bool) -> np.ndarray:
 
     Every step builds its own views and steps the live window with exactly
     one zero column per side; the line drops its edge columns after steps
-    _SCAN, 2 _SCAN, ... and after step t, as walk._evolve does. Steps
-    ``parts`` in place and returns the stepped buffer without its end columns.
+    _SCAN, 2 _SCAN, ... and after step t, as walk._evolve does. A cycle, with
+    site 0 in column 1, steps the whole ring from the first step, which
+    walk._evolve does only once its live window would pass the ring's ends.
+    Steps ``parts`` in place and returns the stepped buffer without its end
+    columns.
     """
     cols = parts.shape[2]
     bufs = (parts, np.zeros_like(parts))
@@ -562,10 +576,14 @@ class TestScanBlocks:
     # walk._evolve steps each block of _SCAN steps over the window that its
     # last step reaches; every state equals the per-step loop's bit for bit.
     def test_line_states_match_the_per_step_loop(self):
+        # The line of t steps is also the ring of 2t + 1 sites, which t steps
+        # never wrap: evolve_cycle steps it alike, from its middle column.
         for q in TEST_STATES:
             for t in BLOCK_TIMES:
                 parts = per_step_evolve(walk._parts(q.as_array()[None, :], pad=t + 1), t, cycle=False)
-                assert evolve_line(q, t).amplitudes.tobytes() == walk._amplitudes(parts).tobytes()
+                line = evolve_line(q, t).amplitudes.tobytes()
+                assert line == walk._amplitudes(parts).tobytes()
+                assert np.roll(evolve_cycle(q, 2 * t + 1, t).amplitudes, t, axis=0).tobytes() == line
 
     @pytest.mark.parametrize("n_sites", (3, 31))
     def test_cycle_states_match_the_per_step_loop(self, n_sites):
@@ -661,6 +679,40 @@ class TestLiveWindow:
         pure = np.stack([a.real.T for a in full_light_cone()[t][:3]])
         masses = (pure**2).sum(axis=1).sum(axis=0) / 3.0
         assert np.array_equal(weaklimit.empirical_rescaled(t).masses, masses)
+
+
+class TestOneRule:
+    # walk._evolve steps a ring from its middle column: the line of t steps is
+    # the ring of 2t + 1 sites, which t steps never wrap, and a cycle wraps
+    # only once its live window would pass the ring's ends.
+    def test_the_line_still_drops_after_its_last_step(self, monkeypatch):
+        # The line's last block reaches the ring's ends without passing them,
+        # so it steps without a wrap and drops its edge columns after step t.
+        # At the real floor the edges cross it near t = 631; at 2^-30, near 19.
+        monkeypatch.setattr(walk, "_FLOOR", 2.0**-30)
+        for q in TEST_STATES:
+            for t in range(17, 25):
+                parts = per_step_evolve(walk._parts(q.as_array()[None, :], pad=t + 1), t, cycle=False)
+                assert evolve_line(q, t).amplitudes.tobytes() == walk._amplitudes(parts).tobytes()
+
+    def test_the_floor_keeps_every_probability_on_a_ring(self):
+        # A ring of 2001 sites drops edge columns below 2^-1000 from about step
+        # 632 until its light cone covers it at step 1000; the reference steps
+        # the whole ring from the first step and drops nothing.
+        n_sites, done = 2001, 0
+        starts = []
+        for q in LIVE_WINDOW_STATES:
+            start = np.zeros((n_sites, 3), dtype=complex)
+            start[0] = q.as_array()
+            starts.append(walk._parts(start, pad=1))
+        parts, rows = np.concatenate(starts), np.cumsum([len(start) for start in starts])[:-1]
+        for t in (1001, 2000):
+            parts = np.pad(per_step_evolve(parts, t - done, cycle=True), ((0, 0), (0, 0), (1, 1)))
+            done = t
+            for q, expected in zip(LIVE_WINDOW_STATES, np.split(parts[:, :, 1:-1], rows)):
+                state, reference = evolve_cycle(q, n_sites, t), CycleState(n_sites, walk._amplitudes(expected), t)
+                assert distribution(state).probabilities.tobytes() == distribution(reference).probabilities.tobytes()
+                assert np.abs(state.amplitudes - reference.amplitudes).max() <= 2.0**-990
 
 
 class TestDistribution:

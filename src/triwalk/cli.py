@@ -230,7 +230,7 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
 
 
 #: Largest cycle ``timeavg`` accepts. Time and memory grow linearly in N; at
-#: N = 20001 the command takes 0.33-0.56 s and peaks at 87 MiB on 2 CPUs.
+#: N = 20001 the command takes 0.33-0.47 s and peaks at 86 MiB on 2 CPUs.
 _MAX_TIMEAVG_SITES = 20001
 
 

@@ -60,6 +60,11 @@ DEFAULT_GRID_SIZE = 16384
 _COIN = coin_matrix()
 _COIN.setflags(write=False)
 
+#: The sign of k in each chirality's phase of ``fourier_operator``, as a complex
+#: column: a float one would be cast to complex in every product, to the same bits.
+_SHIFT = np.array([[1.0], [0.0], [-1.0]], dtype=complex)
+_SHIFT.setflags(write=False)
+
 
 class SingularMomentumError(ValueError):
     """Raised for momenta where the moving eigenvectors are not defined.
@@ -115,7 +120,7 @@ def dispersion(k: float | np.ndarray) -> tuple:
 def fourier_operator(k: float) -> np.ndarray:
     """One step of the walk at finite momentum ``k``: diag(e^{ik}, 1, e^{-ik}) coin."""
     k = float(_momentum(k))  # one momentum: float() refuses an array of several
-    return np.exp(1j * k * np.array([1.0, 0.0, -1.0]))[:, None] * _COIN
+    return np.exp(1j * k * _SHIFT) * _COIN
 
 
 def _eigenvector_components(theta: np.ndarray, k: np.ndarray) -> np.ndarray:

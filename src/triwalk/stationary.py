@@ -16,7 +16,7 @@ import operator
 
 import numpy as np
 
-from .walk import Distribution, QubitState, _chirality, _count, _own
+from .walk import Distribution, QubitState, _chirality, _count, _own, _totals
 
 __all__ = [
     "GEOMETRIC_RATIO",
@@ -96,4 +96,4 @@ def stationary_profile(q: QubitState, window: int) -> Distribution:
     table = np.empty((2 * window + 1, 3))
     for l, column in enumerate(columns):
         table[:, l] = [abs(z) ** 2 for z in column.tolist()]
-    return _own(Distribution, first_site=-window, probabilities=table)
+    return _own(Distribution, first_site=-window, probabilities=table, totals=_totals(table))

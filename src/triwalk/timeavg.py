@@ -83,7 +83,8 @@ def _projector_stack(momenta: np.ndarray, theta: np.ndarray) -> np.ndarray:
 def momentum_blocks(n_sites: int) -> tuple[MomentumBlock, ...]:
     """Spectral blocks of a cycle with ``n_sites`` sites (odd, >= 3).
 
-    Every block's projectors are read-only views into one (3, N, 3, 3) stack.
+    Every block's projectors are read-only views into one (3, N, 3, 3) stack,
+    and its operator is read-only too.
     """
     n_sites = _cycle_size(n_sites)
     half = (n_sites - 1) // 2
@@ -92,16 +93,12 @@ def momentum_blocks(n_sites: int) -> tuple[MomentumBlock, ...]:
     operators = [fourier_operator(momentum) for momentum in momenta]
     theta = [dispersion(momentum)[2] if mode else 0.0 for mode, momentum in zip(modes, momenta)]
     stack = _projector_stack(np.array(momenta), np.array(theta))
-    blocks = []
-    for i, mode in enumerate(modes):
-        if mode == 0:
-            pairs = ((0.0, stack[0, i]), (math.pi, stack[1, i]))
-        else:
-            pairs = ((0.0, stack[0, i]), (theta[i], stack[1, i]), (-theta[i], stack[2, i]))
-        blocks.append(
-            MomentumBlock(mode=mode, momentum=momenta[i], operator=operators[i], pairs=pairs)
-        )
-    return tuple(blocks)
+    for op in operators:
+        op.setflags(write=False)
+    return tuple(
+        MomentumBlock(mode, k, op, ((0.0, p0), (phase, p1), (-phase, p2)) if mode else ((0.0, p0), (math.pi, p1)))
+        for mode, k, op, phase, p0, p1, p2 in zip(modes, momenta, operators, theta, *stack)
+    )
 
 
 def eigenvalue_groups(
@@ -111,7 +108,8 @@ def eigenvalue_groups(
 
     The initial state sits at site 0, so every momentum block receives the
     same internal vector; the projected amplitude of block m at the target
-    site carries the plane-wave factor e^{i k_m site} / n_sites.
+    site carries the plane-wave factor e^{i k_m site} / n_sites. The site is
+    taken modulo the cycle size first, so a far site reads the same factor.
 
     The odd-cycle spectrum is known exactly, so the groups are read off it
     instead of found by comparing phases: eigenvalue 1 collects the
@@ -120,7 +118,8 @@ def eigenvalue_groups(
     theta falls strictly as |k| grows, which fixes the ascending phase order
     0, theta (m = half..1), pi, 2 pi - theta (m = 1..half).
     """
-    site = operator.index(site)
+    n_sites = _cycle_size(n_sites)
+    site = operator.index(site) % n_sites
     blocks = momentum_blocks(n_sites)
     half = n_sites // 2
     # Every pair is a view into the blocks' one projector stack, so one
@@ -130,31 +129,29 @@ def eigenvalue_groups(
     momenta = np.array([block.momentum for block in blocks])
     wave = np.exp(1j * momenta * site) / n_sites
     amp = wave[:, None] * (stack @ q.as_array())
-    # cumsum adds the modes one by one from -half to half; a pairwise np.sum
-    # would round differently in the last bits.
-    stationary = np.cumsum(amp[0], axis=0)[-1]
-    # Modes -m and +m for m = half..1, then for m = 1..half.
-    rising = (amp[1, :half] + amp[1, :half:-1]).tolist()
-    falling = (amp[2, half - 1 :: -1] + amp[2, half + 1 :]).tolist()
+    # One row per group in phase order: the stationary sum, modes -m and +m for
+    # m = half..1, mode 0's pair, and modes -m and +m for m = 1..half. cumsum
+    # adds the modes one by one from -half to half; a pairwise np.sum would
+    # round differently in the last bits. One tolist reads every row as the
+    # Python complex values that each ChiralVector holds.
+    amplitudes = np.concatenate((
+        np.cumsum(amp[0], axis=0)[-1:],
+        amp[1, :half] + amp[1, :half:-1],
+        amp[1, half : half + 1],
+        amp[2, half - 1 :: -1] + amp[2, half + 1 :],
+    )).ravel().tolist()
     theta = [block.pairs[1][0] for block in blocks[half + 1 :]]
-    modes = range(-half, half + 1)
-
-    def group(phase: float, members: tuple, amplitude: np.ndarray | list) -> EigenvalueGroup:
-        return EigenvalueGroup(
-            phase=phase, members=members, amplitude=ChiralVector.from_array(amplitude)
-        )
-
-    return (
-        group(0.0, tuple((m, 1) for m in modes), stationary),
-        *(
-            group(theta[m - 1], ((-m, 2), (m, 2)), amplitude)
-            for m, amplitude in zip(range(half, 0, -1), rising)
-        ),
-        group(math.pi, ((0, 2), (0, 3)), amp[1, half]),
-        *(
-            group(2.0 * math.pi - theta[m - 1], ((-m, 3), (m, 3)), amplitude)
-            for m, amplitude in zip(range(1, half + 1), falling)
-        ),
+    phases = [0.0, *reversed(theta), math.pi, *(2.0 * math.pi - phase for phase in theta)]
+    members = [
+        tuple((m, 1) for m in range(-half, half + 1)),
+        *(((-m, 2), (m, 2)) for m in range(half, 0, -1)),
+        ((0, 2), (0, 3)),
+        *(((-m, 3), (m, 3)) for m in range(1, half + 1)),
+    ]
+    values = iter(amplitudes)
+    return tuple(
+        EigenvalueGroup(phase, labels, ChiralVector(l, z, r))
+        for phase, labels, l, z, r in zip(phases, members, values, values, values)
     )
 
 
@@ -162,7 +159,8 @@ def cycle_time_average(n_sites: int, q: QubitState, site: int = 0) -> float:
     """Exact infinite-time Cesaro average of the probability at ``site``.
 
     Sums, per chirality, the squared moduli of the coherent per-eigenvalue
-    amplitudes. Equals the limit of (1/T) sum_{t<T} P(site, t) as T grows.
+    amplitudes. Equals the limit of (1/T) sum_{t<T} P(site, t) as T grows;
+    ``site`` is taken modulo ``n_sites``.
     """
     total = 0.0
     for group in eigenvalue_groups(n_sites, q, site):

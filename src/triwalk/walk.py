@@ -6,8 +6,9 @@ internal state and then routes each component one site left, nowhere, or one
 site right, on the infinite line or on a cycle with an odd number of sites.
 
 The coin and the shifts are real, so the real and imaginary parts of a state
-evolve apart, as float64 buffers (rows, 3, sites): one row for a real state,
-two otherwise, three for the weak limit's pure states. Each step is one BLAS
+evolve apart, as float64 buffers (rows, 3, sites): ``evolve_*`` step one row
+for a real qubit and two otherwise, ``step_*`` always two, and the weak limit
+three, one per pure state. Each step is one BLAS
 product ``coin @ window``, landed in a second buffer through a view
 ``landing[r, c, j] = buf[r, c, j + c]`` that shifts each chirality. A buffer
 is a ring with a spare end column per side and the walker starting in its
@@ -264,7 +265,7 @@ class Distribution:
         object.__setattr__(self, "first_site", operator.index(self.first_site))
         p = _frozen_rows(self.probabilities, float)
         with np.errstate(over="ignore"):  # an infinite total is refused below
-            totals = p[:, 0] + p[:, 1] + p[:, 2]
+            totals = _totals(p)
         if not (p.min(initial=0.0) >= 0.0 and totals.max(initial=0.0) < math.inf):  # NaN fails too
             raise ValueError("probabilities must be finite and non-negative")
         totals.setflags(write=False)
@@ -283,15 +284,15 @@ class Distribution:
         return float(self.totals[i]) if 0 <= i < len(self) else 0.0
 
 
+def _totals(p: np.ndarray) -> np.ndarray:
+    # Distribution.totals of a (sites, 3) probability table, added left to right.
+    return p[:, 0] + p[:, 1] + p[:, 2]
+
+
 def _own(cls: type, **fields):
-    # cls(**fields) for valid arrays that triwalk has just built and no caller
-    # holds: each is frozen in place where the public constructor would copy it.
-    if cls is Distribution:
-        p = fields["probabilities"]
-        fields["totals"] = p[:, 0] + p[:, 1] + p[:, 2]
-    else:  # a state, checked for conservation once, as its constructor checks it
-        what = "line state" if cls is LineState else "cycle state"
-        _check_total_probability(fields["amplitudes"], fields["time"], what)
+    # cls(**fields) without __init__, for values that triwalk has just built and
+    # that no caller holds; the caller checks them. Each array is frozen in place
+    # where a public constructor would copy it.
     obj = object.__new__(cls)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
@@ -337,12 +338,20 @@ def _coin() -> np.ndarray:
 
 
 def _parts(amplitudes: np.ndarray, pad: int = 0) -> np.ndarray:
-    # (rows, 3, pad + sites + pad) copy of contiguous (sites, 3) amplitudes, zero
-    # in the pad: the real part, then the imaginary part unless it is all zero.
-    pairs = amplitudes.view(float).reshape(-1, 3, 2).T
-    rows = 2 if pairs[1].any() else 1
-    parts = np.zeros((rows, 3, len(amplitudes) + 2 * pad))
-    parts[:, :, pad : pad + len(amplitudes)] = pairs[:rows]
+    # (2, 3, pad + sites + pad) copy of contiguous (sites, 3) amplitudes, zero in
+    # the pad: the real part, then the imaginary part. A zero imaginary part
+    # steps to +0, as _amplitudes fills it for one row.
+    parts = np.zeros((2, 3, len(amplitudes) + 2 * pad))
+    parts[:, :, pad : pad + len(amplitudes)] = amplitudes.view(float).reshape(-1, 3, 2).T
+    return parts
+
+
+def _start(q: QubitState, pad: int) -> np.ndarray:
+    # The qubit alone in the middle of pad + 1 + pad columns, as _parts lays it
+    # out, without the imaginary row if the qubit is real.
+    a = q.as_array()
+    parts = np.zeros((2 if a.imag.any() else 1, 3, 2 * pad + 1))
+    parts[:, :, pad] = (a.real, a.imag)[: len(parts)]
     return parts
 
 
@@ -431,6 +440,7 @@ def _evolve(parts: np.ndarray, t: int, what: str, states: int = 1) -> np.ndarray
 def step_line(s: LineState) -> LineState:
     """Advance a line state by one step, widening the window by one site per side."""
     amplitudes = _step(_parts(s.amplitudes, pad=1))
+    _check_total_probability(amplitudes, s.time + 1, "line state")
     return _own(LineState, origin_offset=s.origin_offset - 1, amplitudes=amplitudes, time=s.time + 1)
 
 
@@ -450,13 +460,16 @@ def evolve_line(q: QubitState, t: int) -> LineState:
         The state after ``t`` steps; its window spans exactly [-t, t].
     """
     t = _count(t)
-    parts = _evolve(_parts(q.as_array()[None, :], pad=t + 1), t, "line state")
-    return _own(LineState, origin_offset=-t, amplitudes=_amplitudes(parts), time=t)
+    amplitudes = _amplitudes(_evolve(_start(q, t + 1), t, "line state"))
+    _check_total_probability(amplitudes, t, "line state")
+    return _own(LineState, origin_offset=-t, amplitudes=amplitudes, time=t)
 
 
 def step_cycle(s: CycleState) -> CycleState:
     """Advance a cycle state by one step (site indices wrap modulo the size)."""
-    return _own(CycleState, n_sites=s.n_sites, amplitudes=_step(_parts(s.amplitudes)), time=s.time + 1)
+    amplitudes = _step(_parts(s.amplitudes))
+    _check_total_probability(amplitudes, s.time + 1, "cycle state")
+    return _own(CycleState, n_sites=s.n_sites, amplitudes=amplitudes, time=s.time + 1)
 
 
 def evolve_cycle(q: QubitState, n_sites: int, t: int) -> CycleState:
@@ -470,8 +483,10 @@ def evolve_cycle(q: QubitState, n_sites: int, t: int) -> CycleState:
     start[0] = q.as_array()
     _check_total_probability(start, 0, "cycle state")
     h = n_sites // 2  # site 0's row in the stepped ring
-    rolled = _amplitudes(_evolve(_parts(q.as_array()[None, :], pad=h + 1), t, "cycle state"))
-    return _own(CycleState, n_sites=n_sites, amplitudes=np.concatenate((rolled[h:], rolled[:h])), time=t)
+    rolled = _amplitudes(_evolve(_start(q, h + 1), t, "cycle state"))
+    amplitudes = np.concatenate((rolled[h:], rolled[:h]))
+    _check_total_probability(amplitudes, t, "cycle state")
+    return _own(CycleState, n_sites=n_sites, amplitudes=amplitudes, time=t)
 
 
 def distribution(s: LineState | CycleState) -> Distribution:
@@ -479,4 +494,4 @@ def distribution(s: LineState | CycleState) -> Distribution:
     p = np.abs(s.amplitudes)
     p **= 2  # in place, with the bits of np.abs(a) ** 2
     first_site = s.origin_offset if isinstance(s, LineState) else 0
-    return _own(Distribution, first_site=first_site, probabilities=p)
+    return _own(Distribution, first_site=first_site, probabilities=p, totals=_totals(p))

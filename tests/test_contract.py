@@ -23,6 +23,7 @@ proportion stay small.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import operator
@@ -32,8 +33,20 @@ import numpy as np
 import pytest
 
 import triwalk
-from states import FIGURE_STATE
-from triwalk import ChiralVector, Distribution, EmpiricalRescaled, QubitState, evolve_cycle, evolve_line
+from states import FIGURE_STATE, TEST_STATES
+from triwalk import (
+    ChiralVector,
+    Distribution,
+    EmpiricalRescaled,
+    QubitState,
+    distribution,
+    eigenvalue_groups,
+    evolve_cycle,
+    evolve_line,
+    momentum_blocks,
+    step_cycle,
+    step_line,
+)
 
 OK = "a finite value"
 EITHER = "ValueError or a finite value"
@@ -300,3 +313,68 @@ def test_distribution_refuses_a_bad_probability():
     for table in ([[math.nan, 0, 0]], [[math.inf, 0, 0]], [[-1.0, 0, 0]], [[-0.5, 1.0, 0.5]]):
         with pytest.raises(ValueError):
             Distribution(0, table)
+
+
+def _records(value):
+    """Each record in a result, nested ones included."""
+    if dataclasses.is_dataclass(value):
+        yield value
+        for f in dataclasses.fields(value):
+            yield from _records(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _records(item)
+
+
+def _arrays(value):
+    """Each array a result holds, in its records and their tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def _rebuilt(record):
+    """``record`` built again by its public constructor, from copies of its fields."""
+    if isinstance(record, ChiralVector):  # its components as the array constructor stores them
+        return ChiralVector.from_array(record.as_array())
+    fields = dataclasses.fields(record)
+    return type(record)(**{f.name: copy.deepcopy(getattr(record, f.name)) for f in fields if f.init})
+
+
+CYCLES = (3, 5, 101)
+
+#: Each library call that builds its records without their constructors, with
+#: every result it gives on the cycles of CYCLES and the 13 test states.
+BUILT = {
+    "momentum_blocks": lambda: [momentum_blocks(n) for n in CYCLES],
+    "eigenvalue_groups": lambda: [
+        eigenvalue_groups(n, q, site) for n in CYCLES for q in TEST_STATES for site in (0, n // 2)
+    ],
+    "evolve_line": lambda: [evolve_line(q, t) for q in TEST_STATES for t in (0, 1, 9)],
+    "step_line": lambda: [step_line(evolve_line(q, t)) for q in TEST_STATES for t in (0, 9)],
+    "evolve_cycle": lambda: [evolve_cycle(q, n, t) for n in CYCLES for q in TEST_STATES for t in (0, 2, 60)],
+    "step_cycle": lambda: [step_cycle(evolve_cycle(q, n, t)) for n in CYCLES for q in TEST_STATES for t in (0, 60)],
+    "distribution": lambda: [
+        distribution(s) for q in TEST_STATES for s in (evolve_line(q, 9), *(evolve_cycle(q, n, 60) for n in CYCLES))
+    ],
+}
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_records_equal_their_public_rebuild(name):
+    # Internal builds skip __init__ (or take the values positionally); each
+    # record must hold what its public constructor would build from it, field
+    # for field, with the same scalar types, and only read-only arrays.
+    for result in BUILT[name]():
+        for record in _records(result):
+            rebuilt = _rebuilt(record)
+            for f in dataclasses.fields(record):
+                mine, theirs = getattr(record, f.name), getattr(rebuilt, f.name)
+                assert type(mine) is type(theirs), f.name
+                assert _same(mine, theirs), f.name
+        assert not any(a.flags.writeable for a in _arrays(result))

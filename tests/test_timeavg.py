@@ -245,6 +245,22 @@ class TestCycleTimeAverage:
         brute = acc / steps
         assert cycle_time_average(3, q) == pytest.approx(brute, abs=1e-12)
 
+    @pytest.mark.parametrize("n_sites", [3, 5, 101])
+    def test_a_far_site_reads_its_residue(self, n_sites):
+        # The plane wave was formed from the raw site: on N = 5 the figure
+        # state read 0.2306021966923368 at site 1 but 0.25204930674231674 at
+        # site 1 + 5 * 10^15, where k * site had lost its last bits.
+        def values(site):
+            groups = eigenvalue_groups(n_sites, FIGURE_STATE, site)
+            amplitudes = np.array([g.amplitude.as_array() for g in groups])
+            return cycle_time_average(n_sites, FIGURE_STATE, site), amplitudes.tobytes()
+
+        for site in range(n_sites) if n_sites < 10 else (0, 1, n_sites // 2, n_sites - 1):
+            expected = values(site)
+            # j = -1 makes each negative site of the ring's first lap.
+            for j in (1, -1, -2, 10**15, 2**63, -(2**63), 10**400, -(10**400)):
+                assert values(site + j * n_sites) == expected
+
     def test_against_figure_value(self):
         average = cycle_time_average(101, FIGURE_STATE)
         assert average == pytest.approx(0.2020410, abs=0.02)

@@ -324,6 +324,16 @@ class TestStepper:
                     assert np.array_equal(out.amplitudes, state.amplitudes)
                 state = step_line(state)
 
+    def test_steps_give_evolve_bytes_and_zero_signs(self):
+        # step_* step the imaginary part of every state, a real one's too; it
+        # lands as +0, the zero that evolve_* write for a real qubit's.
+        for q in TEST_STATES:
+            line, ring = evolve_line(q, 0), evolve_cycle(q, 7, 0)
+            for t in range(1, 12):
+                line, ring = step_line(line), step_cycle(ring)
+                assert line.amplitudes.tobytes() == evolve_line(q, t).amplitudes.tobytes()
+                assert ring.amplitudes.tobytes() == evolve_cycle(q, 7, t).amplitudes.tobytes()
+
     def test_first_steps_keep_the_zero_neighbours(self):
         # Under OpenBLAS the coin's product over a lone column rounds this
         # state differently from the same column inside a wider window, so
@@ -580,7 +590,7 @@ class TestScanBlocks:
         # never wrap: evolve_cycle steps it alike, from its middle column.
         for q in TEST_STATES:
             for t in BLOCK_TIMES:
-                parts = per_step_evolve(walk._parts(q.as_array()[None, :], pad=t + 1), t, cycle=False)
+                parts = per_step_evolve(walk._start(q, t + 1), t, cycle=False)
                 line = evolve_line(q, t).amplitudes.tobytes()
                 assert line == walk._amplitudes(parts).tobytes()
                 assert np.roll(evolve_cycle(q, 2 * t + 1, t).amplitudes, t, axis=0).tobytes() == line
@@ -692,7 +702,7 @@ class TestOneRule:
         monkeypatch.setattr(walk, "_FLOOR", 2.0**-30)
         for q in TEST_STATES:
             for t in range(17, 25):
-                parts = per_step_evolve(walk._parts(q.as_array()[None, :], pad=t + 1), t, cycle=False)
+                parts = per_step_evolve(walk._start(q, t + 1), t, cycle=False)
                 assert evolve_line(q, t).amplitudes.tobytes() == walk._amplitudes(parts).tobytes()
 
     def test_the_floor_keeps_every_probability_on_a_ring(self):

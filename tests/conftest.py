@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -12,6 +13,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+
+def pytest_report_header(config):
+    # The bitwise tests compare NumPy's cos, sin, sqrt and arctan2 with libm's
+    # and BLAS products with hand-ordered sums. NumPy's SIMD loops and the BLAS
+    # kernel may round otherwise on another CPU, so the log names what ran;
+    # under -q, which hides the header, the summary repeats it.
+    info = np.show_config(mode="dicts")
+    blas, simd = info["Build Dependencies"]["blas"], info["SIMD Extensions"]
+    return [
+        f"numpy {np.__version__}, BLAS {blas['name']} {blas.get('version', '')}",
+        f"numpy SIMD: baseline {' '.join(simd['baseline'])}; dispatches to {' '.join(simd['found']) or 'none'}",
+    ]
+
 
 # Acceptance reporting: tests in test_acceptance.py carry an `acceptance`
 # marker with (order, title), declared in pyproject.toml; after the run a
@@ -39,7 +54,10 @@ def criterion_detail(request):
     return record
 
 
-def pytest_terminal_summary(terminalreporter):
+def pytest_terminal_summary(terminalreporter, config):
+    if terminalreporter.verbosity < 0:
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
     outcomes: dict[str, bool] = {}
     for status, passed in (("passed", True), ("failed", False)):
         for report in terminalreporter.stats.get(status, []):

@@ -68,6 +68,14 @@ def kernel_nodes_needed(n: int, t: int) -> float:
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
+#: Momenta where a float path could part from the array path: both zeros, the
+#: smallest subnormals, both ends of the zone and a large k whose sin(k/2) is
+#: reduced from far out.
+EDGE_MOMENTA = (0.0, -0.0, 5e-324, -5e-324, math.pi, -math.pi, 1e8 + 0.3, -(1e8 + 0.3))
+
+#: Any finite momentum up to 1e6 in size, and the small ones more often.
+MOMENTA = st.one_of(st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=-1e6, max_value=1e6))
+
 
 def raises_without_warning(call, k):
     """Assert ``call(k)`` raises ValueError before numpy warns about the value."""
@@ -116,13 +124,17 @@ class TestDispersion:
         pointwise = np.array([dispersion(k) for k in nodes.tolist()])
         assert np.stack(batched, axis=-1).tobytes() == pointwise.tobytes()
 
-    @given(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=40))
+    @given(st.lists(st.one_of(MOMENTA, st.integers(min_value=-10**6, max_value=10**6)), min_size=1, max_size=40))
     # Nodes of the 16384 grid where a scalar ** 2 (pow) and a product round
     # sin(k/2)^2 apart; the scalar path used to take pow there.
     @example([-3.0332552604453697, -2.9224251485206323, -1.8260123803793702])
+    @example(list(EDGE_MOMENTA))
     def test_array_elements_are_the_scalars_bit_for_bit(self, ks):
-        batched = np.stack(dispersion(np.array(ks)), axis=-1)
-        assert batched.tobytes() == np.array([dispersion(k) for k in ks]).tobytes()
+        # A float, an int or a numpy float takes math's cos, sin and sqrt, and
+        # an array NumPy's.
+        batched = np.stack(dispersion(np.array(ks)), axis=-1).tobytes()
+        for scalar in (lambda k: k, np.float64):
+            assert batched == np.array([dispersion(scalar(k)) for k in ks]).tobytes()
 
     def test_array_rejects_any_non_finite_momentum(self):
         for k in NON_FINITE:
@@ -145,12 +157,22 @@ class TestFourierOperator:
         for k in NON_FINITE + (np.float64(math.nan),):
             raises_without_warning(fourier_operator, k)
 
+    @staticmethod
+    def diagonal_product(k: float) -> np.ndarray:
+        """The 3x3 product diag(e^{ik}, 1, e^{-ik}) coin, by np.exp and matmul."""
+        return np.diag(np.exp(1j * k * np.array([1.0, 0.0, -1.0]))) @ coin_matrix()
+
     def test_row_scaling_equals_diagonal_product(self):
-        # Scaling the coin's rows gives the same bits as the 3x3 product
-        # diag(e^{ik}, 1, e^{-ik}) coin.
-        for k in np.linspace(-20.0, 20.0, 2001):
-            shift = np.diag(np.exp(1j * k * np.array([1.0, 0.0, -1.0])))
-            assert fourier_operator(k).tobytes() == (shift @ coin_matrix()).tobytes()
+        # Scaling the coin's rows gives the same bits as the 3x3 product.
+        for k in [*np.linspace(-20.0, 20.0, 2001), *EDGE_MOMENTA]:
+            assert fourier_operator(k).tobytes() == self.diagonal_product(k).tobytes()
+
+    @given(MOMENTA, st.integers(min_value=-10**6, max_value=10**6))
+    def test_row_scaling_holds_at_any_momentum(self, k, n):
+        # math's cos and sin build e^{ik} with the bits of np.exp's, for a
+        # float, a numpy float and an int alike.
+        for momentum, expected in ((k, k), (np.float64(k), k), (n, float(n))):
+            assert fourier_operator(momentum).tobytes() == self.diagonal_product(expected).tobytes()
 
     def test_result_is_a_fresh_writable_array(self):
         u = fourier_operator(0.5)

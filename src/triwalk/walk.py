@@ -15,11 +15,13 @@ is a ring with a spare end column per side and the walker starting in its
 middle column: the line of t steps is the ring of 2t + 1 sites, which t steps
 never wrap, and a cycle is rolled back to site 0 at the end. Both buffers
 stay zero outside a live window, which ``evolve_*`` widen by one column per
-side per step, in scan blocks of 8 steps stepped from one set of views, with
-one dot per buffer row per step checked at the block's end. At its end a
-block drops the edge columns whose amplitudes all lie below 2^-1000; a block
-whose window would pass the ring's ends steps the whole ring instead, wraps
-its edge movers every step and drops nothing. Past the ballistic front at
+side per step, in scan blocks of 8 steps stepped from one set of views. Each
+step is checked once: one dot per buffer row per step, checked at the block's
+end, and the qubit's own normalization covers step 0. At its end a block
+finds both live edges in one pass over its last step's rows and drops the
+edge columns whose amplitudes all lie below 2^-1000; a block whose window
+would pass the ring's ends steps the whole ring instead, wraps its edge
+movers every step and drops nothing. Past the ballistic front at
 |n| = t/sqrt(3) amplitudes fall off faster than exponentially, so dropped
 columns hold only floats whose squares underflow to 0, many of them
 subnormal, which x86 multiplies in microcode; 2^-1000 sits 22 binades above
@@ -388,25 +390,14 @@ _SCAN = 8
 _FLOOR = 2.0**-1000
 
 
-def _edge(columns: np.ndarray) -> int:
-    # The number of leading columns of (rows, n) whose amplitudes are all below
-    # _FLOOR, read 32 at a time: a scan seldom drops more than the _SCAN columns
-    # each side gained since the last one.
-    k = 0
-    while k < columns.shape[1]:
-        big = np.flatnonzero(np.abs(columns[:, k : k + 32]).max(axis=0) >= _FLOOR)
-        if big.size:
-            return k + int(big[0])
-        k += 32
-    return k
-
-
 def _evolve(parts: np.ndarray, t: int, what: str, states: int = 1) -> np.ndarray:
     # t steps of a (rows, 3, cols) buffer of ``states`` states in blocks of _SCAN, each
     # checked every step: a ring of cols - 2 sites, site 0 in column cols // 2. Both
     # buffers stay zero outside the live columns [lo, hi). A block steps its k steps over
     # [lo - k, hi + k), leaving a zero column, landing as +0, per side, then drops the
-    # end columns; one that would pass the ring's ends steps and wraps the whole ring.
+    # end columns below _FLOOR, both edges found in one pass over its last step's rows;
+    # one that would pass the ring's ends steps and wraps the whole ring. Step 0 is the
+    # caller's: a QubitState is normalized more tightly than any step's bound.
     cols = parts.shape[2]
     bufs = (parts, np.zeros_like(parts))
     r, c, j = parts.strides
@@ -429,8 +420,9 @@ def _evolve(parts: np.ndarray, t: int, what: str, states: int = 1) -> np.ndarray
                 dst[:, 0, -2], dst[:, 2, 1] = dst[:, 0, 0], dst[:, 2, -1]
             np.vecdot(rows, rows, out=totals[s - 1 - done])
         _check_totals(totals[:k].reshape(k, states, -1).sum(axis=2), done + 1, what)
-        if not ring:  # checked, so some column holds amplitude: live_lo < live_hi
-            live_lo, live_hi = lo + _edge(rows), hi - _edge(rows[:, ::-1])
+        if not ring:  # checked, so some column holds amplitude: big is not empty
+            big = np.flatnonzero(np.abs(rows).max(axis=0) >= _FLOOR)
+            live_lo, live_hi = lo + int(big[0]), lo + int(big[-1]) + 1
             for b in bufs:
                 b[:, :, lo:live_lo] = b[:, :, live_hi:hi] = 0.0
             lo, hi = live_lo, live_hi
@@ -461,7 +453,6 @@ def evolve_line(q: QubitState, t: int) -> LineState:
     """
     t = _count(t)
     amplitudes = _amplitudes(_evolve(_start(q, t + 1), t, "line state"))
-    _check_total_probability(amplitudes, t, "line state")
     return _own(LineState, origin_offset=-t, amplitudes=amplitudes, time=t)
 
 
@@ -479,13 +470,9 @@ def evolve_cycle(q: QubitState, n_sites: int, t: int) -> CycleState:
     dropped as on the line, which moves no probability.
     """
     t, n_sites = _count(t), _cycle_size(n_sites)
-    start = np.zeros((n_sites, 3), dtype=complex)
-    start[0] = q.as_array()
-    _check_total_probability(start, 0, "cycle state")
     h = n_sites // 2  # site 0's row in the stepped ring
     rolled = _amplitudes(_evolve(_start(q, h + 1), t, "cycle state"))
     amplitudes = np.concatenate((rolled[h:], rolled[:h]))
-    _check_total_probability(amplitudes, t, "cycle state")
     return _own(CycleState, n_sites=n_sites, amplitudes=amplitudes, time=t)
 
 

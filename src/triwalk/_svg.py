@@ -119,7 +119,6 @@ def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     x_lo, x_hi = _scale(x_lo, x_hi)
-    y_lo, y_hi = _scale(y_lo, y_hi)
 
     parts = [_HEADER]
     tick = (lambda v: f"1e{v:.2g}") if log_y else _fmt_tick
@@ -175,7 +174,7 @@ def heatmap(path, means, *, extent, x0, title, x_label, y_label):
     peak = float(means.max()) or 1.0
     # Square-root intensity keeps faint ballistic fronts visible next to the
     # bright localized column.
-    shade = np.sqrt(np.clip(means / peak, 0.0, 1.0))
+    shade = np.sqrt(means / peak)
     rows, cols = means.shape
     cell_w = (_WIDTH - _MARGIN_L - _MARGIN_R) / cols
     cell_h = (_HEIGHT - _MARGIN_T - _MARGIN_B) / rows

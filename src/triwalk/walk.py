@@ -6,14 +6,15 @@ internal state and then routes each component one site left, nowhere, or one
 site right, on the infinite line or on a cycle with an odd number of sites.
 
 The coin and the shifts are real, so the real and imaginary parts of a state
-evolve apart, as float64 buffers (rows, 3, sites): ``evolve_*`` step one row
-for a real qubit and two otherwise, ``step_*`` always two, and the weak limit
-three, one per pure state. Each step is one BLAS
-product ``coin @ window``, landed in a second buffer through a view
-``landing[r, c, j] = buf[r, c, j + c]`` that shifts each chirality. A buffer
-is a ring with a spare end column per side and the walker starting in its
-middle column: the line of t steps is the ring of 2t + 1 sites, which t steps
-never wrap, and a cycle is rolled back to site 0 at the end. Both buffers
+evolve apart, as float64 buffers (rows, 3, sites). ``step_*`` step two rows;
+``_evolve`` takes the initial chirality vectors at site 0 and a ring size, and
+gives each vector a real row, then an imaginary row if any vector is complex:
+one row for a real qubit, two otherwise, three for the weak limit's pure
+states. Each step is one BLAS product ``coin @ window``, landed in a second
+buffer through a view ``landing[r, c, j] = buf[r, c, j + c]`` that shifts each
+chirality. A buffer is a ring with a spare end column per side and site 0 in
+its middle column: the line of t steps is the ring of 2t + 1 sites, which t
+steps never wrap, and a cycle is rolled back to site 0 at the end. Both buffers
 stay zero outside a live window, which ``evolve_*`` widen by one column per
 side per step, in scan blocks of 8 steps stepped from one set of views. Each
 step is checked once: one dot per buffer row per step, checked at the block's
@@ -348,15 +349,6 @@ def _parts(amplitudes: np.ndarray, pad: int = 0) -> np.ndarray:
     return parts
 
 
-def _start(q: QubitState, pad: int) -> np.ndarray:
-    # The qubit alone in the middle of pad + 1 + pad columns, as _parts lays it
-    # out, without the imaginary row if the qubit is real.
-    a = q.as_array()
-    parts = np.zeros((2 if a.imag.any() else 1, 3, 2 * pad + 1))
-    parts[:, :, pad] = (a.real, a.imag)[: len(parts)]
-    return parts
-
-
 def _amplitudes(parts: np.ndarray) -> np.ndarray:
     amplitudes = np.empty((parts.shape[2], 3), dtype=complex)
     amplitudes.real = parts[0].T
@@ -390,15 +382,20 @@ _SCAN = 8
 _FLOOR = 2.0**-1000
 
 
-def _evolve(parts: np.ndarray, t: int, what: str, states: int = 1) -> np.ndarray:
-    # t steps of a (rows, 3, cols) buffer of ``states`` states in blocks of _SCAN, each
-    # checked every step: a ring of cols - 2 sites, site 0 in column cols // 2. Both
-    # buffers stay zero outside the live columns [lo, hi). A block steps its k steps over
-    # [lo - k, hi + k), leaving a zero column, landing as +0, per side, then drops the
-    # end columns below _FLOOR, both edges found in one pass over its last step's rows;
-    # one that would pass the ring's ends steps and wraps the whole ring. Step 0 is the
-    # caller's: a QubitState is normalized more tightly than any step's bound.
-    cols = parts.shape[2]
+def _evolve(vectors: np.ndarray, sites: int, t: int, what: str) -> np.ndarray:
+    # t steps, in blocks of _SCAN, each checked every step, of the (states, 3) chirality
+    # vectors alone at site 0 of an odd ring: each state's real row, then its imaginary
+    # row if any vector is complex, over the ring and an end column per side, site 0 in
+    # column cols // 2. Both buffers stay zero outside the live columns [lo, hi). A
+    # block steps its k steps over [lo - k, hi + k), leaving a zero column, landing as
+    # +0, per side, then drops the end columns below _FLOOR, both edges found in one
+    # pass over its last step's rows; one that would pass the ring's ends steps and
+    # wraps the whole ring. Step 0 is the caller's: a QubitState is normalized more
+    # tightly than any step's bound.
+    layers = (vectors.real, vectors.imag) if vectors.imag.any() else (vectors.real,)
+    states, cols = len(vectors), sites + 2
+    parts = np.zeros((states * len(layers), 3, cols))
+    parts[:, :, cols // 2] = np.concatenate(layers, axis=1).reshape(-1, 3)
     bufs = (parts, np.zeros_like(parts))
     r, c, j = parts.strides
     landings = [np.ndarray((len(b), 3, cols - 2), float, b, strides=(r, c + j, j)) for b in bufs]
@@ -452,7 +449,7 @@ def evolve_line(q: QubitState, t: int) -> LineState:
         The state after ``t`` steps; its window spans exactly [-t, t].
     """
     t = _count(t)
-    amplitudes = _amplitudes(_evolve(_start(q, t + 1), t, "line state"))
+    amplitudes = _amplitudes(_evolve(q.as_array()[None], 2 * t + 1, t, "line state"))
     return _own(LineState, origin_offset=-t, amplitudes=amplitudes, time=t)
 
 
@@ -471,7 +468,7 @@ def evolve_cycle(q: QubitState, n_sites: int, t: int) -> CycleState:
     """
     t, n_sites = _count(t), _cycle_size(n_sites)
     h = n_sites // 2  # site 0's row in the stepped ring
-    rolled = _amplitudes(_evolve(_start(q, h + 1), t, "cycle state"))
+    rolled = _amplitudes(_evolve(q.as_array()[None], n_sites, t, "cycle state"))
     amplitudes = np.concatenate((rolled[h:], rolled[:h]))
     return _own(CycleState, n_sites=n_sites, amplitudes=amplitudes, time=t)
 

@@ -139,11 +139,9 @@ def empirical_rescaled(t: int) -> EmpiricalRescaled:
     a few hundred.
     """
     t = _count(t, 1)
-    # Row i of one real buffer holds the pure state i, at the origin in column
-    # t + 1; each state's sum comes first, as in three separate evolutions.
-    parts = np.zeros((3, 3, 2 * t + 3))
-    parts[:, :, t + 1] = np.eye(3)
-    mixture = (walk._evolve(parts, t, "line state", states=3) ** 2).sum(axis=1).sum(axis=0) / 3.0
+    # Row i of the evolved buffer holds the pure state i; each state's sum comes
+    # first, as in three separate evolutions.
+    mixture = (walk._evolve(np.eye(3), 2 * t + 1, t, "line state") ** 2).sum(axis=1).sum(axis=0) / 3.0
     positions = np.arange(-t, t + 1, dtype=float) / t
     return EmpiricalRescaled(time=t, positions=positions, masses=mixture)
 

@@ -17,7 +17,7 @@ import functools
 import numpy as np
 
 from states import TEST_STATES
-from triwalk import QubitState, distribution, evolve_cycle, evolve_line, step_line
+from triwalk import QubitState, distribution, evolve_cycle, evolve_line, step_line, weaklimit
 
 EPS = float(np.finfo(float).eps)
 
@@ -48,8 +48,8 @@ def probability_bound(t: int) -> float:
     return 2.0 * e + e * e + 2.0 * EPS
 
 
-#: Times the line is pinned at; the ring of 2 * 200 + 1 sites carries it.
-LINE_TIMES = (1, 8, 9, 50, 200)
+#: Times the line is pinned at; the ring of 2 * 400 + 1 sites carries it.
+LINE_TIMES = (1, 8, 9, 50, 200, 400)
 
 #: A ring of 31 sites: its live window covers it at step 15 and wraps from 17.
 RING, RING_TIMES = 31, (8, 15, 19, 200)
@@ -100,6 +100,11 @@ def exact_probabilities(q: QubitState, x: np.ndarray, t: int) -> np.ndarray:
     return ((re * re * (di * di) + im * im * (dr * dr)) / (dr * dr * di * di * 9**t)).astype(float).T
 
 
+def light_cone(x: np.ndarray, t: int) -> np.ndarray:
+    """Sites -t to t of a walk on a ring that t steps never wrap."""
+    return np.roll(x, t, axis=2)[:, :, : 2 * t + 1]
+
+
 def assert_within_bound(state: np.ndarray, exact: np.ndarray, t: int) -> None:
     assert np.abs(state - exact).max() <= t * AMPLITUDE_ROUNDOFF + EPS / 2
 
@@ -117,7 +122,7 @@ def test_evolve_line_and_step_line_are_within_the_rounding_bound():
         for t in range(1, max(LINE_TIMES) + 1):
             stepped = step_line(stepped)
             if t in walks:
-                exact = np.roll(exact_state(q, walks[t], t), t, axis=0)[: 2 * t + 1]
+                exact = exact_state(q, light_cone(walks[t], t), t)
                 assert_within_bound(evolve_line(q, t).amplitudes, exact, t)
                 assert_within_bound(stepped.amplitudes, exact, t)
 
@@ -133,8 +138,26 @@ def test_distribution_is_within_the_probability_bound():
     line, ring = exact_walks(2 * max(LINE_TIMES) + 1, LINE_TIMES), exact_walks(RING, RING_TIMES)
     for q in TEST_STATES:
         for t, x in line.items():
-            exact = np.roll(exact_probabilities(q, x, t), t, axis=0)[: 2 * t + 1]
+            exact = exact_probabilities(q, light_cone(x, t), t)
             assert np.abs(distribution(evolve_line(q, t)).probabilities - exact).max() <= probability_bound(t)
         for t, x in ring.items():
             exact = exact_probabilities(q, x, t)
             assert np.abs(distribution(evolve_cycle(q, RING, t)).probabilities - exact).max() <= probability_bound(t)
+
+
+def test_weak_limit_masses_are_within_the_mixture_bound():
+    # Each mass is fl(S / 3), S the sum over the 3 bases of the sums over the 3
+    # chiralities of fl(a^2). Each of the 9 squares lies within
+    # probability_bound(t) of its exact probability, so the mass, before
+    # rounding, within 9/3 probability_bound(t). Each square passes at most 4
+    # additions, each rounding by u = eps/2 a partial sum of at most 3 (each
+    # basis walk's site total is at most 1 + t STEP_ROUNDOFF): 12u = 6 eps in S,
+    # 2 eps in the mass. The division and the reference round once each, u
+    # each. Measured: 7.8e-16 at t = 50, 4.0e-15 at 200 and 7.3e-15 at 400
+    # (about 0.08 eps per step), against the bound's 2.2e-12 at 400.
+    walks = exact_walks(2 * max(LINE_TIMES) + 1, LINE_TIMES)
+    for t in (50, 200, 400):
+        x = light_cone(walks[t], t)
+        exact = ((x * x).sum(axis=(0, 1)) / (3 * 9**t)).astype(float)
+        masses = weaklimit.empirical_rescaled(t).masses
+        assert np.abs(masses - exact).max() <= 3.0 * probability_bound(t) + 3.0 * EPS

@@ -551,6 +551,17 @@ def full_light_cone() -> dict[int, np.ndarray]:
     return out
 
 
+def line_start(q: QubitState, t: int) -> np.ndarray:
+    """q alone in column t + 1 of a (rows, 3, 2t + 3) buffer: its real row, then
+    its imaginary row unless that is all zero."""
+    a = q.as_array()
+    parts = np.zeros((2 if a.imag.any() else 1, 3, 2 * t + 3))
+    parts[0, :, t + 1] = a.real
+    if len(parts) == 2:
+        parts[1, :, t + 1] = a.imag
+    return parts
+
+
 def per_step_evolve(parts: np.ndarray, t: int, cycle: bool) -> np.ndarray:
     """walk._evolve's loop from before its scan blocks, without the checks.
 
@@ -600,7 +611,7 @@ class TestScanBlocks:
         # never wrap: evolve_cycle steps it alike, from its middle column.
         for q in TEST_STATES:
             for t in BLOCK_TIMES:
-                parts = per_step_evolve(walk._start(q, t + 1), t, cycle=False)
+                parts = per_step_evolve(line_start(q, t), t, cycle=False)
                 line = evolve_line(q, t).amplitudes.tobytes()
                 assert line == walk._amplitudes(parts).tobytes()
                 assert np.roll(evolve_cycle(q, 2 * t + 1, t).amplitudes, t, axis=0).tobytes() == line
@@ -712,7 +723,7 @@ class TestOneRule:
         monkeypatch.setattr(walk, "_FLOOR", 2.0**-30)
         for q in TEST_STATES:
             for t in range(17, 25):
-                parts = per_step_evolve(walk._start(q, t + 1), t, cycle=False)
+                parts = per_step_evolve(line_start(q, t), t, cycle=False)
                 assert evolve_line(q, t).amplitudes.tobytes() == walk._amplitudes(parts).tobytes()
 
     def test_the_floor_keeps_every_probability_on_a_ring(self):

@@ -253,8 +253,8 @@ def _cmd_timeavg(args: argparse.Namespace) -> int:
 
 
 #: Longest ``weaklimit --steps``. Time grows like t^2; at t = 12000 the
-#: command takes 0.9-1.2 s and peaks at 41 MiB on 2 CPUs, about 0.2 s of it
-#: in the per-block edge scans, which read the whole live window.
+#: command takes 0.8-1.0 s and peaks at 41 MiB on 2 CPUs. The stepping takes
+#: most of it: each block's edge scan reads 16 columns per end at any t.
 _MAX_WEAKLIMIT_STEPS = 12000
 
 

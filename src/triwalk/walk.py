@@ -19,10 +19,12 @@ stay zero outside a live window, which ``evolve_*`` widen by one column per
 side per step, in scan blocks of 8 steps stepped from one set of views. Each
 step is checked once: one dot per buffer row per step, checked at the block's
 end, and the qubit's own normalization covers step 0. At its end a block
-finds both live edges in one pass over its last step's rows and drops the
-edge columns whose amplitudes all lie below 2^-1000; a block whose window
-would pass the ring's ends steps the whole ring instead, wraps its edge
-movers every step and drops nothing. Past the ballistic front at
+reads its last step's rows from each end inward, in bands of 16 columns and
+then twice as many each band, up to that end's first live column, and drops
+the edge columns whose amplitudes all lie below 2^-1000; the edges move a
+few columns per block, so the first band finds them at any t. A block whose
+window would pass the ring's ends steps the whole ring instead, wraps its
+edge movers every step and drops nothing. Past the ballistic front at
 |n| = t/sqrt(3) amplitudes fall off faster than exponentially, so dropped
 columns hold only floats whose squares underflow to 0, many of them
 subnormal, which x86 multiplies in microcode; 2^-1000 sits 22 binades above
@@ -382,15 +384,30 @@ _SCAN = 8
 _FLOOR = 2.0**-1000
 
 
+def _dead(rows: np.ndarray) -> int:
+    # The number of leading columns of a (rows, W) view in which every amplitude
+    # lies below _FLOOR, read in bands from that end inward: 2 _SCAN columns, then
+    # twice as many each band. A block's live edge sits a few columns in, so the
+    # first band finds it whatever the window's width. W if no column is live.
+    start, width = 0, 2 * _SCAN
+    while start < rows.shape[1]:
+        live = np.abs(rows[:, start : start + width]).max(axis=0) >= _FLOOR
+        first = int(live.argmax())  # the band's first live column, or 0 if none is live
+        if live[first]:
+            return start + first
+        start, width = start + width, 2 * width
+    return rows.shape[1]
+
+
 def _evolve(vectors: np.ndarray, sites: int, t: int, what: str) -> np.ndarray:
     # t steps, in blocks of _SCAN, each checked every step, of the (states, 3) chirality
     # vectors alone at site 0 of an odd ring: each state's real row, then its imaginary
     # row if any vector is complex, over the ring and an end column per side, site 0 in
     # column cols // 2. Both buffers stay zero outside the live columns [lo, hi). A
     # block steps its k steps over [lo - k, hi + k), leaving a zero column, landing as
-    # +0, per side, then drops the end columns below _FLOOR, both edges found in one
-    # pass over its last step's rows; one that would pass the ring's ends steps and
-    # wraps the whole ring. Step 0 is the caller's: a QubitState is normalized more
+    # +0, per side, then drops the end columns below _FLOOR, each edge found by _dead
+    # from its end of the last step's rows; one that would pass the ring's ends steps
+    # and wraps the whole ring. Step 0 is the caller's: a QubitState is normalized more
     # tightly than any step's bound.
     layers = (vectors.real, vectors.imag) if vectors.imag.any() else (vectors.real,)
     states, cols = len(vectors), sites + 2
@@ -405,21 +422,20 @@ def _evolve(vectors: np.ndarray, sites: int, t: int, what: str) -> np.ndarray:
         k = min(_SCAN, t - done)
         ring = lo - k < 1 or hi + k > cols - 1
         lo, hi = (1, cols - 1) if ring else (lo - k, hi + k)
-        # Per buffer: the source, the landing and the rows (a view: they are equally strided).
-        views = [(b[:, :, lo:hi], w[:, :, lo - 1 : hi - 1], b[:, :, lo:hi].reshape(-1, hi - lo))
-                 for b, w in zip(bufs, landings)]
+        # By the step's parity: the source, the landing and the rows (a view: they are equally strided).
+        block = [b[:, :, lo:hi] for b in bufs]
+        steps = [(block[1 - p], landings[p][:, :, lo - 1 : hi - 1], block[p].reshape(-1, hi - lo)) for p in (0, 1)]
         coin = _coin()
         for s in range(done + 1, done + k + 1):
-            (src, _, _), (_, landing, rows) = views[1 - s % 2], views[s % 2]
-            np.matmul(coin, src, out=landing)
+            src, landing, rows = steps[s % 2]
+            np.matmul(coin, src, landing)
             if ring:
                 dst = bufs[s % 2]
                 dst[:, 0, -2], dst[:, 2, 1] = dst[:, 0, 0], dst[:, 2, -1]
-            np.vecdot(rows, rows, out=totals[s - 1 - done])
+            np.vecdot(rows, rows, totals[s - 1 - done])
         _check_totals(totals[:k].reshape(k, states, -1).sum(axis=2), done + 1, what)
-        if not ring:  # checked, so some column holds amplitude: big is not empty
-            big = np.flatnonzero(np.abs(rows).max(axis=0) >= _FLOOR)
-            live_lo, live_hi = lo + int(big[0]), lo + int(big[-1]) + 1
+        if not ring:  # checked, so some column holds amplitude: both scans stop at it
+            live_lo, live_hi = lo + _dead(rows), hi - _dead(rows[:, ::-1])
             for b in bufs:
                 b[:, :, lo:live_lo] = b[:, :, live_hi:hi] = 0.0
             lo, hi = live_lo, live_hi

@@ -7,17 +7,21 @@ basis walks, since each float is a dyadic rational, so the combination stays
 in integers too, and one ``int / int`` division rounds each amplitude to
 float64 correctly. The reference measures the rounding of ``evolve_line``,
 chained ``step_line`` and ``evolve_cycle``, and of ``distribution`` over the
-first and the last; it feeds no route of triwalk.
+first and the last, and of the two momentum routes, ``wavefunction_window``
+and the stationary part plus the oscillatory remainder; it feeds no route of
+triwalk.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
-from states import TEST_STATES
-from triwalk import QubitState, distribution, evolve_cycle, evolve_line, step_line, weaklimit
+from states import FIGURE_STATE, TEST_STATES
+from triwalk import QubitState, distribution, evolve_cycle, evolve_line, spectral, step_line, weaklimit
+from triwalk.stationary import limit_amplitude
 
 EPS = float(np.finfo(float).eps)
 
@@ -161,3 +165,99 @@ def test_weak_limit_masses_are_within_the_mixture_bound():
         exact = ((x * x).sum(axis=(0, 1)) / (3 * 9**t)).astype(float)
         masses = weaklimit.empirical_rescaled(t).masses
         assert np.abs(masses - exact).max() <= 3.0 * probability_bound(t) + 3.0 * EPS
+
+
+#: The momentum routes are pinned at these times on criterion 6.1's sites
+#: -20..20, for criterion 6.1's two states.
+ROUTE_TIMES, ROUTE_HALF_WIDTH, ROUTE_STATES = (50, 200, 400), 20, (FIGURE_STATE, TEST_STATES[8])
+
+#: Nodes of every quadrature.
+NODES = spectral.DEFAULT_GRID_SIZE
+
+
+def quadrature_bound(t: int, m: int) -> float:
+    """Error allowed in each ``wavefunction_window(m, t, q)`` amplitude.
+
+    A row is the mean over the G nodes k of sum_j e^{i x_j} c_j v_j, with
+    x_j = theta_j t + k n and c_j = <v_j, q>; at exact nodes, phases and
+    vectors that mean is the exact walk for t + |n| < G (the aliasing
+    argument of ``spectral._check_reach``). The vectors are unitary, so a
+    node's three terms weigh sum_j |c_j v_j| <= 1, and a row lies within the
+    mean of the nodes' errors plus the rounding of the sum:
+    - phases: k and theta lie within 4 eps of the exact values (measured 2.5
+      and 2.0 eps against 120-bit ones), |dtheta/dk| <= 1/sqrt(3), theta t
+      and k n round by at most pi u t and pi u |n|, and their sum by
+      pi u (t + |n|), so x moves by at most (4 + 4/sqrt(3) + pi)(t + |n|)
+      < 10 (t + |n|) eps; e^{ix} adds 2 eps;
+    - vectors: summed over the branches, they lie within a mean of 5.8 eps
+      per node of the exact ones at the exact nodes (measured against
+      120-bit values; at most 5453 eps, next to k = 0, where the moving
+      branches meet), and c_j moves by at most sqrt(3) times its vector:
+      (1 + sqrt(3)) 5.8 < 16 eps;
+    - the products and the three branches' sums: 4 eps;
+    - the sum: each real part adds 2G products whose moduli total at most G,
+      in an order BLAS chooses; any order rounds by at most 2G u G, which
+      is G eps after the division by G, and sqrt(2) G eps for the modulus.
+    The sum's worst case dominates: 6.1e-12 at t = 400 on -20..20. Measured
+    on ROUTE_STATES: 6.6e-16 (3.0 eps) at t = 50, 1.5e-15 at 200 and
+    1.7e-15 (7.4 eps) at 400; over criterion 5's six states, at most 8.5
+    eps. The error does not grow with t.
+    """
+    return (math.sqrt(2.0) * NODES + 10.0 * (t + m) + 22.0) * EPS
+
+
+def reconstruction_bound(t: int, m: int) -> float:
+    """Error allowed in each stationary-plus-remainder amplitude at sites -m..m.
+
+    - Stationary part: c = -5 + 2 sqrt(6) is within 2 u sqrt(6) < 2.5 eps
+      (the subtraction is exact), each sequence value 2 c^(|n|+1) / (c^2 - 1)
+      moves at most 2.1 times that and rounds by under 1 eps, so it is
+      within 6 eps; an amplitude weighs three of them by at most
+      2 (|alpha| + |beta| + |gamma|) <= 2 sqrt(3), and the weighing rounds
+      by 3 eps: 24 eps. Measured over the 13 test states on -20..20 against
+      120-bit values: 8.0 eps.
+    - Remainder: an entry of the remainder matrix adds J and K at n - 1, n
+      and n + 1 with coefficients of total modulus at most 5, 4, 2 along a
+      row (4, 4, 4 in the middle row), so by Cauchy-Schwarz over q the
+      amplitude moves by at most sqrt(48) < 7 times the error E of one
+      kernel value; the assembly rounds by under 1 E more: 8 E.
+    - Kernels: a value is the mean over the nodes of cos(k n) h(k), with
+      h = cos(theta t) / (5 + cos k) <= 1/4 for J and h = sin(theta t) w(k)
+      for K, w = 1/sqrt((5 + cos k)(1 - cos k)) = 1/(3 sin theta); NumPy
+      adds the G values in an order of its own, which rounds by at most
+      G u times the mean |h| <= mean w = W, 2.0985 on these nodes. The
+      phases theta t and k n move as in ``quadrature_bound`` but round once
+      each, by under 8 t + 6 |n| eps; the node's own error moves w by at
+      most w |dtheta/dk| 4 eps / sin(theta) where |sin(theta t)| <= t
+      sin(theta) multiplies it, under 2.4 t w eps; and the cos, sin,
+      weights and products round by 6 eps. Each of |h| and its phase
+      derivatives is at most w (w >= 1/3), so each value moves by at most
+      w (11 (t + |n|) + 6) eps, and E <= W (G/2 + 11 (t + m + 1) + 6) eps.
+    At t = 400 on -20..20 the bound is 4.8e-11, almost all of it the sums'
+    worst case. Measured on ROUTE_STATES: 1.4e-15 (6.4 eps) at t = 50,
+    1.5e-15 at 200 and 1.7e-15 (7.6 eps) at 400.
+    """
+    w = float(spectral._tableau(NODES)[5].mean())
+    return (24.0 + 8.0 * w * (NODES / 2 + 11.0 * (t + m + 1) + 6.0)) * EPS
+
+
+def route_exact(q: QubitState, t: int) -> np.ndarray:
+    """The exact walk from q after t steps on the sites -ROUTE_HALF_WIDTH..ROUTE_HALF_WIDTH."""
+    m = ROUTE_HALF_WIDTH
+    x = light_cone(exact_walks(2 * max(LINE_TIMES) + 1, LINE_TIMES)[t], t)
+    return exact_state(q, x[:, :, t - m : t + m + 1], t)
+
+
+def test_wavefunction_window_is_within_the_quadrature_bound():
+    for q in ROUTE_STATES:
+        windows = spectral.wavefunction_window(ROUTE_HALF_WIDTH, ROUTE_TIMES, q)
+        for t, window in zip(ROUTE_TIMES, windows):
+            assert np.abs(window - route_exact(q, t)).max() <= quadrature_bound(t, ROUTE_HALF_WIDTH)
+
+
+def test_stationary_plus_remainder_is_within_the_reconstruction_bound():
+    m = ROUTE_HALF_WIDTH
+    for q in ROUTE_STATES:
+        stationary = np.array([[limit_amplitude(n, l, q) for l in (1, 2, 3)] for n in range(-m, m + 1)])
+        for t, moving in zip(ROUTE_TIMES, spectral.remainder_window(m, ROUTE_TIMES, q)):
+            assert np.abs(stationary + moving - route_exact(q, t)).max() <= reconstruction_bound(t, m)

@@ -640,6 +640,69 @@ class TestScanBlocks:
         assert weaklimit.empirical_rescaled(t).masses.tobytes() == masses.tobytes()
 
 
+def whole_window_edges(rows: np.ndarray) -> tuple[int, int]:
+    """The first live column of a (rows, W) window and one past its last, by
+    one pass over the whole window: the reference for walk._dead."""
+    big = np.flatnonzero(np.abs(rows).max(axis=0) >= walk._FLOOR)
+    return int(big[0]), int(big[-1]) + 1
+
+
+def band_edges(rows: np.ndarray) -> tuple[int, int]:
+    """The same two edges by walk._dead from each end, the right through the reversed view."""
+    return walk._dead(rows), rows.shape[1] - walk._dead(rows[:, ::-1])
+
+
+def dead_window(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
+    """A (rows, width) window whose every amplitude lies below _FLOOR: zeros of
+    both signs, a subnormal and floats just below the floor."""
+    below = np.nextafter(walk._FLOOR, 0.0)
+    return rng.choice([0.0, -0.0, 5e-324, walk._FLOOR / 3.0, below, -below], size=(rows, width))
+
+
+class TestEdgeRule:
+    # walk._evolve finds a block's live edges by _dead, reading bands of
+    # 2 _SCAN, 4 _SCAN, ... columns from each end; the edges are those of
+    # one pass over the whole window.
+    def test_random_windows(self):
+        rng = np.random.default_rng(33)
+        for _ in range(500):
+            rows = dead_window(rng, int(rng.choice([1, 2, 3, 6, 9])), int(rng.integers(1, 400)))
+            for _ in range(int(rng.integers(1, 4))):
+                cell = rng.integers(rows.shape[0]), rng.integers(rows.shape[1])
+                rows[cell] = rng.choice([walk._FLOOR, -walk._FLOOR, 1e-300, 0.5, -1.0])
+            assert band_edges(rows) == whole_window_edges(rows)
+
+    @pytest.mark.parametrize("width", (49, 200))
+    def test_first_live_column_on_either_side_of_a_band_end(self, width):
+        # The first band holds columns 0-15 and the second 16-47.
+        rng = np.random.default_rng(width)
+        for first in (0, 15, 16, 17, 47, 48, width - 1):
+            for value in (walk._FLOOR, -walk._FLOOR, 1.0):
+                rows = dead_window(rng, 9, width)
+                rows[rng.integers(9), first] = value
+                assert band_edges(rows) == whole_window_edges(rows) == (first, first + 1)
+                # Mirrored, the right end's scan finds the column as far in.
+                mirrored = rows[:, ::-1]
+                assert band_edges(mirrored) == whole_window_edges(mirrored) == (width - 1 - first, width - first)
+
+    def test_a_deep_live_column_takes_several_doublings(self):
+        # Bands of 16, 32, ..., 1024 columns end at column 2031, so the column
+        # at 3000 lies in the seventh band, 2032-4079.
+        rows = dead_window(np.random.default_rng(5), 3, 5000)
+        rows[1, 3000] = walk._FLOOR
+        assert band_edges(rows) == whole_window_edges(rows) == (3000, 3001)
+
+    def test_windows_narrower_than_one_band(self):
+        rng = np.random.default_rng(16)
+        for width in range(1, 2 * walk._SCAN):
+            for first in range(width):
+                for last in range(first, width):
+                    rows = dead_window(rng, 3, width)
+                    rows[rng.integers(3), first] = rows[rng.integers(3), last] = -0.25
+                    assert band_edges(rows) == whole_window_edges(rows) == (first, last + 1)
+            assert walk._dead(dead_window(rng, 3, width)) == width
+
+
 def arrays(result) -> dict:
     """The array fields of a state or a distribution, by name."""
     return {name: getattr(result, name) for name in ("amplitudes", "probabilities", "totals") if hasattr(result, name)}

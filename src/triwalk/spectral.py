@@ -141,23 +141,27 @@ def fourier_operator(k: float) -> np.ndarray:
     return np.array((e, 1.0, e.conjugate()))[:, None] * _COIN
 
 
-def _eigenvector_components(theta: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Normalized eigenvector(s) for eigenphase ``theta`` at momentum ``k``.
+def _branches(k: float | np.ndarray, theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The phases (0, theta, -theta) as (3, *shape) and their unit eigenvectors as (3, *shape, 3).
 
-    Broadcasts over any common shape of ``theta`` and ``k``; the result has
-    one extra trailing axis of length 3 (the chirality components).
+    ``k`` and ``theta`` share one shape; the vectors' last axis holds the
+    chirality components.
     """
-    theta = np.asarray(theta, dtype=float)
-    k = np.asarray(k, dtype=float)
-    half = 0.5 * np.stack(
-        np.broadcast_arrays(theta - k, theta, theta + k), axis=-1
-    )
+    phases = np.stack([np.zeros_like(theta), theta, -theta])
+    half = 0.5 * np.stack((phases - k, phases, phases + k), axis=-1)
     cos_half = np.cos(half)
     # 1/(1 + cos phi) = 1/(2 cos^2(phi/2)); the normalization is
     # c = 2 / sum of those three reciprocals.
     weights = 1.0 / (2.0 * cos_half**2)
     c = 2.0 / np.sum(weights, axis=-1, keepdims=True)
-    return np.sqrt(c) * np.exp(-1j * half) / (2.0 * cos_half)
+    # sqrt(c) e^{-i half} / (2 cos half), formed in place: on the 16384-node
+    # tableau every complex temporary is 2.4 MB of fresh pages, about 0.5 ms
+    # of a cold build each.
+    vectors = -1j * half
+    np.exp(vectors, out=vectors)
+    vectors *= np.sqrt(c)
+    vectors /= 2.0 * cos_half
+    return phases, vectors
 
 
 def eigensystem(k: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +169,8 @@ def eigensystem(k: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(phases, vectors)``: the float array (0, theta, -theta) and a
     (3, 3) complex array whose row j is the unit eigenvector for ``phases[j]``.
-    An array of momenta puts its shape in front of both, bit for bit.
+    An array of momenta puts its shape in front of both, bit for bit; both
+    arrays are C-contiguous.
 
     Raises
     ------
@@ -179,8 +184,8 @@ def eigensystem(k: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise SingularMomentumError(
             "eigenvectors are singular at momentum 0 (degenerate -1 eigenvalue)"
         )
-    phases = np.stack([np.zeros_like(theta), theta, -theta], axis=-1)
-    return phases, _eigenvector_components(phases, np.expand_dims(k, -1))
+    phases, vectors = _branches(k, theta)
+    return np.moveaxis(phases, 0, -1).copy(), np.moveaxis(vectors, 0, -2).copy()
 
 
 @functools.lru_cache(maxsize=8)
@@ -192,9 +197,7 @@ def _tableau(size: int) -> tuple[np.ndarray, ...]:
     """
     k = quadrature_nodes(size)
     cos_k, one_minus, _, _, theta = _dispersion_terms(k)
-    vectors = np.stack(
-        [_eigenvector_components(phase, k) for phase in (np.zeros_like(k), theta, -theta)]
-    )
+    _, vectors = _branches(k, theta)
     inv_root = 1.0 / np.sqrt((5.0 + cos_k) * one_minus)
     tableau = (k, theta, vectors, vectors.conj(), 1.0 / (5.0 + cos_k), inv_root)
     for a in tableau:
@@ -239,43 +242,37 @@ def _check_reach(n: int, t: int = 0, *, kernel: bool = False) -> None:
 def _line_amplitudes(sites: range, times: tuple[int, ...], q: QubitState) -> np.ndarray:
     """Amplitudes at the consecutive ``sites`` after each of ``times`` steps, (times, sites, 3).
 
-    Each plane-wave factor e^{i(phase_j t + k n)} is built once per |n|, at
-    the site of the pair that ``sites`` holds (+|n| when it holds both). The
-    mirrored site -n reads its conjugate for the mirrored branch: the
-    argument there is exactly minus this one (0 <-> 0, theta <-> -theta), and
-    cos is even and sin odd, so the conjugate is that factor bit for bit.
-    The phase-0 factor carries no t, so its products serve every time. Every
-    row keeps its own ``(factor * coefficients) @ vectors[j]`` product, added
-    in branch order (one batched product over the rows would round
-    differently), and one factor is alive at a time.
+    One loop over |n| builds the plane-wave factors e^{ik|n|} once and
+    e^{i(+-theta t + k|n|)} once per time. Row +|n| takes each branch's
+    product with its own factor, row -|n| with a conjugate: at -|n| the
+    argument of branch 0 is exactly minus its argument at +|n|, and that of
+    the +theta branch exactly minus that of the -theta branch at +|n| and the
+    other way round, and cos is even and sin odd, so each factor at -|n| is
+    the conjugate of the mirrored branch's factor at +|n| bit for bit. A lone
+    negative site reads the same conjugates as a window row. The phase-0
+    products carry no t and serve every time. Every row keeps its own
+    ``(factor * coefficients) @ vectors[j]`` product, added in branch order
+    (one batched product over the rows would round differently).
     """
     for t in times:
         _check_reach(max(sites[0], sites[-1], key=abs), t)
     k, theta, vectors, conjugates, _, _ = _tableau(DEFAULT_GRID_SIZE)
-    q_arr = q.as_array()
-    coefficients = [c @ q_arr for c in conjugates]
+    coefficients = [c @ q.as_array() for c in conjugates]
     advanced = [(theta * t, -theta * t) for t in times]
     rows = np.zeros((len(times), len(sites), 3), dtype=complex)
     for size in range(min(abs(n) for n in sites), max(abs(sites[0]), abs(sites[-1])) + 1):
-        n = size if size in sites else -size
-        here, there = n - sites[0], -n - sites[0]
-        mirrored = n > 0 and -n in sites
-        kn = k * n
+        ends = [(n - sites[0], n < 0) for n in {size, -size} if n in sites]
+        kn = k * size
         factor = np.exp(1j * kn)
-        rows[:, here] += (factor * coefficients[0]) @ vectors[0]
-        if mirrored:
-            rows[:, there] += (factor.conj() * coefficients[0]) @ vectors[0]
+        for end, mirror in ends:
+            rows[:, end] += ((factor.conj() if mirror else factor) * coefficients[0]) @ vectors[0]
         for i, arguments in enumerate(advanced):
-            mirrors = []
-            for j, argument in zip((1, 2), arguments):
-                factor = np.exp(1j * (argument + kn))
-                rows[i, here] += (factor * coefficients[j]) @ vectors[j]
-                if mirrored:
-                    mirrors.append((factor.conj() * coefficients[3 - j]) @ vectors[3 - j])
-            for row in reversed(mirrors):
-                rows[i, there] += row
-    rows /= DEFAULT_GRID_SIZE
-    return rows
+            waves = [np.exp(1j * (argument + kn)) for argument in arguments]
+            for end, mirror in ends:
+                # At -|n| branch 1 reads the -theta factor and branch 2 the +theta one.
+                for j, wave in zip((1, 2), waves[::-1] if mirror else waves):
+                    rows[i, end] += ((wave.conj() if mirror else wave) * coefficients[j]) @ vectors[j]
+    return rows / DEFAULT_GRID_SIZE
 
 
 def wavefunction(n: int, t: int, q: QubitState) -> ChiralVector:

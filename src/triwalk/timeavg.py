@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import _eigenvector_components, dispersion, fourier_operator
+from .spectral import _branches, dispersion, fourier_operator
 from .walk import ChiralVector, QubitState, _chirality, _cycle_size
 
 __all__ = [
@@ -66,12 +66,12 @@ class EigenvalueGroup:
 def _projector_stack(momenta: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Read-only (3, N, 3, 3) stack of every branch's projector at every mode.
 
-    Row 0 holds the stationary branch, rows 1 and 2 the branches at +theta
-    and -theta, each as one broadcast outer product of the closed-form
-    eigenvectors. The middle mode (k = 0) takes its rank-2 projector at -1 in
-    row 1 as identity minus the stationary projector, and zeros in row 2.
+    Rows 0, 1 and 2 are the outer products of ``spectral._branches``'
+    eigenvectors for the phases 0, theta and -theta at every mode. At the
+    middle mode (k = 0) the moving branches meet at -1: row 1 holds their
+    rank-2 projector, identity minus the stationary one, and row 2 zeros.
     """
-    vectors = _eigenvector_components(np.stack([np.zeros_like(theta), theta, -theta]), momenta)
+    _, vectors = _branches(momenta, theta)
     stack = vectors[..., :, None] * vectors.conj()[..., None, :]
     centre = len(momenta) // 2
     stack[1, centre] = np.eye(3, dtype=complex) - stack[0, centre]

@@ -54,6 +54,36 @@ def criterion_detail(request):
     return record
 
 
+# Route errors: the tests in test_exact_walk.py that hold a route against the
+# exact integer walk record each error they measure, and after the criteria
+# the summary prints each route's worst error, in eps and in eps per step at
+# its t, so a change that moves one route's rounding names that route.
+
+_ROUTE_ERRORS: dict[str, list[tuple[int, float]]] = {}
+
+
+@pytest.fixture
+def route_error():
+    """Lets a test against the exact walk record a route's error after t steps."""
+
+    def record(route: str, t: int, error: float) -> None:
+        _ROUTE_ERRORS.setdefault(route, []).append((t, float(error)))
+
+    return record
+
+
+def _write_route_errors(terminalreporter) -> None:
+    if not _ROUTE_ERRORS:
+        return
+    eps = float(np.finfo(float).eps)
+    terminalreporter.write_sep("=", "route errors against the exact walk")
+    for route, errors in _ROUTE_ERRORS.items():
+        t, worst = max(errors, key=lambda pair: pair[1])
+        terminalreporter.write_line(
+            f"{route}: worst {worst / eps:.2f} eps at t = {t}, {worst / eps / t:.3f} eps per step"
+        )
+
+
 def pytest_terminal_summary(terminalreporter, config):
     if terminalreporter.verbosity < 0:
         for line in pytest_report_header(config):
@@ -65,9 +95,8 @@ def pytest_terminal_summary(terminalreporter, config):
                 continue
             if report.nodeid in _ACCEPTANCE_MARKS:
                 outcomes[report.nodeid] = passed
-    if not outcomes:
-        return
-    terminalreporter.write_sep("=", "acceptance criteria")
+    if outcomes:
+        terminalreporter.write_sep("=", "acceptance criteria")
     for nodeid in sorted(outcomes, key=lambda n: _ACCEPTANCE_MARKS[n][0]):
         order, title = _ACCEPTANCE_MARKS[nodeid]
         verdict = "PASS" if outcomes[nodeid] else "FAIL"
@@ -76,3 +105,4 @@ def pytest_terminal_summary(terminalreporter, config):
         if detail:
             line += f" ({detail})"
         terminalreporter.write_line(line)
+    _write_route_errors(terminalreporter)

@@ -9,7 +9,9 @@ float64 correctly. The reference measures the rounding of ``evolve_line``,
 chained ``step_line`` and ``evolve_cycle``, and of ``distribution`` over the
 first and the last, and of the two momentum routes, ``wavefunction_window``
 and the stationary part plus the oscillatory remainder; it feeds no route of
-triwalk.
+triwalk. The tests of the line, the window and the reconstruction record
+each error they measure through the ``route_error`` fixture, and the
+terminal summary prints each route's worst.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def test_the_integer_walk_is_exact_on_the_ring():
         assert not x[:, :, t + 1 : -t].any()
 
 
-def test_evolve_line_and_step_line_are_within_the_rounding_bound():
+def test_evolve_line_and_step_line_are_within_the_rounding_bound(route_error):
     walks = exact_walks(2 * max(LINE_TIMES) + 1, LINE_TIMES)
     for q in TEST_STATES:
         stepped = evolve_line(q, 0)
@@ -127,8 +129,9 @@ def test_evolve_line_and_step_line_are_within_the_rounding_bound():
             stepped = step_line(stepped)
             if t in walks:
                 exact = exact_state(q, light_cone(walks[t], t), t)
-                assert_within_bound(evolve_line(q, t).amplitudes, exact, t)
-                assert_within_bound(stepped.amplitudes, exact, t)
+                for state in (evolve_line(q, t).amplitudes, stepped.amplitudes):
+                    route_error("direct", t, np.abs(state - exact).max())
+                    assert_within_bound(state, exact, t)
 
 
 def test_evolve_cycle_is_within_the_rounding_bound_on_both_sides_of_the_wrap():
@@ -248,16 +251,20 @@ def route_exact(q: QubitState, t: int) -> np.ndarray:
     return exact_state(q, x[:, :, t - m : t + m + 1], t)
 
 
-def test_wavefunction_window_is_within_the_quadrature_bound():
+def test_wavefunction_window_is_within_the_quadrature_bound(route_error):
     for q in ROUTE_STATES:
         windows = spectral.wavefunction_window(ROUTE_HALF_WIDTH, ROUTE_TIMES, q)
         for t, window in zip(ROUTE_TIMES, windows):
-            assert np.abs(window - route_exact(q, t)).max() <= quadrature_bound(t, ROUTE_HALF_WIDTH)
+            error = np.abs(window - route_exact(q, t)).max()
+            route_error("quadrature", t, error)
+            assert error <= quadrature_bound(t, ROUTE_HALF_WIDTH)
 
 
-def test_stationary_plus_remainder_is_within_the_reconstruction_bound():
+def test_stationary_plus_remainder_is_within_the_reconstruction_bound(route_error):
     m = ROUTE_HALF_WIDTH
     for q in ROUTE_STATES:
         stationary = np.array([[limit_amplitude(n, l, q) for l in (1, 2, 3)] for n in range(-m, m + 1)])
         for t, moving in zip(ROUTE_TIMES, spectral.remainder_window(m, ROUTE_TIMES, q)):
-            assert np.abs(stationary + moving - route_exact(q, t)).max() <= reconstruction_bound(t, m)
+            error = np.abs(stationary + moving - route_exact(q, t)).max()
+            route_error("reconstruction", t, error)
+            assert error <= reconstruction_bound(t, m)

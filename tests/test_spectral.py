@@ -359,8 +359,10 @@ class TestWavefunctionWindow:
     @pytest.mark.parametrize(("t", "m"), [(0, 0), (0, 3), (1, 0), (1, 4), (7, 0), (7, 10),
                                           (333, 0), (333, 4), (5000, 0), (5000, 4)])
     def test_rows_are_the_pointwise_wavefunction_bit_for_bit(self, q, t, m):
-        # The window conjugates the +n factors at -n and keeps one product per
-        # row; a wrong mirror or one product over all rows changes the bits.
+        # The window keeps one product per row; one product over all rows
+        # changes the bits. A lone site at -n reads the same conjugates of the
+        # +n factors as the window, so a wrong mirror fails the tests against
+        # direct evolution, not this one.
         window = wavefunction_window(m, t, q)
         assert window.shape == (2 * m + 1, 3) and window.dtype == complex
         for n in range(-m, m + 1):

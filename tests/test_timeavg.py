@@ -30,7 +30,7 @@ from triwalk import (
     momentum_blocks,
     step_cycle,
 )
-from triwalk.spectral import _eigenvector_components, dispersion
+from triwalk.spectral import _branches, eigensystem
 
 SQRT6 = math.sqrt(6.0)
 
@@ -117,27 +117,22 @@ def per_mode_pairs(n_sites: int) -> dict:
     """(momentum, pairs) per mode, one block at a time.
 
     The scalar per-mode loop the library ran before it built the spectrum as
-    arrays: one eigenvector call and one ``np.outer`` per branch and mode.
+    arrays: one eigensystem per mode and one ``np.outer`` per branch. Mode 0
+    (k = 0), where ``eigensystem`` refuses the degenerate moving branches,
+    takes its stationary vector from ``_branches`` alone.
     """
     half = n_sites // 2
     blocks = {}
     for mode in range(-half, half + 1):
         momentum = 2.0 * math.pi * mode / n_sites
-        stationary_vec = _eigenvector_components(np.float64(0.0), np.float64(momentum))
-        p_stationary = np.outer(stationary_vec, stationary_vec.conj())
         if mode == 0:
+            stationary_vec = _branches(0.0, 0.0)[1][0]
+            p_stationary = np.outer(stationary_vec, stationary_vec.conj())
             pairs = ((0.0, p_stationary), (math.pi, np.eye(3, dtype=complex) - p_stationary))
         else:
-            _, _, theta = dispersion(momentum)
-            moving = [
-                _eigenvector_components(np.float64(phase), np.float64(momentum))
-                for phase in (theta, -theta)
-            ]
-            pairs = (
-                (0.0, p_stationary),
-                (theta, np.outer(moving[0], moving[0].conj())),
-                (-theta, np.outer(moving[1], moving[1].conj())),
-            )
+            (_, theta, _), vectors = eigensystem(momentum)
+            projectors = [np.outer(vector, vector.conj()) for vector in vectors]
+            pairs = ((0.0, projectors[0]), (theta, projectors[1]), (-theta, projectors[2]))
         blocks[mode] = (momentum, pairs)
     return blocks
 

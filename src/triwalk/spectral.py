@@ -39,7 +39,12 @@ NumPy's arctan2 is not libm's and differed from ``math.atan2`` in about 8%
 of random arguments, so a float path through ``math.atan2`` would part from
 the array path. ``fourier_operator`` builds e^{ik} as complex(cos k, sin k)
 from ``math``, the bits ``np.exp`` gave for a purely imaginary argument on
-the same setup.
+the same setup. The quadrature does the same over arrays: each plane wave
+e^{ix} and each eigenvector phase factor e^{-i phi/2} is NumPy's cos and sin
+written into one complex array, the bits ``np.exp`` gave there, checked by
+the tests on the quadrature's own arguments. That skips the complex
+temporaries of ``np.exp(1j * x)`` and, in the eigenvectors, a second
+evaluation of the cosine the normalization already needs.
 """
 
 from __future__ import annotations
@@ -145,22 +150,28 @@ def _branches(k: float | np.ndarray, theta: float | np.ndarray) -> tuple[np.ndar
     """The phases (0, theta, -theta) as (3, *shape) and their unit eigenvectors as (3, *shape, 3).
 
     ``k`` and ``theta`` share one shape; the vectors' last axis holds the
-    chirality components.
+    chirality components. Each component's phase factor e^{-i phi/2} is
+    cos(phi/2) - i sin(phi/2) from NumPy (see the module notes), and the
+    cosine is the one the normalization takes.
     """
     phases = np.stack([np.zeros_like(theta), theta, -theta])
-    half = 0.5 * np.stack((phases - k, phases, phases + k), axis=-1)
+    half = np.stack((phases - k, phases, phases + k), axis=-1)
+    half *= 0.5
     cos_half = np.cos(half)
     # 1/(1 + cos phi) = 1/(2 cos^2(phi/2)); the normalization is
     # c = 2 / sum of those three reciprocals.
-    weights = 1.0 / (2.0 * cos_half**2)
-    c = 2.0 / np.sum(weights, axis=-1, keepdims=True)
-    # sqrt(c) e^{-i half} / (2 cos half), formed in place: on the 16384-node
-    # tableau every complex temporary is 2.4 MB of fresh pages, about 0.5 ms
-    # of a cold build each.
-    vectors = -1j * half
-    np.exp(vectors, out=vectors)
+    weights = np.square(cos_half)
+    weights *= 2.0
+    c = 2.0 / np.sum(np.divide(1.0, weights, out=weights), axis=-1, keepdims=True)
+    # sqrt(c) e^{-i half} / (2 cos half), with e^{-i half} = cos half - i sin half
+    # written into one complex array and every step in place: on the 16384-node
+    # tableau each complex temporary is 2.4 MB of fresh pages.
+    vectors = np.empty(half.shape, dtype=complex)
+    vectors.real = cos_half
+    np.negative(np.sin(half, out=half), out=vectors.imag)
     vectors *= np.sqrt(c)
-    vectors /= 2.0 * cos_half
+    cos_half *= 2.0
+    vectors /= cos_half
     return phases, vectors
 
 
@@ -193,7 +204,9 @@ def _tableau(size: int) -> tuple[np.ndarray, ...]:
     """Cached per-grid data of every quadrature, built once from one dispersion.
 
     Returns nodes k, phases theta, vectors V[j, node, :], conj(V), and the
-    kernel weights 1/(5 + cos k) and 1/sqrt((5 + cos k)(1 - cos k)).
+    kernel weights 1/(5 + cos k) and 1/sqrt((5 + cos k)(1 - cos k)). The
+    vectors come from ``_branches``, which forms them in place from NumPy's
+    cos and sin of the half-angles.
     """
     k = quadrature_nodes(size)
     cos_k, one_minus, _, _, theta = _dispersion_terms(k)
@@ -239,11 +252,27 @@ def _check_reach(n: int, t: int = 0, *, kernel: bool = False) -> None:
         raise ValueError(f"(n, t) = ({n}, {t}) is beyond the quadrature's reach: t + |n| >= {DEFAULT_GRID_SIZE}")
 
 
+def _plane_wave(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{ix} written into the complex array ``out`` as cos x + i sin x, and returned.
+
+    These are the bits of ``np.exp(1j * x)``, which takes libm's cos and sin,
+    wherever NumPy's cos and sin round as libm's (see the module notes), but
+    for one zero: at x = -0 the product 1j * x hands exp an imaginary part
+    +0, so exp gives 1 + 0i and this gives 1 - 0i. A zero's sign does not
+    reach a sum that has a nonzero term.
+    """
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def _line_amplitudes(sites: range, times: tuple[int, ...], q: QubitState) -> np.ndarray:
     """Amplitudes at the consecutive ``sites`` after each of ``times`` steps, (times, sites, 3).
 
     One loop over |n| builds the plane-wave factors e^{ik|n|} once and
-    e^{i(+-theta t + k|n|)} once per time. Row +|n| takes each branch's
+    e^{i(+-theta t + k|n|)} once per time, each by ``_plane_wave`` into a
+    buffer that every |n| reuses, as are the argument, the conjugate and the
+    ``factor * coefficients`` product. Row +|n| takes each branch's
     product with its own factor, row -|n| with a conjugate: at -|n| the
     argument of branch 0 is exactly minus its argument at +|n|, and that of
     the +theta branch exactly minus that of the -theta branch at +|n| and the
@@ -260,18 +289,27 @@ def _line_amplitudes(sites: range, times: tuple[int, ...], q: QubitState) -> np.
     coefficients = [c @ q.as_array() for c in conjugates]
     advanced = [(theta * t, -theta * t) for t in times]
     rows = np.zeros((len(times), len(sites), 3), dtype=complex)
+    kn, argument = np.empty((2, len(k)))
+    waves = np.empty((3, len(k)), dtype=complex)
+    conjugate, product = np.empty((2, len(k)), dtype=complex)
+
+    def term(j: int, wave: np.ndarray, mirror: bool) -> np.ndarray:
+        factor = np.conjugate(wave, out=conjugate) if mirror else wave
+        return np.multiply(factor, coefficients[j], out=product) @ vectors[j]
+
     for size in range(min(abs(n) for n in sites), max(abs(sites[0]), abs(sites[-1])) + 1):
         ends = [(n - sites[0], n < 0) for n in {size, -size} if n in sites]
-        kn = k * size
-        factor = np.exp(1j * kn)
+        np.multiply(k, size, out=kn)
+        _plane_wave(kn, waves[0])
         for end, mirror in ends:
-            rows[:, end] += ((factor.conj() if mirror else factor) * coefficients[0]) @ vectors[0]
-        for i, arguments in enumerate(advanced):
-            waves = [np.exp(1j * (argument + kn)) for argument in arguments]
+            rows[:, end] += term(0, waves[0], mirror)
+        for i, phase_terms in enumerate(advanced):
+            for wave, phase_term in zip(waves[1:], phase_terms):
+                _plane_wave(np.add(phase_term, kn, out=argument), wave)
             for end, mirror in ends:
                 # At -|n| branch 1 reads the -theta factor and branch 2 the +theta one.
-                for j, wave in zip((1, 2), waves[::-1] if mirror else waves):
-                    rows[i, end] += ((wave.conj() if mirror else wave) * coefficients[j]) @ vectors[j]
+                for j, wave in zip((1, 2), (waves[2], waves[1]) if mirror else (waves[1], waves[2])):
+                    rows[i, end] += term(j, wave, mirror)
     return rows / DEFAULT_GRID_SIZE
 
 
@@ -329,7 +367,8 @@ def stationary_component_integral(n: int, l: int, q: QubitState) -> complex:
     l = _chirality(l)
     k, _, vectors, conjugates, _, _ = _tableau(DEFAULT_GRID_SIZE)
     coefficients = conjugates[0] @ q.as_array()
-    amplitude = (np.exp(1j * k * n) * coefficients) @ vectors[0] / DEFAULT_GRID_SIZE
+    wave = _plane_wave(k * n, np.empty_like(k, complex))
+    amplitude = np.multiply(wave, coefficients, out=wave) @ vectors[0] / DEFAULT_GRID_SIZE
     return complex(amplitude[l - 1])
 
 
@@ -337,15 +376,22 @@ def _kernel_means(sites: range, times: tuple[int, ...]) -> tuple[np.ndarray, np.
     """The J and K kernels at each of ``sites`` after each of ``times`` steps, (times, sites).
 
     cos(k n) is built once as one (sites, nodes) array for every time, and
-    cos(theta t) and sin(theta t) once per time; each row's mean equals the
-    one-site ``np.mean`` bit for bit.
+    cos(theta t) and sin(theta t) once per time. Each (cos(k n) * wave) *
+    weight is formed, in that order, into one reused (sites, nodes) buffer,
+    and each row's mean equals the one-site ``np.mean`` bit for bit.
     """
     for t in times:
         _check_reach(max(sites[0], sites[-1], key=abs), t, kernel=True)
     k, theta, _, _, inv_five, inv_root = _tableau(DEFAULT_GRID_SIZE)
-    cos_kn = np.cos(np.multiply.outer(np.array(sites, dtype=float), k))
-    j = [np.mean(cos_kn * np.cos(theta * t) * inv_five, axis=1) for t in times]
-    kk = [np.mean(cos_kn * np.sin(theta * t) * inv_root, axis=1) for t in times]
+    kn = np.multiply.outer(np.array(sites, dtype=float), k)
+    cos_kn, terms = np.cos(kn, out=kn), np.empty_like(kn)
+
+    def mean(wave: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        np.multiply(cos_kn, wave, out=terms)
+        return np.mean(np.multiply(terms, weight, out=terms), axis=1)
+
+    j = [mean(np.cos(theta * t), inv_five) for t in times]
+    kk = [mean(np.sin(theta * t), inv_root) for t in times]
     return np.array(j), np.array(kk)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -19,11 +21,18 @@ def pytest_report_header(config):
     # The bitwise tests compare NumPy's cos, sin, sqrt and arctan2 with libm's
     # and BLAS products with hand-ordered sums. NumPy's SIMD loops and the BLAS
     # kernel may round otherwise on another CPU, so the log names what ran;
-    # under -q, which hides the header, the summary repeats it.
+    # under -q, which hides the header, the summary repeats it. A BLAS product's
+    # last bits also move with the threads that split it, which OpenBLAS reads
+    # from OPENBLAS_NUM_THREADS and otherwise takes one per CPU.
     info = np.show_config(mode="dicts")
     blas, simd = info["Build Dependencies"]["blas"], info["SIMD Extensions"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS")
+    if threads is None:
+        threads = f"OPENBLAS_NUM_THREADS unset, {os.cpu_count()} CPUs"
+    else:
+        threads = f"OPENBLAS_NUM_THREADS={threads}"
     return [
-        f"numpy {np.__version__}, BLAS {blas['name']} {blas.get('version', '')}",
+        f"numpy {np.__version__}, BLAS {blas['name']} {blas.get('version', '')} ({threads})",
         f"numpy SIMD: baseline {' '.join(simd['baseline'])}; dispatches to {' '.join(simd['found']) or 'none'}",
     ]
 

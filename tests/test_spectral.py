@@ -236,6 +236,28 @@ class TestEigenSystem:
         # Agreement up to a global phase.
         assert abs(np.vdot(numeric, mine)) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("grid", ["cycle 4001", "tableau"])
+    def test_branch_vectors_are_the_numeric_eigenvectors(self, grid):
+        # An independent reference for _branches: np.linalg.eig of the Fourier
+        # operator, each eigenvalue matched to the branch whose phase it is,
+        # and the vectors compared up to a unit phase factor. On the 4001
+        # modes (0 left out, where the moving branches meet) and every 64th
+        # quadrature node, the nearest two eigenvalues stay 2e-4 apart.
+        if grid == "tableau":
+            k, theta, vectors, *_ = spectral._tableau(DEFAULT_GRID_SIZE)
+            k, theta, vectors = k[::64], theta[::64], vectors[:, ::64]
+            phases = np.stack([np.zeros_like(theta), theta, -theta])
+        else:
+            modes = np.arange(-2000, 2001)
+            k = 2.0 * np.pi * modes[modes != 0] / 4001
+            phases, vectors = spectral._branches(k, dispersion(k)[2])
+        values, numeric = np.linalg.eig(np.array([fourier_operator(x) for x in k.tolist()]))
+        branch = np.argmin(np.abs(values[:, :, None] - np.exp(1j * phases.T)[:, None, :]), axis=-1)
+        assert (np.sort(branch, axis=1) == [0, 1, 2]).all()
+        mine = np.moveaxis(vectors, 0, 1)[np.arange(len(k))[:, None], branch]
+        overlap = np.abs(np.einsum("nlc,ncl->nc", numeric.conj(), mine))
+        assert np.max(np.abs(overlap - 1.0)) <= 8.0 * np.finfo(float).eps
+
     def test_orthonormal_and_eigen_residual_over_grid(self):
         worst_gram = 0.0
         worst_residual = 0.0
@@ -287,6 +309,59 @@ class TestTableau:
     def test_table_is_read_only(self):
         for a in spectral._tableau(8):
             assert not a.flags.writeable
+
+
+def cos_sin_note(parted: int, of: int) -> str:
+    """Why a comparison of NumPy's cos and sin with ``np.exp`` failed, naming NumPy's SIMD targets."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    return (
+        f"{parted} of {of} arguments: NumPy's float64 cos and sin loops round apart from libm's, which"
+        f" np.exp calls, on this CPU (SIMD baseline {' '.join(simd['baseline'])}; dispatches to"
+        f" {' '.join(simd['found']) or 'none'}). The quadrature then parts from the np.exp bits it was pinned to."
+    )
+
+
+def parted(a: np.ndarray, b: np.ndarray) -> int:
+    """How many elements of two complex arrays differ in any bit of either part."""
+    a, b = a.view(np.uint64), b.view(np.uint64)
+    return 0 if np.array_equal(a, b) else int(np.count_nonzero((a != b).reshape(-1, 2).any(axis=-1)))
+
+
+class TestCosSinAreExp:
+    # The quadrature writes e^{ix} as NumPy's cos and sin into one complex
+    # array, where it took np.exp; these pin that identity on the arguments it
+    # forms, so another CPU fails here, saying why, and not only on the golden.
+
+    def test_plane_waves_on_the_quadrature_arguments(self):
+        k, theta, *_ = spectral._tableau(DEFAULT_GRID_SIZE)
+        sizes = np.arange(41)[:, None]
+        kn = k * np.arange(-40, 41)[:, None]  # stationary_component_integral's k n
+        arguments = [kn]
+        for t in (0, 1, 5, 20, 400):  # the window's +-theta t + k |n|
+            arguments += [theta * t + k * sizes, -theta * t + k * sizes]
+        rng = np.random.default_rng(35)
+        arguments.append(rng.uniform(-1e4, 1e4, 10**5))
+        count = total = 0
+        for x in arguments:
+            wave = spectral._plane_wave(x, np.empty(x.shape, dtype=complex))
+            expected = np.exp(1j * x)
+            # At x = -0, 1j * x hands np.exp the imaginary part +0 (see _plane_wave).
+            expected.imag[(x == 0.0) & np.signbit(x)] = -0.0
+            count, total = count + parted(wave, expected), total + x.size
+        # The conjugates: k n at -n is k n at n negated, and np.exp(-1j * x).
+        below, above = (spectral._plane_wave(a, np.empty(a.shape, dtype=complex)) for a in (kn[39::-1], kn[41:]))
+        count += parted(below, np.conjugate(above)) + parted(np.conjugate(wave), np.exp(-1j * x))
+        total += above.size + x.size
+        assert count == 0, cos_sin_note(count, total)
+
+    def test_eigenvector_phase_factors_on_the_tableau_half_angles(self):
+        k, theta, *_ = spectral._tableau(DEFAULT_GRID_SIZE)
+        phases = np.stack([np.zeros_like(theta), theta, -theta])
+        half = 0.5 * np.stack((phases - k, phases, phases + k), axis=-1)
+        factor = np.empty(half.shape, dtype=complex)
+        factor.real, factor.imag = np.cos(half), -np.sin(half)
+        count = parted(factor, np.exp(-1j * half))
+        assert count == 0, cos_sin_note(count, half.size)
 
 
 class TestWavefunction:

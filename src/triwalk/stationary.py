@@ -67,8 +67,13 @@ def limit_component(n: int, l: int, q: QubitState) -> float:
 
 
 def limit_probability(n: int, q: QubitState) -> float:
-    """Limit probability at site ``n``, summed over the three chiralities."""
-    return sum(abs(z) ** 2 for z in _limit_amplitudes(operator.index(n), q))
+    """Limit probability at site ``n``, summed over the three chiralities.
+
+    The three terms are added left to right, as ``stationary_profile`` adds
+    them: the builtin ``sum`` of floats is compensated from Python 3.12.
+    """
+    left, zero, right = _limit_amplitudes(operator.index(n), q)
+    return abs(left) ** 2 + abs(zero) ** 2 + abs(right) ** 2
 
 
 def total_mass(q: QubitState) -> float:

@@ -10,18 +10,20 @@ loop at all.
 
 The infinite-cycle limit has closed forms, evaluated here directly; the
 finite-N averages approach them at rate 1/N.
+
+``MomentumBlock`` and ``EigenvalueGroup`` are frozen slotted records, built
+by their own constructors, which store each field as given.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import _branches, dispersion, fourier_operator
-from .walk import ChiralVector, QubitState, _chirality, _cycle_size
+from .walk import ChiralVector, QubitState, _chirality, _cycle_size, _Record
 
 __all__ = [
     "MomentumBlock",
@@ -33,8 +35,7 @@ __all__ = [
     "infinite_time_average_total",
 ]
 
-@dataclass(frozen=True)
-class MomentumBlock:
+class MomentumBlock(_Record):
     """Spectral data of one momentum block of the cycle evolution.
 
     ``pairs`` holds (eigenphase, projector) entries. Away from mode 0 there
@@ -44,23 +45,30 @@ class MomentumBlock:
     basis-free as identity minus the stationary projector.
     """
 
-    mode: int
-    momentum: float
-    operator: np.ndarray
-    pairs: tuple[tuple[float, np.ndarray], ...]
+    __slots__ = ("mode", "momentum", "operator", "pairs")
+
+    def __init__(
+        self, mode: int, momentum: float, operator: np.ndarray, pairs: tuple[tuple[float, np.ndarray], ...]
+    ) -> None:
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "momentum", momentum)
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "pairs", pairs)
 
 
-@dataclass(frozen=True)
-class EigenvalueGroup:
+class EigenvalueGroup(_Record):
     """All spectral contributions sharing one eigenvalue of the cycle operator.
 
     ``members`` lists the contributing (mode, branch) labels; ``amplitude``
     is the coherent sum of their projected site amplitudes.
     """
 
-    phase: float
-    members: tuple[tuple[int, int], ...]
-    amplitude: ChiralVector
+    __slots__ = ("phase", "members", "amplitude")
+
+    def __init__(self, phase: float, members: tuple[tuple[int, int], ...], amplitude: ChiralVector) -> None:
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "amplitude", amplitude)
 
 
 def _projector_stack(momenta: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -35,6 +35,11 @@ differently. So ``evolve_*`` and ``step_*`` agree bitwise until a column is
 dropped, then in probabilities only: the drops moved amplitudes by at most
 2^-990 on the line at t = 1000, 2000 and 4000 and on a ring of 2001 sites at
 t = 1001 and 2000 (tests pin these), and 2^-821 on the line at t = 12000.
+
+The records here, and those of ``timeavg`` and ``weaklimit``, are frozen
+slotted classes on one private base, each built by its own constructor,
+which sets every field once; triwalk's own builds of the states and
+distributions skip the constructor through ``_own``.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,8 +79,40 @@ NORM_TOLERANCE = 1e-9
 STEP_ROUNDOFF = 16.0 * float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class QubitState:
+class _Record:
+    # The frozen record under every result type. Its fields are its __slots__, in
+    # order, each set once through object.__setattr__ by the class's own __init__,
+    # or by _own. Equality, hashing and the repr read them as one tuple in that
+    # order. Copy, deepcopy and pickle build a record again by its constructor,
+    # from the fields it takes, so a copy is checked and frozen as the original.
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class QubitState(_Record):
     """Initial internal state (alpha, beta, gamma) of the walker at the origin.
 
     Parameters
@@ -92,19 +128,20 @@ class QubitState:
         ``NORM_TOLERANCE``.
     """
 
-    alpha: complex
-    beta: complex
-    gamma: complex
+    __slots__ = ("alpha", "beta", "gamma")
 
-    def __post_init__(self) -> None:
+    def __init__(self, alpha: complex, beta: complex, gamma: complex) -> None:
         try:
-            norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2 + abs(self.gamma) ** 2
+            norm_sq = abs(alpha) ** 2 + abs(beta) ** 2 + abs(gamma) ** 2
         except OverflowError:  # a square beyond the largest float
             norm_sq = math.inf
         if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:  # also rejects NaN
             raise ValueError(
                 f"initial state is not normalized: |state|^2 = {norm_sq!r}"
             )
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
 
     def as_array(self) -> np.ndarray:
         """Return the state as a length-3 complex array."""
@@ -145,16 +182,18 @@ def _momentum(k: float | np.ndarray) -> float | np.ndarray:
     return k.astype(float, copy=False) if array else float(k)
 
 
-@dataclass(frozen=True)
-class ChiralVector:
+class ChiralVector(_Record):
     """Complex amplitude triple at a single site.
 
     Components are ordered (left mover, stayer, right mover).
     """
 
-    left: complex
-    zero: complex
-    right: complex
+    __slots__ = ("left", "zero", "right")
+
+    def __init__(self, left: complex, zero: complex, right: complex) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "right", right)
 
     @classmethod
     def from_array(cls, a: np.ndarray) -> "ChiralVector":
@@ -194,8 +233,7 @@ def _frozen_rows(values: np.ndarray, dtype: type) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class LineState:
+class LineState(_Record):
     """Wavefunction on a finite window of the infinite line.
 
     Attributes
@@ -209,15 +247,15 @@ class LineState:
         Number of steps taken since the initial state.
     """
 
-    origin_offset: int
-    amplitudes: np.ndarray
-    time: int
+    __slots__ = ("origin_offset", "amplitudes", "time")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "origin_offset", operator.index(self.origin_offset))
-        object.__setattr__(self, "time", _count(self.time))
-        object.__setattr__(self, "amplitudes", _frozen_rows(self.amplitudes, complex))
-        _check_total_probability(self.amplitudes, self.time, "line state")
+    def __init__(self, origin_offset: int, amplitudes: np.ndarray, time: int) -> None:
+        origin_offset, time = operator.index(origin_offset), _count(time)
+        amplitudes = _frozen_rows(amplitudes, complex)
+        _check_total_probability(amplitudes, time, "line state")
+        object.__setattr__(self, "origin_offset", origin_offset)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "time", time)
 
     @property
     def sites(self) -> range:
@@ -231,29 +269,27 @@ class LineState:
         return ChiralVector(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class CycleState:
+class CycleState(_Record):
     """Wavefunction on a cycle of ``n_sites`` sites (``n_sites`` odd)."""
 
-    n_sites: int
-    amplitudes: np.ndarray
-    time: int
+    __slots__ = ("n_sites", "amplitudes", "time")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_sites", _cycle_size(self.n_sites))
-        object.__setattr__(self, "time", _count(self.time))
-        object.__setattr__(self, "amplitudes", _frozen_rows(self.amplitudes, complex))
-        if self.amplitudes.shape[0] != self.n_sites:
+    def __init__(self, n_sites: int, amplitudes: np.ndarray, time: int) -> None:
+        n_sites, time = _cycle_size(n_sites), _count(time)
+        amplitudes = _frozen_rows(amplitudes, complex)
+        if amplitudes.shape[0] != n_sites:
             raise ValueError("amplitude field does not match the cycle size")
-        _check_total_probability(self.amplitudes, self.time, "cycle state")
+        _check_total_probability(amplitudes, time, "cycle state")
+        object.__setattr__(self, "n_sites", n_sites)
+        object.__setattr__(self, "amplitudes", amplitudes)
+        object.__setattr__(self, "time", time)
 
     def amplitude(self, n: int) -> ChiralVector:
         """Amplitudes at site ``n`` (site indices taken modulo the cycle size)."""
         return ChiralVector.from_array(self.amplitudes[operator.index(n) % self.n_sites])
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(_Record):
     """Per-site, per-chirality probabilities over consecutive sites.
 
     Row ``i`` of the read-only (window, 3) array ``probabilities`` holds
@@ -262,20 +298,25 @@ class Distribution:
     probability, or a row whose sum overflows, raises ``ValueError``.
     """
 
-    first_site: int
-    probabilities: np.ndarray = field(repr=False)
-    totals: np.ndarray = field(init=False, repr=False)
+    __slots__ = ("first_site", "probabilities", "totals")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "first_site", operator.index(self.first_site))
-        p = _frozen_rows(self.probabilities, float)
+    def __init__(self, first_site: int, probabilities: np.ndarray) -> None:
+        first_site = operator.index(first_site)
+        p = _frozen_rows(probabilities, float)
         with np.errstate(over="ignore"):  # an infinite total is refused below
             totals = _totals(p)
         if not (p.min(initial=0.0) >= 0.0 and totals.max(initial=0.0) < math.inf):  # NaN fails too
             raise ValueError("probabilities must be finite and non-negative")
         totals.setflags(write=False)
+        object.__setattr__(self, "first_site", first_site)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "totals", totals)
+
+    def __repr__(self) -> str:  # the arrays stay out of it
+        return f"{type(self).__qualname__}(first_site={self.first_site!r})"
+
+    def __reduce__(self) -> tuple:  # the totals are computed, not given
+        return type(self), (self.first_site, self.probabilities)
 
     def __len__(self) -> int:
         return self.probabilities.shape[0]

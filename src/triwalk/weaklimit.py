@@ -8,17 +8,19 @@ sqrt(1 - 3 x^2)) on |x| < 1/sqrt(3).
 Empirical checks build the distribution of X_t / t under the uniform
 mixture of the three pure chirality initial states and compare its CDF
 against the limit CDF in the Kolmogorov (sup) metric.
+
+``EmpiricalRescaled`` is a frozen slotted record, built by its own
+constructor, which checks the table and stores read-only copies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import stationary, walk
-from .walk import QubitState, _count
+from .walk import QubitState, _count, _Record
 
 __all__ = [
     "SUPPORT_EDGE",
@@ -83,12 +85,16 @@ def continuous_mass(lower: float = -SUPPORT_EDGE, upper: float = SUPPORT_EDGE) -
 
 
 def localization_mass() -> float:
-    """Weight of the point mass at 0: the mean localized mass of the three pure states."""
-    total = sum(
+    """Weight of the point mass at 0: the mean localized mass of the three pure states.
+
+    The masses are added left to right; the builtin ``sum`` of floats is
+    compensated from Python 3.12.
+    """
+    left, zero, right = (
         stationary.total_mass(QubitState(*components))
         for components in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     )
-    return total / 3.0
+    return (left + zero + right) / 3.0
 
 
 def limit_cdf(x: float | np.ndarray) -> float | np.ndarray:
@@ -101,18 +107,15 @@ def limit_cdf(x: float | np.ndarray) -> float | np.ndarray:
     return cdf if cdf.ndim else float(cdf)
 
 
-@dataclass(frozen=True)
-class EmpiricalRescaled:
+class EmpiricalRescaled(_Record):
     """Distribution of X_t / t under the uniform mixture of pure initial states."""
 
-    time: int
-    positions: np.ndarray
-    masses: np.ndarray
+    __slots__ = ("time", "positions", "masses")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "time", _count(self.time, 1))
-        positions = np.array(self.positions, dtype=float)
-        masses = np.array(self.masses, dtype=float)
+    def __init__(self, time: int, positions: np.ndarray, masses: np.ndarray) -> None:
+        time = _count(time, 1)
+        positions = np.array(positions, dtype=float)
+        masses = np.array(masses, dtype=float)
         if positions.shape != masses.shape or positions.ndim != 1:
             raise ValueError("positions and masses must be matching 1-d arrays")
         if not np.all(np.diff(positions) > 0.0):  # NaN fails too
@@ -120,12 +123,13 @@ class EmpiricalRescaled:
         # Each pure state's total drifts by at most walk.STEP_ROUNDOFF per step
         # from an exact start, so the mixture's does too. NaN and inf fail the
         # sum; an empty table fails it before min, which has nothing to reduce.
-        if not (abs(float(masses.sum()) - 1.0) <= (self.time + 1) * walk.STEP_ROUNDOFF and masses.min() >= 0.0):
+        if not (abs(float(masses.sum()) - 1.0) <= (time + 1) * walk.STEP_ROUNDOFF and masses.min() >= 0.0):
             raise ValueError("atom masses must be non-negative and sum to 1")
         if not (-1.0 <= positions[0] and positions[-1] <= 1.0):  # NaN fails too
             raise ValueError("rescaled support must lie within [-1, 1]")
         for a in (positions, masses):
             a.setflags(write=False)
+        object.__setattr__(self, "time", time)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "masses", masses)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import platform
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ def pytest_report_header(config):
     # kernel may round otherwise on another CPU, so the log names what ran;
     # under -q, which hides the header, the summary repeats it. A BLAS product's
     # last bits also move with the threads that split it, which OpenBLAS reads
-    # from OPENBLAS_NUM_THREADS and otherwise takes one per CPU.
+    # from OPENBLAS_NUM_THREADS and otherwise takes one per CPU. The Python
+    # version decides how the builtin sum() adds floats (compensated from 3.12).
     info = np.show_config(mode="dicts")
     blas, simd = info["Build Dependencies"]["blas"], info["SIMD Extensions"]
     threads = os.environ.get("OPENBLAS_NUM_THREADS")
@@ -32,7 +34,8 @@ def pytest_report_header(config):
     else:
         threads = f"OPENBLAS_NUM_THREADS={threads}"
     return [
-        f"numpy {np.__version__}, BLAS {blas['name']} {blas.get('version', '')} ({threads})",
+        f"Python {platform.python_version()}, numpy {np.__version__}, "
+        f"BLAS {blas['name']} {blas.get('version', '')} ({threads})",
         f"numpy SIMD: baseline {' '.join(simd['baseline'])}; dispatches to {' '.join(simd['found']) or 'none'}",
     ]
 

@@ -1169,3 +1169,19 @@ class TestTopLevel:
         )
         assert "'triwalk'" in result.stdout
         assert "'scipy'" not in result.stdout
+
+    def test_import_adds_only_the_allowed_modules(self):
+        # An import budget, not a timing: each module that importing the CLI
+        # loads beyond numpy's own adds to every command's start-up, the more
+        # so when nothing is compiled ahead. The records are slotted classes,
+        # so neither dataclasses nor the copy module it imports is loaded.
+        src = Path(triwalk.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import sys, numpy; old = set(sys.modules); import triwalk.cli; print(*sorted(set(sys.modules) - old))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        added = result.stdout.split()
+        allowed = {"argparse", "gettext", "hashlib", "_hashlib", "_blake2", "json", "_json", "__future__", "triwalk"}
+        assert "triwalk.cli" in added
+        assert [name for name in added if name.split(".")[0] not in allowed] == []

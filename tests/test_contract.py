@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 import triwalk
+from records import fields, is_record, parameters
 from states import FIGURE_STATE, TEST_STATES
 from triwalk import (
     ChiralVector,
@@ -239,9 +240,9 @@ def _leaves(value):
     """The numbers of a result: arrays, scalars and every field of a record."""
     if isinstance(value, (QubitState, ChiralVector)):
         yield value.as_array()
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _leaves(getattr(value, f.name))
+    elif is_record(value):
+        for name in fields(value):
+            yield from _leaves(getattr(value, name))
     elif isinstance(value, (tuple, list)):
         for item in value:
             yield from _leaves(item)
@@ -302,7 +303,7 @@ def test_each_input_raises_or_gives_a_finite_value(name):
         for i in range(len(row.base)):
             for probe in (math.nan, math.inf, -1, 0.5, True, np.int64(2), None):
                 args = [*row.base[:i], probe, *row.base[i + 1 :]]
-                assert getattr(value(*args), dataclasses.fields(value)[i].name) is probe
+                assert getattr(value(*args), fields(value)[i]) is probe
     else:
         assert list(_violations(value, row)) == []
 
@@ -317,10 +318,10 @@ def test_distribution_refuses_a_bad_probability():
 
 def _records(value):
     """Each record in a result, nested ones included."""
-    if dataclasses.is_dataclass(value):
+    if is_record(value):
         yield value
-        for f in dataclasses.fields(value):
-            yield from _records(getattr(value, f.name))
+        for name in fields(value):
+            yield from _records(getattr(value, name))
     elif isinstance(value, tuple):
         for item in value:
             yield from _records(item)
@@ -330,9 +331,9 @@ def _arrays(value):
     """Each array a result holds, in its records and their tuples."""
     if isinstance(value, np.ndarray):
         yield value
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _arrays(getattr(value, f.name))
+    elif is_record(value):
+        for name in fields(value):
+            yield from _arrays(getattr(value, name))
     elif isinstance(value, tuple):
         for item in value:
             yield from _arrays(item)
@@ -342,8 +343,7 @@ def _rebuilt(record):
     """``record`` built again by its public constructor, from copies of its fields."""
     if isinstance(record, ChiralVector):  # its components as the array constructor stores them
         return ChiralVector.from_array(record.as_array())
-    fields = dataclasses.fields(record)
-    return type(record)(**{f.name: copy.deepcopy(getattr(record, f.name)) for f in fields if f.init})
+    return type(record)(**{name: copy.deepcopy(getattr(record, name)) for name in parameters(record)})
 
 
 CYCLES = (3, 5, 101)
@@ -370,11 +370,14 @@ def test_records_equal_their_public_rebuild(name):
     # Internal builds skip __init__ (or take the values positionally); each
     # record must hold what its public constructor would build from it, field
     # for field, with the same scalar types, and only read-only arrays.
+    seen = 0
     for result in BUILT[name]():
         for record in _records(result):
+            seen += 1
             rebuilt = _rebuilt(record)
-            for f in dataclasses.fields(record):
-                mine, theirs = getattr(record, f.name), getattr(rebuilt, f.name)
-                assert type(mine) is type(theirs), f.name
-                assert _same(mine, theirs), f.name
+            for field in fields(record):
+                mine, theirs = getattr(record, field), getattr(rebuilt, field)
+                assert type(mine) is type(theirs), field
+                assert _same(mine, theirs), field
         assert not any(a.flags.writeable for a in _arrays(result))
+    assert seen  # each call's results hold records

@@ -23,6 +23,7 @@ from triwalk import (
     limit_amplitude,
     limit_component,
     limit_probability,
+    localization_mass,
     stationary_profile,
     total_mass,
 )
@@ -176,3 +177,38 @@ class TestConvergenceOfSimulation:
         for n in range(-5, 6):
             gap = abs(dist.total(n) - limit_probability(n, FIGURE_STATE))
             assert gap < 0.01
+
+
+def _sum_from_python_3_12(terms: list[float]) -> float:
+    # The builtin sum() of floats from Python 3.12 on: Neumaier's compensated
+    # sum, from the int 0, with the compensation added at the end.
+    total, compensation = 0 + terms[0], 0.0
+    for x in terms[1:]:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+class TestLeftToRightSums:
+    # The library adds its few-term float sums left to right, so that their bits
+    # do not move with the interpreter: a builtin sum() would be compensated
+    # from Python 3.12 and plain addition before it.
+
+    def test_limit_probability(self):
+        moved = set()
+        for i, q in enumerate(TEST_STATES):
+            for n in range(-400, 401):
+                terms = [limit_component(n, l, q) for l in (1, 2, 3)]
+                value = limit_probability(n, q)
+                assert value.hex() == (terms[0] + terms[1] + terms[2]).hex(), (i, n)
+                if _sum_from_python_3_12(terms) != value:
+                    moved.add((i, n))
+        # The pin bites: a compensated sum moves the figure state's value at
+        # n = 2 (and at 59 more of its sites), which test_window_contents compares
+        # with the profile's left-to-right NumPy totals.
+        assert TEST_STATES[0] is FIGURE_STATE and (0, 2) in moved
+
+    def test_localization_mass(self):
+        a, b, c = (total_mass(QubitState(*pure)) for pure in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert localization_mass().hex() == ((a + b + c) / 3.0).hex()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from records import is_record, replace
 from states import FIGURE_STATE, TEST_STATES, UNIFORM_STATE, mirrored, qubit_states
 from triwalk import stationary, walk, weaklimit
 from triwalk import (
@@ -499,7 +499,7 @@ class TestStepper:
         ):
             a = state.amplitudes
             for layout in (np.asfortranarray(a), np.tile(a, 2)[:, 3:]):
-                again = dataclasses.replace(state, amplitudes=layout)
+                again = replace(state, amplitudes=layout)
                 assert np.array_equal(step(again).amplitudes, step(state).amplitudes)
 
     def test_evolve_line_window_is_the_light_cone(self):
@@ -727,8 +727,8 @@ class TestOwnedArrays:
         # them, and they equal what the public constructor builds from a copy.
         call, args = OWNED[name]
         result, again = call(*args), call(*args)
-        given = [a for arg in args if dataclasses.is_dataclass(arg) for a in arrays(arg).values()]
-        built = dataclasses.replace(result, **{k: v.copy() for k, v in arrays(result).items() if k != "totals"})
+        given = [a for arg in args if is_record(arg) for a in arrays(arg).values()]
+        built = replace(result, **{k: v.copy() for k, v in arrays(result).items() if k != "totals"})
         for key, mine in arrays(result).items():
             theirs = getattr(built, key)
             assert not mine.flags.writeable

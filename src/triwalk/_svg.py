@@ -1,8 +1,7 @@
-"""Tiny dependency-free SVG chart writer for the command-line plots."""
+"""Tiny dependency-free SVG chart renderer: each command-line plot is returned as its text."""
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
@@ -25,12 +24,6 @@ _HEADER = (
 
 def _fmt_tick(v: float) -> str:
     return f"{v:.3g}"
-
-
-def _scale(lo: float, hi: float) -> tuple[float, float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    return lo, hi
 
 
 def _x_pix(x, lo, hi):
@@ -80,19 +73,8 @@ def _axes(parts, x_lo, x_hi, y_lo, y_hi, x_label, y_label, title, y_tick_fmt=_fm
     )
 
 
-def _write(path, parts):
-    """Write the chart of ``parts``, the header and then pieces that each open
-    their own line, as UTF-8 in one write; returns ``path`` and the SHA-256 hex
-    digest of the bytes written."""
-    parts.append("\n</svg>\n")
-    data = "".join(parts).encode()
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return path, hashlib.sha256(data).hexdigest()
-
-
-def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False):
-    """Write a line chart; returns ``path`` and its SHA-256. ``series`` is a list of (xs, ys, label) triples.
+def line_chart(series, *, title, x_label, y_label, hline=None, log_y=False) -> str:
+    """The text of a line chart. ``series`` is a list of (xs, ys, label) triples.
 
     With ``log_y`` the y axis is base-10 logarithmic and non-positive values
     are dropped from the plot.
@@ -118,7 +100,8 @@ def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False
         y_hi = max(y_hi, hline)
     pad = 0.05 * (y_hi - y_lo or 1.0)
     y_lo, y_hi = y_lo - pad, y_hi + pad
-    x_lo, x_hi = _scale(x_lo, x_hi)
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1.0
 
     parts = [_HEADER]
     tick = (lambda v: f"1e{v:.2g}") if log_y else _fmt_tick
@@ -142,7 +125,8 @@ def line_chart(path, series, *, title, x_label, y_label, hline=None, log_y=False
                 f'\n<text x="{_WIDTH - _MARGIN_R - 6}" y="{_MARGIN_T + 16 + 14 * idx}" '
                 f'font-size="11" text-anchor="end" fill="{color}">{label}</text>'
             )
-    return _write(path, parts)
+    parts.append("\n</svg>\n")
+    return "".join(parts)
 
 
 def heat_blocks(rows: int, cols: int):
@@ -167,10 +151,9 @@ def heat_blocks(rows: int, cols: int):
     return means, add
 
 
-def heatmap(path, means, *, extent, x0, title, x_label, y_label):
-    """Write a space-time heatmap of the ``means`` that ``heat_blocks`` took of
-    an ``extent = (steps + 1, sites)`` field whose first site is ``x0``;
-    returns ``path`` and its SHA-256."""
+def heatmap(means, *, extent, x0, title, x_label, y_label) -> str:
+    """The text of a space-time heatmap of the ``means`` that ``heat_blocks``
+    took of an ``extent = (steps + 1, sites)`` field whose first site is ``x0``."""
     peak = float(means.max()) or 1.0
     # Square-root intensity keeps faint ballistic fronts visible next to the
     # bright localized column.
@@ -193,4 +176,5 @@ def heatmap(path, means, *, extent, x0, title, x_label, y_label):
     parts = table[np.stack((c_idx, cols + r_idx, cols + rows + which), axis=1)].ravel().tolist()
     parts.insert(0, _HEADER)
     _axes(parts, x0, x0 + extent[1], 0, extent[0], x_label, y_label, title)
-    return _write(path, parts)
+    parts.append("\n</svg>\n")
+    return "".join(parts)

@@ -5,7 +5,8 @@ tables, an optional SVG plot, and a JSON run manifest with SHA-256 checksums
 of every produced file. All numeric CSV fields use 17 significant digits, so
 parsing them back reproduces the in-memory doubles exactly and identical
 invocations produce identical bytes at a fixed BLAS thread count (verify's
-quadrature gap moves with the thread count).
+quadrature gap moves with the thread count). Every output, ``manifest.json``
+included, is one binary write of UTF-8, free of the platform's newline convention.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (an output
 path that cannot be written or that another output of the run also names
@@ -75,9 +76,16 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _write(path: Path | str, text: str) -> tuple[Path | str, str]:
+    """The one file writer: ``text`` as UTF-8 in one binary write; returns
+    ``path`` and the SHA-256 hex digest of the bytes written."""
+    data = text.encode()
+    Path(path).write_bytes(data)
+    return path, hashlib.sha256(data).hexdigest()
+
+
 def _write_csv(path: Path, header: str, *columns) -> tuple[Path, str]:
-    """Write ``columns`` under the comma-separated ``header``; returns ``path``
-    and the SHA-256 hex digest of the bytes written."""
+    """Write ``columns`` under the comma-separated ``header`` through ``_write``."""
     columns = [np.asarray(c).tolist() for c in columns]
     # One %-format over the whole table, its values row after row, from the first
     # row's column types: "%d" % n is str(n) and "%.17g" % x is _fmt(x).
@@ -85,9 +93,7 @@ def _write_csv(path: Path, header: str, *columns) -> tuple[Path, str]:
     values = [None] * (len(columns) * len(columns[0]))
     for i, c in enumerate(columns):
         values[i :: len(columns)] = c
-    data = ("\n".join([header, *[row_fmt] * len(columns[0]), ""]) % tuple(values)).encode()
-    path.write_bytes(data)
-    return path, hashlib.sha256(data).hexdigest()
+    return _write(path, "\n".join([header, *[row_fmt] * len(columns[0]), ""]) % tuple(values))
 
 
 def _write_distribution(path: Path, dist: walk.Distribution) -> tuple[Path, str]:
@@ -117,7 +123,7 @@ def _finish(args: argparse.Namespace, written: list[tuple[Path | str, str] | Non
     """Write ``manifest.json`` and return the names it lists its outputs by.
 
     ``parameters`` are the parsed options but ``--out``, plus the ``computed``
-    values; each output, a writer's (path, SHA-256) pair (a ``None`` is one not
+    values; each output, a ``_write`` (path, SHA-256) pair (a ``None`` is one not
     asked for), is keyed by its path relative to ``--out``.
     """
     outputs = {os.path.relpath(path, args.out): digest for path, digest in filter(None, written)}
@@ -130,8 +136,7 @@ def _finish(args: argparse.Namespace, written: list[tuple[Path | str, str] | Non
         "version": __version__,
         "outputs": outputs,
     }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (Path(args.out) / "manifest.json").write_text(text, encoding="utf-8")
+    _write(Path(args.out) / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return list(outputs)
 
 
@@ -187,14 +192,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     names = _finish(args, [
         _write_distribution(out_dir / "distribution.csv", final),
         _write_csv(out_dir / "trace.csv", "t,p0", range(len(trace)), trace),
-        args.svg and _svg.line_chart(
-            args.svg, [(np.arange(len(trace)), np.array(trace), "P(0, t)")], title="Probability at the origin",
+        args.svg and _write(args.svg, _svg.line_chart(
+            [(np.arange(len(trace)), np.array(trace), "P(0, t)")], title="Probability at the origin",
             x_label="t", y_label="P(0, t)", hline=_NO_STAYER_LEVEL,
-        ),
-        args.heatmap and _svg.heatmap(
-            args.heatmap, heat, extent=(args.steps + 1, width), x0=first_site,
+        )),
+        args.heatmap and _write(args.heatmap, _svg.heatmap(
+            heat, extent=(args.steps + 1, width), x0=first_site,
             title="Space-time probability density", x_label="n", y_label="t",
-        ),
+        )),
     ])
     print(f"final P(0, {args.steps}) = {_fmt(trace[-1])}")
     print(f"wrote {', '.join(names)} and manifest.json in {out_dir}")
@@ -219,10 +224,10 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
     mass = stationary.total_mass(q)
     _finish(args, [
         _write_distribution(out_dir / "stationary.csv", profile),
-        args.svg and _svg.line_chart(
-            args.svg, [(np.array(profile.sites()), profile.totals, "limit P(n)")],
+        args.svg and _write(args.svg, _svg.line_chart(
+            [(np.array(profile.sites()), profile.totals, "limit P(n)")],
             title="Stationary profile (log scale)", x_label="n", y_label="P(n)", log_y=True,
-        ),
+        )),
     ], total_mass=mass)
     print(f"P(0) = {_fmt(profile.total(0))}")
     print(f"total localized mass = {_fmt(mass)}")
@@ -272,10 +277,10 @@ def _cmd_weaklimit(args: argparse.Namespace) -> int:
     limit = weaklimit.limit_cdf(xs)
     _finish(args, [
         _write_csv(out_dir / "weaklimit.csv", "x,cdf_empirical,cdf_limit", xs, cumulative, limit),
-        args.svg and _svg.line_chart(
-            args.svg, [(xs, cumulative, "empirical CDF"), (xs, limit, "limit CDF")],
+        args.svg and _write(args.svg, _svg.line_chart(
+            [(xs, cumulative, "empirical CDF"), (xs, limit, "limit CDF")],
             title=f"Rescaled position CDF at t = {args.steps}", x_label="x = n / t", y_label="CDF",
-        ),
+        )),
     ], kolmogorov_distance=distance)
     print(f"Kolmogorov distance at t = {args.steps}: {_fmt(distance)}")
     return EXIT_OK

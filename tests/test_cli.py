@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -348,12 +349,12 @@ def per_cell_rects(means: np.ndarray) -> list[str]:
     ]
 
 
-def draw_heatmap(path: Path, field, *, x0: int, title: str) -> np.ndarray:
-    """Stream ``field`` row by row into block means and draw them, as evolve does."""
+def draw_heatmap(field, *, x0: int, title: str) -> tuple[np.ndarray, str]:
+    """Stream ``field`` row by row into block means and draw them, as evolve
+    does; returns the means and the heatmap's text."""
     field = np.asarray(field, dtype=float)
     means = streamed_means(field)
-    _svg.heatmap(path, means, extent=field.shape, x0=x0, title=title, x_label="n", y_label="t")
-    return means
+    return means, _svg.heatmap(means, extent=field.shape, x0=x0, title=title, x_label="n", y_label="t")
 
 
 class TestWriters:
@@ -383,16 +384,15 @@ class TestWriters:
             dist = walk.distribution(state)
             grid[t, dist.first_site - first_site : dist.first_site - first_site + len(dist)] = dist.totals
         means = full_grid_means(grid)
-        reference = tmp_path / "reference.svg"
-        _svg.heatmap(
-            reference, means, extent=grid.shape, x0=first_site,
+        reference = _svg.heatmap(
+            means, extent=grid.shape, x0=first_site,
             title="Space-time probability density", x_label="n", y_label="t",
         )
         argv = ["evolve", f"--qubit={FIGURE_QUBIT}", "--steps", str(steps), "--heatmap", str(tmp_path / "heat.svg")]
         argv += ["--out", str(tmp_path)] + (["--cycle", str(cycle)] if cycle else [])
         assert main(argv) == 0
         text = (tmp_path / "heat.svg").read_text()
-        assert text == reference.read_text()
+        assert text == reference
         # Between the background and the plot frame: one rect per drawn cell.
         cells = per_cell_rects(means)
         frame = '<rect x="70" y="40" width="550" height="330" fill="none" stroke="#333"/>'
@@ -420,21 +420,19 @@ class TestWriters:
             tracemalloc.stop()
         assert peak < 1001 * 2001 * 8
 
-    def test_all_zero_heatmap_bytes(self, tmp_path):
+    def test_all_zero_heatmap_bytes(self):
         # The peak falls back to 1.0 and no cell is drawn.
-        path = tmp_path / "zero.svg"
-        draw_heatmap(path, np.zeros((3, 5)), x0=-2, title="empty")
-        assert path.read_text().count("<rect") == 2
-        assert sha256_of(path) == "a78ef88ff268f4b0c25abe3589bd18d84077a91f5f0684f8bbafb96143f19ebd"
+        _, text = draw_heatmap(np.zeros((3, 5)), x0=-2, title="empty")
+        assert text.count("<rect") == 2
+        assert hashlib.sha256(text.encode()).hexdigest() == "a78ef88ff268f4b0c25abe3589bd18d84077a91f5f0684f8bbafb96143f19ebd"
 
-    def test_heatmap_draws_one_rect_per_positive_block(self, tmp_path):
+    def test_heatmap_draws_one_rect_per_positive_block(self):
         rng = np.random.default_rng(3)
         field = rng.random((301, 601)) * (rng.random((301, 601)) < 0.002)
         blocked = full_grid_means(field)
         assert blocked.shape == (301 // 2, 601 // 3)
-        path = tmp_path / "heat.svg"
-        assert draw_heatmap(path, field, x0=-300, title="field").tobytes() == blocked.tobytes()
-        text = path.read_text()
+        means, text = draw_heatmap(field, x0=-300, title="field")
+        assert means.tobytes() == blocked.tobytes()
         # The background and the plot frame, then one rect per positive block.
         assert text.count("<rect") == 2 + int(np.count_nonzero(blocked > 0.0))
         assert 0 < np.count_nonzero(blocked > 0.0) < blocked.size
@@ -442,14 +440,31 @@ class TestWriters:
         assert text.count('fill="rgb(8,48,107)"') == peaks
         assert text.splitlines()[2 : 2 + len(per_cell_rects(blocked))] == per_cell_rects(blocked)
 
-    def test_heatmap_half_shade_rounds_to_even(self, tmp_path):
+    def test_heatmap_half_shade_rounds_to_even(self):
         # Shade sqrt(0.25) = 0.5: red 131.5 and green 151.5 round to even.
-        path = tmp_path / "heat.svg"
-        draw_heatmap(path, [[1.0, 0.25], [0.0, 0.25]], x0=0, title="half")
-        text = path.read_text()
+        _, text = draw_heatmap([[1.0, 0.25], [0.0, 0.25]], x0=0, title="half")
         assert text.count("<rect") == 2 + 3
         assert text.count('fill="rgb(132,152,181)"') == 2
         assert text.count('fill="rgb(8,48,107)"') == 1
+
+    def test_renderers_open_no_file(self):
+        # The charts come back as text; cli._write is what writes them.
+        def no_open(file, *args, **kwargs):
+            raise AssertionError(f"a renderer opened {file}")
+
+        xs = np.arange(5.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(builtins, "open", no_open)
+            patch.setattr(io, "open", no_open)
+            charts = [
+                _svg.line_chart([(xs, xs**2, "squares")], title="hline", x_label="x", y_label="y", hline=2.0),
+                _svg.line_chart([(xs, np.zeros(5), "zeros")], title="no points", x_label="x", y_label="y", log_y=True),
+                _svg.line_chart([(xs, xs, "up"), (xs, 4.0 - xs, "down")], title="two", x_label="x", y_label="y"),
+                _svg.heatmap(np.eye(3), extent=(3, 3), x0=-1, title="heat", x_label="n", y_label="t"),
+            ]
+        assert [type(chart) for chart in charts] == [str] * 4
+        assert [chart.count("<polyline") for chart in charts] == [1, 0, 2, 0]
+        assert all(chart.endswith("\n</svg>\n") for chart in charts)
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @example(-0.0)
@@ -887,26 +902,37 @@ class TestManifest:
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == "wrote distribution.csv, trace.csv, ../p/trace.csv and manifest.json in o"
 
-    def test_outputs_are_hashed_from_the_bytes_written(self, tmp_path, monkeypatch):
-        # Each writer hands its digest to the manifest: no file is opened for
-        # reading (Path.read_bytes opens through io.open, the SVG writer
-        # through the builtin).
-        written = []
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--svg", "t.svg", "--heatmap", "h.svg"],
+             ["o/distribution.csv", "o/trace.csv", "t.svg", "h.svg"]),
+            (["stationary", "--qubit", "1,0,0", "--svg", "s.svg"], ["o/stationary.csv", "s.svg"]),
+            (["timeavg", "--qubit", "1,0,0", "--sites", "5"], ["o/timeavg.csv"]),
+            (["weaklimit", "--steps", "100", "--svg", "w.svg"], ["o/weaklimit.csv", "w.svg"]),
+        ],
+        ids=["evolve", "stationary", "timeavg", "weaklimit"],
+    )
+    def test_outputs_are_hashed_from_the_bytes_written(self, argv, files, tmp_path, monkeypatch):
+        # Every output, manifest.json included, is one binary write whose
+        # digest the manifest lists: no file is read back or opened in text
+        # mode (Path.read_bytes and Path.write_bytes open through io.open).
+        opened = []
         real_open = io.open
 
         def write_only(file, mode="r", *args, **kwargs):
             assert set(mode) & set("wax+"), f"read back {file}"
-            written.append(os.path.basename(file))
+            assert "b" in mode, f"{file} opened in text mode {mode!r}"
+            opened.append(os.path.basename(file))
             return real_open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr(io, "open", write_only)
         monkeypatch.setattr(builtins, "open", write_only)
-        argv = ["evolve", "--qubit", "1,0,0", "--steps", "3", "--svg", "t.svg", "--heatmap", "h.svg"]
         monkeypatch.chdir(tmp_path)
         assert main([*argv, "--out", "o"]) == 0
         monkeypatch.undo()
-        files = ["o/distribution.csv", "o/trace.csv", "t.svg", "h.svg"]
-        assert written == [*map(os.path.basename, files), "manifest.json"]
+        # Each output once in the order written, then the manifest, once.
+        assert opened == [*map(os.path.basename, files), "manifest.json"]
         outputs = json.loads((tmp_path / "o" / "manifest.json").read_text())["outputs"]
         assert outputs == {os.path.relpath(f, "o"): sha256_of(tmp_path / f) for f in files}
 
@@ -1185,3 +1211,36 @@ class TestTopLevel:
         allowed = {"argparse", "gettext", "hashlib", "_hashlib", "_blake2", "json", "_json", "__future__", "triwalk"}
         assert "triwalk.cli" in added
         assert [name for name in added if name.split(".")[0] not in allowed] == []
+
+
+def readme_example() -> tuple[list[list[str]], str]:
+    """README's command-line example block: the argv of each ``triwalk`` line,
+    its backslash continuations joined, and the block's comments as one text."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```sh\n")[1:] if "triwalk verify" in b).split("```")[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("triwalk ")]
+    return commands, " ".join(line.lstrip("# ") for line in lines if line.startswith("#"))
+
+
+README_COMMANDS, README_COMMENTS = readme_example()
+
+
+class TestReadme:
+    def test_example_runs_every_subcommand(self):
+        assert [argv[0] for argv in README_COMMANDS] == ["evolve", "evolve", "stationary", "timeavg", "weaklimit", "verify"]
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+    def test_example_command_exits_0(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+
+    def test_stated_caps_are_the_cli_caps(self):
+        stated = [
+            f"--steps is at most {cli._MAX_EVOLVE_STEPS},",
+            f"at most {cli._MAX_EVOLVE_CYCLE} sites and at most {cli._MAX_EVOLVE_STEPS**2} site-steps",
+            f"(--window at most {cli._MAX_STATIONARY_WINDOW})",
+            f"3 <= N <= {cli._MAX_TIMEAVG_SITES}",
+            f"(100 <= --steps <= {cli._MAX_WEAKLIMIT_STEPS})",
+        ]
+        assert [phrase for phrase in stated if phrase not in README_COMMENTS] == []

@@ -207,21 +207,14 @@ class ChiralVector(_Record):
         return abs(self.left) ** 2 + abs(self.zero) ** 2 + abs(self.right) ** 2
 
 
-def _check_totals(totals: np.ndarray, first: int, what: str) -> None:
-    # Row i of totals holds each state's total probability after step first + i.
-    # The initial state may be off by NORM_TOLERANCE; every step, plus the
-    # re-evaluation of the initial norm, adds at most STEP_ROUNDOFF.
-    bound = NORM_TOLERANCE + np.arange(first + 1, first + 1 + len(totals), dtype=float) * STEP_ROUNDOFF
-    kept = np.abs(totals - 1.0) <= bound[:, None]  # NaN fails too
-    if not kept.all():
-        raise ValueError(f"{what} breaks probability conservation: total = {float(totals[~kept][0])!r}")
-
-
-def _check_total_probability(values: np.ndarray, time: int, what: str) -> None:
-    # A frozen state: contiguous, so vdot copies nothing. The same bound as
-    # _check_totals, in scalars: step_* check one state per call.
-    total = float(np.vdot(values, values).real)
-    if not abs(total - 1.0) <= NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF:  # NaN fails too
+def _check_total(total: float, time: int, what: str) -> None:
+    # The conservation rule for one state's total after step time: the initial state may be
+    # off by NORM_TOLERANCE; each step, and re-evaluating its norm, adds STEP_ROUNDOFF at most.
+    try:
+        bound = NORM_TOLERANCE + (time + 1) * STEP_ROUNDOFF
+    except OverflowError:  # time + 1 beyond float range: every finite total is within the bound
+        bound = np.finfo(float).max
+    if not abs(total - 1.0) <= bound:  # NaN and inf fail too
         raise ValueError(f"{what} breaks probability conservation: total = {total!r}")
 
 
@@ -252,7 +245,7 @@ class LineState(_Record):
     def __init__(self, origin_offset: int, amplitudes: np.ndarray, time: int) -> None:
         origin_offset, time = operator.index(origin_offset), _count(time)
         amplitudes = _frozen_rows(amplitudes, complex)
-        _check_total_probability(amplitudes, time, "line state")
+        _check_total(float(np.vdot(amplitudes, amplitudes).real), time, "line state")
         object.__setattr__(self, "origin_offset", origin_offset)
         object.__setattr__(self, "amplitudes", amplitudes)
         object.__setattr__(self, "time", time)
@@ -279,7 +272,7 @@ class CycleState(_Record):
         amplitudes = _frozen_rows(amplitudes, complex)
         if amplitudes.shape[0] != n_sites:
             raise ValueError("amplitude field does not match the cycle size")
-        _check_total_probability(amplitudes, time, "cycle state")
+        _check_total(float(np.vdot(amplitudes, amplitudes).real), time, "cycle state")
         object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "amplitudes", amplitudes)
         object.__setattr__(self, "time", time)
@@ -441,15 +434,15 @@ def _dead(rows: np.ndarray) -> int:
 
 
 def _evolve(vectors: np.ndarray, sites: int, t: int, what: str) -> np.ndarray:
-    # t steps, in blocks of _SCAN, each checked every step, of the (states, 3) chirality
-    # vectors alone at site 0 of an odd ring: each state's real row, then its imaginary
-    # row if any vector is complex, over the ring and an end column per side, site 0 in
-    # column cols // 2. Both buffers stay zero outside the live columns [lo, hi). A
-    # block steps its k steps over [lo - k, hi + k), leaving a zero column, landing as
-    # +0, per side, then drops the end columns below _FLOOR, each edge found by _dead
-    # from its end of the last step's rows; one that would pass the ring's ends steps
-    # and wraps the whole ring. Step 0 is the caller's: a QubitState is normalized more
-    # tightly than any step's bound.
+    # t steps, in blocks of _SCAN, of the (states, 3) chirality vectors alone at site 0 of
+    # an odd ring: each state's real row, then its imaginary row if any vector is complex,
+    # over the ring and an end column per side, site 0 in column cols // 2. Both buffers
+    # stay zero outside the live columns [lo, hi). A block steps its k steps over [lo - k,
+    # hi + k), leaving a zero column, landing as +0, per side, checks each state's total
+    # after each step, in step then state order, and drops the end columns below _FLOOR,
+    # each edge found by _dead from its end of the last step's rows; one that would pass
+    # the ring's ends steps and wraps the whole ring. Step 0 is the caller's: a
+    # QubitState is normalized more tightly than any step's bound.
     layers = (vectors.real, vectors.imag) if vectors.imag.any() else (vectors.real,)
     states, cols = len(vectors), sites + 2
     parts = np.zeros((states * len(layers), 3, cols))
@@ -474,7 +467,9 @@ def _evolve(vectors: np.ndarray, sites: int, t: int, what: str) -> np.ndarray:
                 dst = bufs[s % 2]
                 dst[:, 0, -2], dst[:, 2, 1] = dst[:, 0, 0], dst[:, 2, -1]
             np.vecdot(rows, rows, totals[s - 1 - done])
-        _check_totals(totals[:k].reshape(k, states, -1).sum(axis=2), done + 1, what)
+        for s, state_totals in enumerate(totals[:k].reshape(k, states, -1).sum(axis=2).tolist(), done + 1):
+            for total in state_totals:
+                _check_total(total, s, what)
         if not ring:  # checked, so some column holds amplitude: both scans stop at it
             live_lo, live_hi = lo + _dead(rows), hi - _dead(rows[:, ::-1])
             for b in bufs:
@@ -486,7 +481,7 @@ def _evolve(vectors: np.ndarray, sites: int, t: int, what: str) -> np.ndarray:
 def step_line(s: LineState) -> LineState:
     """Advance a line state by one step, widening the window by one site per side."""
     amplitudes = _step(_parts(s.amplitudes, pad=1))
-    _check_total_probability(amplitudes, s.time + 1, "line state")
+    _check_total(float(np.vdot(amplitudes, amplitudes).real), s.time + 1, "line state")
     return _own(LineState, origin_offset=s.origin_offset - 1, amplitudes=amplitudes, time=s.time + 1)
 
 
@@ -513,7 +508,7 @@ def evolve_line(q: QubitState, t: int) -> LineState:
 def step_cycle(s: CycleState) -> CycleState:
     """Advance a cycle state by one step (site indices wrap modulo the size)."""
     amplitudes = _step(_parts(s.amplitudes))
-    _check_total_probability(amplitudes, s.time + 1, "cycle state")
+    _check_total(float(np.vdot(amplitudes, amplitudes).real), s.time + 1, "cycle state")
     return _own(CycleState, n_sites=s.n_sites, amplitudes=amplitudes, time=s.time + 1)
 
 

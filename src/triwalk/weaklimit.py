@@ -123,7 +123,11 @@ class EmpiricalRescaled(_Record):
         # Each pure state's total drifts by at most walk.STEP_ROUNDOFF per step
         # from an exact start, so the mixture's does too. NaN and inf fail the
         # sum; an empty table fails it before min, which has nothing to reduce.
-        if not (abs(float(masses.sum()) - 1.0) <= (time + 1) * walk.STEP_ROUNDOFF and masses.min() >= 0.0):
+        try:
+            bound = (time + 1) * walk.STEP_ROUNDOFF
+        except OverflowError:  # time + 1 beyond float range: every finite total is within the bound
+            bound = np.finfo(float).max
+        if not (abs(float(masses.sum()) - 1.0) <= bound and masses.min() >= 0.0):
             raise ValueError("atom masses must be non-negative and sum to 1")
         if not (-1.0 <= positions[0] and positions[-1] <= 1.0):  # NaN fails too
             raise ValueError("rescaled support must lie within [-1, 1]")

@@ -154,12 +154,21 @@ class TestConservationCheck:
         return np.array([[math.sqrt(total), 0.0, 0.0]], dtype=complex)
 
     def test_accepts_roundoff_drift_at_long_times(self):
-        # Stepping drifts the norm by about 1.07e-16 per step.
-        state = LineState(0, self._single_site(1.0 - 1.07e-12), time=10000)
-        assert state.time == 10000
+        # Stepping drifts the norm by about 1.07e-16 per step. A step count is
+        # any int: past float range the bound passes every float, so every
+        # finite total is within it, and NaN and inf still fail.
         ring = np.zeros((3, 3), dtype=complex)
         ring[0] = self._single_site(1.0 - 1.07e-12)[0]
-        assert CycleState(3, ring, time=10000).time == 10000
+        for time in (10000, 2**63, 10**300, 10**400):
+            state = LineState(0, self._single_site(1.0 - 1.07e-12), time=time)
+            assert state.time == time
+            assert CycleState(3, ring, time=time).time == time
+        for bad in (math.nan, math.inf):  # an infinite amplitude's square may come out NaN
+            ring[0] = self._single_site(bad)[0]
+            with pytest.raises(ValueError, match="line state breaks .*: total = (nan|inf)$"):
+                LineState(0, self._single_site(bad), time=10**400)
+            with pytest.raises(ValueError, match="cycle state breaks .*: total = (nan|inf)$"):
+                CycleState(3, ring, time=10**400)
 
     def test_rejects_real_loss(self):
         for time in (0, 10000):
@@ -174,41 +183,51 @@ class TestConservationCheck:
         with pytest.raises(ValueError, match="conservation"):
             LineState(0, self._single_site(math.nan), time=0)
 
-    @pytest.mark.parametrize("states", [1, 3])
-    def test_block_rejects_nan_or_inf_in_one_total(self, states):
-        # evolve_* compare a block of steps at once; one bad total anywhere in
-        # it fails the block, and the first in step order is the one named.
-        walk._check_totals(np.ones((8, states)), 1, "line state")
-        for step in range(8):
-            for state in range(states):
-                for bad in (math.nan, math.inf, -math.inf):
-                    totals = np.ones((8, states))
-                    totals[-1, -1] = 2.0  # a later failure, not the one named
-                    totals[step, state] = bad
-                    with pytest.raises(ValueError, match=f"line state breaks .*: total = {bad!r}$"):
-                        walk._check_totals(totals, 1, "line state")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nan_or_inf(self, bad):
+        for time in (0, 7, 10000, 2**63, 10**400):
+            with pytest.raises(ValueError, match=f"line state breaks .*: total = {bad!r}$"):
+                walk._check_total(bad, time, "line state")
 
-    @pytest.mark.parametrize("states", [1, 3])
-    def test_block_bound_is_sharp_at_every_step(self, states):
-        # A total of 1 +- k 2^-52 is exact in floats, so the check admits it
+    @pytest.mark.parametrize("first", [0, 10000])
+    def test_bound_is_sharp_at_every_step(self, first):
+        # A total of 1 +- k 2^-52 is exact in floats, so the rule admits it
         # exactly when k 2^-52 is within NORM_TOLERANCE + (s + 1) STEP_ROUNDOFF
         # for its own step s; STEP_ROUNDOFF is 16 units, so a neighbour's bound
         # would be off by 16.
         one = 2**52
-        for first in (0, 10000):
-            for row in range(8):
-                bound = walk.NORM_TOLERANCE + (first + row + 1) * walk.STEP_ROUNDOFF
-                inside = math.floor(bound * 2.0**52)
-                for state in range(states):
-                    for units, admitted in ((inside, True), (inside + 1, False)):
-                        for total in (one + units, one - units):
-                            totals = np.ones((8, states))
-                            totals[row, state] = total * 2.0**-52
-                            if admitted:
-                                walk._check_totals(totals, first, "cycle state")
-                            else:
-                                with pytest.raises(ValueError, match="cycle state breaks"):
-                                    walk._check_totals(totals, first, "cycle state")
+        for time in range(first, first + 8):
+            bound = walk.NORM_TOLERANCE + (time + 1) * walk.STEP_ROUNDOFF
+            inside = math.floor(bound * 2.0**52)
+            for units, admitted in ((inside, True), (inside + 1, False)):
+                for total in ((one + units) * 2.0**-52, (one - units) * 2.0**-52):
+                    if admitted:
+                        walk._check_total(total, time, "cycle state")
+                    else:
+                        with pytest.raises(ValueError, match=f"cycle state breaks .*: total = {total!r}$"):
+                            walk._check_total(total, time, "cycle state")
+
+    @pytest.mark.parametrize("states", [1, 3])
+    def test_evolve_names_the_first_failing_total(self, monkeypatch, states):
+        # _evolve checks a block of steps at the block's end, each state after
+        # each step, in step order and then state order: one bad total anywhere
+        # in the block fails it, the first is the one named, and no total after
+        # it is checked.
+        check, calls = walk._check_total, []
+        block = walk._SCAN * states
+
+        def substitute(total, time, what):
+            calls.append((what, time))
+            n = len(calls) - 1
+            check(bad if n == i else 2.0 if n == block - 1 else total, time, what)  # 2.0: a later failure
+
+        monkeypatch.setattr(walk, "_check_total", substitute)
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(block):
+                calls.clear()
+                with pytest.raises(ValueError, match=f"line state breaks .*: total = {bad!r}$"):
+                    walk._evolve(np.eye(3)[:states], 2 * 19 + 1, 19, "line state")
+                assert calls == [("line state", 1 + n // states) for n in range(i + 1)]
 
 
 class TestCycleEvolution:
@@ -381,10 +400,10 @@ class TestStepper:
 
     def test_conservation_checked_after_every_step(self, monkeypatch):
         # evolve_* compare each state's total after every step s against the
-        # bound of step s exactly once, a block of steps at a time; step 0 is
-        # the qubit's, which QubitState normalizes more tightly than any
-        # step's bound, so neither the frozen result nor a start state is
-        # checked again. Each total is the sum of the squares of the real and
+        # bound of step s exactly once, in step order; step 0 is the qubit's,
+        # which QubitState normalizes more tightly than any step's bound, so
+        # neither the frozen result nor a start state is checked again. Each
+        # total is a plain float, the sum of the squares of the real and
         # imaginary parts of exactly the state after s steps, on the window of
         # its block: the live window that the block's last step reaches,
         # [-e, e] here, with e the block's last step. A coin scaled by
@@ -392,17 +411,13 @@ class TestStepper:
         # its neighbours' by about 2^-39.
         q = FIGURE_STATE
         seen = []
-        check_block, check_state = walk._check_totals, walk._check_total_probability
+        check = walk._check_total
         coin = np.asarray(walk._coin()) * (1.0 + 2.0**-40)
         monkeypatch.setattr(walk, "_coin", lambda: coin)
 
-        def record_block(totals, first, what):
-            seen.append((what, first, totals.shape, np.array(totals)))
-            check_block(totals, first, what)
-
-        def record_state(values, time, what):
-            seen.append((what, time, values.shape, np.array(values)))
-            check_state(values, time, what)
+        def record(total, time, what):
+            seen.append((what, time, total))
+            check(total, time, what)
 
         def total(amplitudes, cols, lo, window):
             # One dot per row of the real and imaginary parts, laid out as in
@@ -414,22 +429,18 @@ class TestStepper:
             rows = buffer[:, :, window].reshape(6, -1)
             return float(np.vecdot(rows, rows).sum())
 
-        monkeypatch.setattr(walk, "_check_totals", record_block)
-        monkeypatch.setattr(walk, "_check_total_probability", record_state)
+        monkeypatch.setattr(walk, "_check_total", record)
         t = 2 * walk._SCAN + 3
         evolve_line(q, t)
         recorded = seen[:]
-        assert [entry[:3] for entry in recorded] == [
-            ("line state", 1, (walk._SCAN, 1)),
-            ("line state", walk._SCAN + 1, (walk._SCAN, 1)),
-            ("line state", 2 * walk._SCAN + 1, (3, 1)),
-        ]
-        totals = np.concatenate([entry[3] for entry in recorded])
-        assert np.all(np.diff(totals[:, 0]) > 2.0**-40)
+        assert [entry[:2] for entry in recorded] == [("line state", s) for s in range(1, t + 1)]
+        totals = [entry[2] for entry in recorded]
+        assert all(type(x) is float for x in totals)
+        assert np.all(np.diff(totals) > 2.0**-40)
         for s in range(1, t + 1):
             e = min(-(-s // walk._SCAN) * walk._SCAN, t)
             window = slice(t + 1 - e, t + 2 + e)
-            assert totals[s - 1, 0] == total(evolve_line(q, s).amplitudes, 2 * t + 3, t + 1 - s, window)
+            assert totals[s - 1] == total(evolve_line(q, s).amplitudes, 2 * t + 3, t + 1 - s, window)
         # A cycle steps with site 0 in its middle column, over the window the
         # line's would be until that window would pass the ring's ends, then
         # over the whole ring. A ring of 5 sites fits 2 steps without wrapping;
@@ -438,17 +449,16 @@ class TestStepper:
             seen.clear()
             evolve_cycle(q, n_sites, t)
             recorded = seen[:]
-            assert [entry[:3] for entry in recorded] == [
-                ("cycle state", first, (min(walk._SCAN, t + 1 - first), 1)) for first in range(1, t + 1, walk._SCAN)
-            ]
-            totals = np.concatenate([entry[3] for entry in recorded])
-            assert np.all(np.diff(totals[:, 0]) > 2.0**-40)
+            assert [entry[:2] for entry in recorded] == [("cycle state", s) for s in range(1, t + 1)]
+            totals = [entry[2] for entry in recorded]
+            assert all(type(x) is float for x in totals)
+            assert np.all(np.diff(totals) > 2.0**-40)
             middle = n_sites // 2 + 1
             for s in range(1, t + 1):
                 e = min(-(-s // walk._SCAN) * walk._SCAN, t)
                 window = slice(1, n_sites + 1) if e > n_sites // 2 else slice(middle - e, middle + e + 1)
                 laid_out = np.roll(evolve_cycle(q, n_sites, s).amplitudes, n_sites // 2, axis=0)
-                assert totals[s - 1, 0] == total(laid_out, n_sites + 2, 1, window)
+                assert totals[s - 1] == total(laid_out, n_sites + 2, 1, window)
         # No step, no check; and an unnormalized qubit never reaches evolve_*.
         seen.clear()
         evolve_line(q, 0)
@@ -461,24 +471,26 @@ class TestStepper:
         assert seen == []
 
     def test_a_norm_moving_coin_stops_within_one_block(self, monkeypatch):
+        # The block's first step fails, so no later step of it, and no later
+        # block, is checked.
         seen = []
-        check = walk._check_totals
+        check = walk._check_total
 
-        def record(totals, first, what):
-            seen.append((first, totals.shape))
-            check(totals, first, what)
+        def record(total, time, what):
+            seen.append((what, time, total))
+            check(total, time, what)
 
         coin = np.asarray(walk._coin()) * np.sqrt([1.0 + 1e-6, 1.0 - 1e-6, 1.0])
-        monkeypatch.setattr(walk, "_check_totals", record)
+        monkeypatch.setattr(walk, "_check_total", record)
         monkeypatch.setattr(walk, "_coin", lambda: coin)
         q = QubitState(1.0, 0.0, 0.0)
         with pytest.raises(ValueError, match=r"line state breaks .*: total = 1\.000001"):
             evolve_line(q, 100)
-        assert seen == [(1, (walk._SCAN, 1))]
+        assert [entry[:2] for entry in seen] == [("line state", 1)]
         seen.clear()
         with pytest.raises(ValueError, match=r"cycle state breaks .*: total = 1\.000001"):
             evolve_cycle(q, 7, 100)
-        assert seen == [(1, (walk._SCAN, 1))]
+        assert [entry[:2] for entry in seen] == [("cycle state", 1)]
 
     def test_a_norm_moving_coin_stops_the_first_step(self, monkeypatch):
         coin = np.asarray(walk._coin()) * np.sqrt([1.0 + 1e-6, 1.0 - 1e-6, 1.0])

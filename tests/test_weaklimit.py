@@ -222,24 +222,21 @@ class TestEmpiricalRescaled:
     def test_each_state_is_checked_every_step(self, monkeypatch):
         # Each pure state's total on its block's window, the live window that
         # the block's last step e reaches ([-e, e] here), is compared on its
-        # own after every step s, a block of steps at a time:
-        # a coin that moves norm from the first basis state to the second
-        # fails in the first block, although the mixture keeps its total.
+        # own after every step s, in step order and then state order: a coin
+        # that moves norm from one basis state to another fails at the first
+        # step, although the mixture keeps its total.
         seen = []
-        check = walk._check_totals
+        check = walk._check_total
 
-        def record(totals, first, what):
-            seen.append((first, np.array(totals)))
-            check(totals, first, what)
+        def record(total, time, what):
+            seen.append((what, time, total))
+            check(total, time, what)
 
-        monkeypatch.setattr(walk, "_check_totals", record)
+        monkeypatch.setattr(walk, "_check_total", record)
         t = walk._SCAN + 3
         empirical_rescaled(t)
-        assert [(first, totals.shape) for first, totals in seen] == [
-            (1, (walk._SCAN, 3)),
-            (walk._SCAN + 1, (3, 3)),
-        ]
-        totals = np.concatenate([totals for _, totals in seen])
+        assert [entry[:2] for entry in seen] == [("line state", s) for s in range(1, t + 1) for _ in range(3)]
+        totals = np.array([entry[2] for entry in seen]).reshape(t, 3)
         for s in range(1, t + 1):
             # One dot per chirality, on the columns [t + 1 - e, t + 2 + e) of
             # a (3, 3, 2t + 3) buffer, as empirical_rescaled lays them out,
@@ -251,15 +248,19 @@ class TestEmpiricalRescaled:
                 buffer[i, :, t + 1 - s : t + 2 + s] = amplitudes.real.T
             rows = buffer[:, :, t + 1 - e : t + 2 + e]
             assert np.array_equal(totals[s - 1], np.vecdot(rows, rows).sum(axis=1))
-        seen.clear()
-        coin = np.asarray(walk._coin()) * np.sqrt([1.0 + 1e-6, 1.0 - 1e-6, 1.0])
-        assert float(np.sum(coin**2)) / 3.0 == pytest.approx(1.0, abs=1e-15)
-        monkeypatch.setattr(walk, "_coin", lambda: coin)
-        with pytest.raises(ValueError, match=r"conservation: total = 1\.000001"):
-            empirical_rescaled(100)
-        assert [(first, totals.shape) for first, totals in seen] == [(1, (walk._SCAN, 3))]
-        first_step = seen[0][1][0]
-        assert first_step[0] > 1.0 + 5e-7 and first_step[1] < 1.0 - 5e-7
+        # The coin's columns, which the basis states meet, scaled: the first
+        # state that moves is named, the second if the first keeps its norm.
+        unscaled = np.asarray(walk._coin())
+        for moved, failing in (((1.0 + 1e-6, 1.0 - 1e-6, 1.0), 0), ((1.0, 1.0 - 1e-6, 1.0 + 1e-6), 1)):
+            seen.clear()
+            coin = unscaled * np.sqrt(moved)
+            assert float(np.sum(coin**2)) / 3.0 == pytest.approx(1.0, abs=1e-15)
+            monkeypatch.setattr(walk, "_coin", lambda: coin)
+            with pytest.raises(ValueError, match="line state breaks probability conservation: total = ") as failure:
+                empirical_rescaled(100)
+            assert [entry[:2] for entry in seen] == [("line state", 1)] * (failing + 1)
+            assert str(failure.value).endswith(f"total = {seen[-1][2]!r}")
+            assert seen[-1][2] == pytest.approx(moved[failing], abs=1e-12)
 
     def test_validation_of_hand_built_atoms(self):
         with pytest.raises(ValueError):
@@ -281,11 +282,18 @@ class TestEmpiricalRescaled:
 
     def test_mass_tolerance_grows_with_time(self):
         # The mixture's mass drifts with t like the walk's norm: it is off
-        # by -1.3e-12 at t = 12000, past a fixed 1e-12.
+        # by -1.3e-12 at t = 12000, past a fixed 1e-12. A time is any int:
+        # past float range the bound passes every float, and NaN and inf
+        # still fail.
         positions = np.array([-0.5, 0.5])
         EmpiricalRescaled(time=12000, positions=positions, masses=np.array([0.5, 0.5 - 2e-12]))
         with pytest.raises(ValueError):
             EmpiricalRescaled(time=12000, positions=positions, masses=np.array([0.5, 0.5 - 1e-6]))
+        for time in (2**63, 10**300, 10**400):
+            assert EmpiricalRescaled(time, [0.0], [1.0]).time == time
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sum to 1"):
+                EmpiricalRescaled(10**400, positions, [0.5, bad])
 
 
 class TestCdfDistance:

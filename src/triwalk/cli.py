@@ -101,19 +101,28 @@ def _write_distribution(path: Path, dist: walk.Distribution) -> tuple[Path, str]
 
 
 def _output_dir(args: argparse.Namespace, *names: str) -> Path:
-    """Make ``--out`` and return it, once no two outputs of the run name one file.
+    """Make ``--out`` and return it, once no two outputs of the run name one file
+    and each plot names a file in a directory that exists or that this makes.
 
     ``names`` are the files written in ``--out`` besides ``manifest.json``; the
     plots asked for by ``--svg`` and ``--heatmap`` are outputs too.
     """
-    files = [("--out", os.path.join(args.out, name)) for name in (*names, "manifest.json")]
-    files += [(f"--{option}", getattr(args, option)) for option in ("svg", "heatmap") if getattr(args, option, None)]
+    plots = [(f"--{option}", getattr(args, option)) for option in ("svg", "heatmap") if getattr(args, option, None)]
+    files = [("--out", os.path.join(args.out, name)) for name in (*names, "manifest.json")] + plots
     owners: dict[str, str] = {}
     for option, path in files:
         real = os.path.realpath(path)
         if real in owners:
             raise UsageError(f"{owners[real]} and {option} both write {path}")
         owners[real] = option
+    out = os.path.realpath(args.out)
+    for option, path in plots:
+        if os.path.basename(path) in ("", os.curdir, os.pardir) or os.path.isdir(path):
+            raise UsageError(f"{option} names a directory: {path}")
+        folder = os.path.realpath(os.path.dirname(path) or os.curdir)
+        # mkdir below makes --out and its missing parents.
+        if not (os.path.isdir(folder) or folder == out or out.startswith(folder + os.sep)):
+            raise UsageError(f"{option} names a file in a missing directory: {path}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
@@ -145,6 +154,9 @@ _FIGURE_STATE = QubitState(1j / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))
 
 #: Limit of P(0, t) for the figure state: 10 - 4 sqrt 6.
 _ORIGIN_LIMIT = 10.0 - 4.0 * math.sqrt(6.0)
+
+#: The zero-localization state: it has no localized part, so P(0, t) decays.
+_ZERO_STATE = QubitState(1.0 / math.sqrt(6.0), -2.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0))
 
 #: Long-run average of P(0, t) for every state without stayer amplitude.
 _NO_STAYER_LEVEL = 2.0 * (5.0 - 2.0 * math.sqrt(6.0))
@@ -206,10 +218,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-#: Widest ``stationary --window``. Time grows linearly in the window, and the
-#: profile underflows to exactly 0 beyond |n| of about 330; at 10000 the
-#: command takes 0.04-0.06 s and peaks at 41 MiB on 2 CPUs.
-_MAX_STATIONARY_WINDOW = 10000
+#: Widest ``stationary --window``. Time and memory grow linearly in the window,
+#: and the profile underflows to exactly 0 beyond |n| of about 330; at 200000
+#: the command with --svg takes 0.98-1.11 s and peaks at 175 MiB on 2 CPUs.
+_MAX_STATIONARY_WINDOW = 200000
 
 
 def _cmd_stationary(args: argparse.Namespace) -> int:
@@ -289,7 +301,9 @@ def _cmd_weaklimit(args: argparse.Namespace) -> int:
 # Verification checks: one table row (suite, name, bound, measure) each. A
 # measure returns (value, detail) and the check passes when value < bound.
 # Every measure computes the routes it compares (direct evolution, momentum
-# quadrature, closed forms) on its own; no route is fed another's output.
+# quadrature, closed forms) on its own; no route is fed another's output. The
+# checks that read the figure or the zero-localization state evolved directly
+# share one walk of both per time, _direct_lines.
 
 
 def _worst(gap: float, label: str = "worst gap") -> tuple[float, str]:
@@ -305,9 +319,10 @@ def _shown(value: float, expected: float, digits: int) -> tuple[float, str]:
 
 
 @functools.lru_cache(maxsize=8)
-def _figure_line(t: int) -> walk.LineState:
-    """The figure state evolved directly on the line (several checks share t)."""
-    return walk.evolve_line(_FIGURE_STATE, t)
+def _direct_lines(t: int) -> list[walk.LineState]:
+    """The figure state and the zero-localization state evolved directly on the
+    line, in one walk (several checks share t)."""
+    return walk._line_states((_FIGURE_STATE, _ZERO_STATE), t)
 
 
 @functools.cache
@@ -364,19 +379,17 @@ def _single_step() -> tuple[float, str]:
 
 
 def _conservation() -> tuple[float, str]:
-    total = float(np.sum(np.abs(_figure_line(1000).amplitudes) ** 2))
+    total = float(np.sum(np.abs(_direct_lines(1000)[0].amplitudes) ** 2))
     return abs(total - 1.0), f"total {total:.15f}"
 
 
 def _origin_near_limit() -> tuple[float, str]:
-    p0 = walk.distribution(_figure_line(1000)).total(0)
+    p0 = walk.distribution(_direct_lines(1000)[0]).total(0)
     return abs(p0 - _ORIGIN_LIMIT), f"P(0, 1000) = {p0:.6f}, limit {_ORIGIN_LIMIT:.6f}"
 
 
 def _zero_localization_decay() -> tuple[float, str]:
-    s6 = math.sqrt(6.0)
-    zero_state = QubitState(1.0 / s6, -2.0 / s6, 1.0 / s6)
-    p0 = walk.distribution(walk.evolve_line(zero_state, 1000)).total(0)
+    p0 = walk.distribution(_direct_lines(1000)[1]).total(0)
     return p0, f"P(0, 1000) = {p0:.2e}"
 
 
@@ -387,7 +400,7 @@ def _cycle_wraparound() -> tuple[float, str]:
 
 
 def _cycle_vs_line() -> tuple[float, str]:
-    line = walk.distribution(_figure_line(9))
+    line = walk.distribution(_direct_lines(9)[0])
     ring = walk.distribution(walk.evolve_cycle(_FIGURE_STATE, 21, 9))
     return _worst(max(abs(line.total(n) - ring.total(n % 21)) for n in range(-9, 10)))
 
@@ -399,7 +412,7 @@ def _dispersion_identity() -> tuple[float, str]:
 
 def _gap_to_direct(windows: np.ndarray, times: tuple[int, ...], m: int) -> tuple[float, str]:
     """Worst gap of windows over sites -m..m, one per time, to direct evolution zero-padded beyond |n| = t."""
-    direct = (np.pad(_figure_line(t).amplitudes, ((m, m), (0, 0)))[t : t + 2 * m + 1] for t in times)
+    direct = (np.pad(_direct_lines(t)[0].amplitudes, ((m, m), (0, 0)))[t : t + 2 * m + 1] for t in times)
     return _worst(float(max(np.max(np.abs(w - d)) for w, d in zip(windows, direct))))
 
 
@@ -536,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (UsageError, OSError, MemoryError) as exc:
         # The only I/O is writing outputs, so an OSError is an unwritable output
-        # path (--out naming a file, --svg in a missing directory); a MemoryError
+        # path (--out naming a file, --svg in a read-only directory); a MemoryError
         # is an input too large for the memory allowed, such as timeavg --sites
         # 20001 under a 120 MB address-space limit (ulimit -v 120000).
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -10,12 +10,15 @@ evolve apart, as float64 buffers (rows, 3, sites). ``step_*`` step two rows;
 ``_evolve`` takes the initial chirality vectors at site 0 and a ring size, and
 gives each vector a real row, then an imaginary row if any vector is complex:
 one row for a real qubit, two otherwise, three for the weak limit's pure
-states. Each step is one BLAS product ``coin @ window``, landed in a second
-buffer through a view ``landing[r, c, j] = buf[r, c, j + c]`` that shifts each
-chirality. A buffer is a ring with a spare end column per side and site 0 in
-its middle column: the line of t steps is the ring of 2t + 1 sites, which t
-steps never wrap, and a cycle is rolled back to site 0 at the end. Both buffers
-stay zero outside a live window, which ``evolve_*`` widen by one column per
+states. ``evolve_line`` is the one-state case of ``_line_states``, which
+steps several line states in one buffer, each state's rows a run of their
+own, so that they share each step's fixed costs. Each step is one BLAS
+product ``coin @ window``, landed in a second buffer through a view
+``landing[r, c, j] = buf[r, c, j + c]`` that shifts each chirality. A
+buffer is a ring with a spare end column per side and site 0 in its middle
+column: the line of t steps is the ring of 2t + 1 sites, which t steps never
+wrap, and a cycle is rolled back to site 0 at the end. Both buffers stay zero
+outside a live window, which ``evolve_*`` widen by one column per
 side per step, in scan blocks of 8 steps stepped from one set of views. Each
 step is checked once: one dot per buffer row per step, checked at the block's
 end, and the qubit's own normalization covers step 0. At its end a block
@@ -485,6 +488,16 @@ def step_line(s: LineState) -> LineState:
     return _own(LineState, origin_offset=s.origin_offset - 1, amplitudes=amplitudes, time=s.time + 1)
 
 
+def _line_states(qs: tuple[QubitState, ...], t: int) -> list[LineState]:
+    # Each of qs evolved t steps on the line, from one _evolve of all of them. Its rows
+    # there are its real row, then its imaginary row if any of qs is complex, so
+    # np.split cuts the buffer into equal runs of rows, one per state, in order.
+    t = _count(t)
+    parts = _evolve(np.array([q.as_array() for q in qs]), 2 * t + 1, t, "line state")
+    runs = np.split(parts, len(qs))
+    return [_own(LineState, origin_offset=-t, amplitudes=_amplitudes(rows), time=t) for rows in runs]
+
+
 def evolve_line(q: QubitState, t: int) -> LineState:
     """Evolve the walker for ``t`` steps on the line from the origin.
 
@@ -500,9 +513,7 @@ def evolve_line(q: QubitState, t: int) -> LineState:
     LineState
         The state after ``t`` steps; its window spans exactly [-t, t].
     """
-    t = _count(t)
-    amplitudes = _amplitudes(_evolve(q.as_array()[None], 2 * t + 1, t, "line state"))
-    return _own(LineState, origin_offset=-t, amplitudes=amplitudes, time=t)
+    return _line_states((q,), t)[0]
 
 
 def step_cycle(s: CycleState) -> CycleState:

@@ -959,7 +959,54 @@ class TestOutputPaths:
         plot = tmp_path / "missing" / "plot.svg"
         argv = ["evolve", "--qubit", "1,0,0", "--steps", "1", "--out", str(tmp_path), flag, str(plot)]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == f"error: {flag} names a file in a missing directory: {plot}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--out", "o", "--svg", "real"],
+             "--svg names a directory: real"),
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--cycle", "5", "--out", "o", "--heatmap", "link"],
+             "--heatmap names a directory: link"),
+            (["stationary", "--qubit", "1,0,0", "--out", "real", "--svg", "real/sub"],
+             "--svg names a directory: real/sub"),
+            (["weaklimit", "--steps", "100", "--out", "o", "--svg", "o/"], "--svg names a directory: o/"),
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--out", "o", "--svg", "o/.."], "--svg names a directory: o/.."),
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--out", "o", "--heatmap", "missing/h.svg"],
+             "--heatmap names a file in a missing directory: missing/h.svg"),
+            (["stationary", "--qubit", "1,0,0", "--out", "o", "--svg", "o/sub/p.svg"],
+             "--svg names a file in a missing directory: o/sub/p.svg"),
+            (["weaklimit", "--steps", "100", "--out", "o", "--svg", "link/sub/../../o/x/p.svg"],
+             "--svg names a file in a missing directory: link/sub/../../o/x/p.svg"),
+        ],
+        ids=["existing directory", "symlinked directory", "directory inside --out", "trailing separator",
+             "parent entry", "missing directory", "missing directory inside --out", "missing directory through a symlink"],
+    )
+    def test_a_plot_path_that_cannot_be_a_file_exits_2_before_any_work(self, argv, message, tmp_path, capsys, monkeypatch):
+        # real holds the directory sub, and link is a symlink to real.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        (tmp_path / "link").symlink_to("real")
+        for module, name in WORKERS:
+            monkeypatch.setattr(module, name, functools.partial(_stand_in, [], name))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+        assert [p.name for p in (tmp_path / "real").iterdir()] == ["sub"]
+        assert list((tmp_path / "real" / "sub").iterdir()) == []
+
+    def test_plots_in_the_directories_that_out_makes_are_written(self, tmp_path, monkeypatch, capsys):
+        # mkdir makes --out and its missing parents before any plot is written.
+        monkeypatch.chdir(tmp_path)
+        argv = ["evolve", "--qubit", "1,0,0", "--steps", "2", "--out", "a/b", "--svg", "a/p.svg", "--heatmap", "a/b/h.svg"]
+        assert main(argv) == 0
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["b", "p.svg"]
+        assert sorted(p.name for p in (tmp_path / "a" / "b").iterdir()) == [
+            "distribution.csv", "h.svg", "manifest.json", "trace.csv"
+        ]
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -332,6 +332,20 @@ class TestStepper:
                 assert np.array_equal(ring.amplitudes[0], q.as_array())
                 assert not ring.amplitudes[1:].any()
 
+    def test_the_first_step_fills_the_coin_cache(self, monkeypatch):
+        # A walk at t = 0 builds no coin: `evolve` starts from evolve_line(q, 0),
+        # and perfbench/tests/test_tracer.py pins a projector_matrices call under
+        # its first step_line, the call that fills walk._coin's cache.
+        walk._coin.cache_clear()
+        line = evolve_line(FIGURE_STATE, 0)
+        evolve_cycle(FIGURE_STATE, 5, 0)
+        walk._line_states((FIGURE_STATE, UNIFORM_STATE), 0)
+        assert walk._coin.cache_info().currsize == 0
+        built = []
+        monkeypatch.setattr(walk, "projector_matrices", lambda: built.append(1) or projector_matrices())
+        step_line(step_line(line))
+        assert built == [1] and walk._coin.cache_info().currsize == 1
+
     def test_evolve_line_is_chained_step_line(self):
         checkpoints = (0, 1, 2, 37, 300)
         for q in STEPPER_STATES:
@@ -644,6 +658,19 @@ class TestScanBlocks:
                 state = evolve_cycle(q, n_sites, t)
                 assert state.amplitudes.tobytes() == walk._amplitudes(expected).tobytes()
 
+    def test_batched_states_equal_their_own_walks(self):
+        # Before the first dropped column (near t = 631) each state of one walk
+        # of several is its own walk bit for bit, whether every state has two
+        # rows (some state is complex) or one (all are real).
+        real = [q for q in TEST_STATES if not q.as_array().imag.any()]
+        for batch in (TEST_STATES, TEST_STATES[::-1], real, [TEST_STATES[0]] * 2):
+            for t in (t for t in BLOCK_TIMES if t <= 17):
+                states = walk._line_states(tuple(batch), t)
+                assert len(states) == len(batch)
+                for q, state in zip(batch, states):
+                    assert (state.origin_offset, state.time) == (-t, t)
+                    assert state.amplitudes.tobytes() == evolve_line(q, t).amplitudes.tobytes()
+
     def test_weak_limit_matches_the_per_step_loop(self):
         t = 2000
         parts = np.zeros((3, 3, 2 * t + 3))
@@ -766,6 +793,19 @@ class TestOwnedArrays:
         assert not any(a.flags.writeable for a in arrays(result).values())
 
 
+def assert_matches_the_light_cone(state: LineState, reference: np.ndarray, t: int) -> None:
+    """A line state at time t against its amplitudes over the full light cone:
+    probabilities and totals bit for bit, amplitudes within 2^-990, and no
+    subnormal float."""
+    assert state.amplitudes.shape == reference.shape
+    assert np.array_equal(np.abs(state.amplitudes) ** 2, np.abs(reference) ** 2)
+    expected = Distribution(-t, np.abs(reference) ** 2).totals
+    assert np.array_equal(distribution(state).totals, expected)
+    assert np.abs(state.amplitudes - reference).max() <= 2.0**-990
+    parts = np.abs(state.amplitudes.view(float))
+    assert not np.any((parts > 0.0) & (parts < np.finfo(float).tiny))
+
+
 class TestLiveWindow:
     # evolve_line steps only the columns that hold more than 2^-1000; the
     # cells it drops would only have fed subnormal floats into the product.
@@ -774,17 +814,20 @@ class TestLiveWindow:
         # The full light cone holds 86, 88 and 168 subnormal floats at
         # t = 2000 for the first two pure states and FIGURE_STATE.
         for q, reference in zip(LIVE_WINDOW_STATES, full_light_cone()[t]):
-            state = evolve_line(q, t)
-            assert state.amplitudes.shape == reference.shape
-            assert np.array_equal(np.abs(state.amplitudes) ** 2, np.abs(reference) ** 2)
-            expected = Distribution(-t, np.abs(reference) ** 2).totals
-            assert np.array_equal(distribution(state).totals, expected)
-            assert np.abs(state.amplitudes - reference).max() <= 2.0**-990
-            parts = np.abs(state.amplitudes.view(float))
-            assert not np.any((parts > 0.0) & (parts < np.finfo(float).tiny))
+            assert_matches_the_light_cone(evolve_line(q, t), reference, t)
         pure = np.stack([a.real.T for a in full_light_cone()[t][:3]])
         masses = (pure**2).sum(axis=1).sum(axis=0) / 3.0
         assert np.array_equal(weaklimit.empirical_rescaled(t).masses, masses)
+
+    @pytest.mark.parametrize("t", LIVE_WINDOW_TIMES)
+    def test_batched_states_match_the_full_light_cone(self, t):
+        # One walk of all six states, two rows each; it drops only the columns
+        # in which all twelve rows lie below 2^-1000.
+        states = walk._line_states(LIVE_WINDOW_STATES, t)
+        assert len(states) == len(LIVE_WINDOW_STATES)
+        for state, reference in zip(states, full_light_cone()[t]):
+            assert (state.origin_offset, state.time) == (-t, t)
+            assert_matches_the_light_cone(state, reference, t)
 
 
 class TestOneRule:

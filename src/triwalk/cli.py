@@ -219,8 +219,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 #: Widest ``stationary --window``. Time and memory grow linearly in the window,
-#: and the profile underflows to exactly 0 beyond |n| of about 330; at 200000
-#: the command with --svg takes 0.98-1.11 s and peaks at 175 MiB on 2 CPUs.
+#: and the profile underflows to exactly 0 beyond |n| of about 163; at 200000
+#: the command with --svg takes 0.46-0.74 s and peaks at 175 MiB on 2 CPUs.
 _MAX_STATIONARY_WINDOW = 200000
 
 
@@ -247,7 +247,7 @@ def _cmd_stationary(args: argparse.Namespace) -> int:
 
 
 #: Largest cycle ``timeavg`` accepts. Time and memory grow linearly in N; at
-#: N = 20001 the command takes 0.33-0.47 s and peaks at 86 MiB on 2 CPUs.
+#: N = 20001 the command takes 0.21-0.40 s and peaks at 81 MiB on 2 CPUs.
 _MAX_TIMEAVG_SITES = 20001
 
 

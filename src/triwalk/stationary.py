@@ -97,8 +97,13 @@ def stationary_profile(q: QubitState, window: int) -> Distribution:
     window = _count(window, 1, "window")
     # Python's abs(z) ** 2, as in limit_component: np.abs(z) ** 2 is 1 ulp off at
     # some tiny values (weaklimit keeps math.atan per value for the same reason).
+    # Below |z| = 2^-538 the square is below 2^-1076, less than half of the least
+    # subnormal 2^-1074, so it rounds to +0.0. The cut lies a factor sqrt(2)
+    # inside the exact one, far more than np.abs and abs can differ. So only the
+    # core (|n| up to about 163) is squared in Python; the rest stays 0.0.
     columns = _limit_amplitudes(np.arange(-window, window + 1), q)
-    table = np.empty((2 * window + 1, 3))
+    table = np.zeros((2 * window + 1, 3))
     for l, column in enumerate(columns):
-        table[:, l] = [abs(z) ** 2 for z in column.tolist()]
+        live = np.abs(column) >= 2.0**-538
+        table[live, l] = [abs(z) ** 2 for z in column[live].tolist()]
     return _own(Distribution, first_site=-window, probabilities=table, totals=_totals(table))

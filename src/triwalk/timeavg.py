@@ -11,8 +11,9 @@ loop at all.
 The infinite-cycle limit has closed forms, evaluated here directly; the
 finite-N averages approach them at rate 1/N.
 
-``MomentumBlock`` and ``EigenvalueGroup`` are frozen slotted records, built
-by their own constructors, which store each field as given.
+``momentum_blocks`` and ``eigenvalue_groups`` return plain tuples: one
+``(mode, momentum, operator, pairs)`` per block and one ``(phase, members,
+amplitude)`` per group, holding read-only arrays and Python numbers.
 """
 
 from __future__ import annotations
@@ -23,53 +24,15 @@ import operator
 import numpy as np
 
 from .spectral import _branches, dispersion, fourier_operator
-from .walk import ChiralVector, QubitState, _chirality, _cycle_size, _Record
+from .walk import ChiralVector, QubitState, _chirality, _cycle_size
 
 __all__ = [
-    "MomentumBlock",
-    "EigenvalueGroup",
     "momentum_blocks",
     "eigenvalue_groups",
     "cycle_time_average",
     "infinite_time_average_component",
     "infinite_time_average_total",
 ]
-
-class MomentumBlock(_Record):
-    """Spectral data of one momentum block of the cycle evolution.
-
-    ``pairs`` holds (eigenphase, projector) entries. Away from mode 0 there
-    are three rank-1 projectors with phases 0 and +-theta. At mode 0 the two
-    moving branches share the doubly degenerate eigenvalue -1; their combined
-    rank-2 projector is stored as a single pair with phase pi, computed
-    basis-free as identity minus the stationary projector.
-    """
-
-    __slots__ = ("mode", "momentum", "operator", "pairs")
-
-    def __init__(
-        self, mode: int, momentum: float, operator: np.ndarray, pairs: tuple[tuple[float, np.ndarray], ...]
-    ) -> None:
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "momentum", momentum)
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "pairs", pairs)
-
-
-class EigenvalueGroup(_Record):
-    """All spectral contributions sharing one eigenvalue of the cycle operator.
-
-    ``members`` lists the contributing (mode, branch) labels; ``amplitude``
-    is the coherent sum of their projected site amplitudes.
-    """
-
-    __slots__ = ("phase", "members", "amplitude")
-
-    def __init__(self, phase: float, members: tuple[tuple[int, int], ...], amplitude: ChiralVector) -> None:
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "amplitude", amplitude)
-
 
 def _projector_stack(momenta: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Read-only (3, N, 3, 3) stack of every branch's projector at every mode.
@@ -88,11 +51,17 @@ def _projector_stack(momenta: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return stack
 
 
-def momentum_blocks(n_sites: int) -> tuple[MomentumBlock, ...]:
+def momentum_blocks(n_sites: int) -> tuple[tuple, ...]:
     """Spectral blocks of a cycle with ``n_sites`` sites (odd, >= 3).
 
-    Every block's projectors are read-only views into one (3, N, 3, 3) stack,
-    and its operator is read-only too.
+    One ``(mode, momentum, operator, pairs)`` tuple per mode, from -(N - 1)/2
+    to (N - 1)/2. ``pairs`` holds (eigenphase, projector) entries. Away from
+    mode 0 there are three rank-1 projectors with phases 0 and +-theta. At
+    mode 0 the two moving branches share the doubly degenerate eigenvalue -1;
+    their combined rank-2 projector is a single pair with phase pi, computed
+    basis-free as identity minus the stationary projector. Every projector is
+    a read-only view into one (3, N, 3, 3) stack, and every operator is
+    read-only too.
     """
     n_sites = _cycle_size(n_sites)
     half = (n_sites - 1) // 2
@@ -103,16 +72,20 @@ def momentum_blocks(n_sites: int) -> tuple[MomentumBlock, ...]:
     stack = _projector_stack(np.array(momenta), np.array(theta))
     for op in operators:
         op.setflags(write=False)
-    return tuple(
-        MomentumBlock(mode, k, op, ((0.0, p0), (phase, p1), (-phase, p2)) if mode else ((0.0, p0), (math.pi, p1)))
-        for mode, k, op, phase, p0, p1, p2 in zip(modes, momenta, operators, theta, *stack)
-    )
+    pairs = [((0.0, p0), (phase, p1), (-phase, p2)) for phase, p0, p1, p2 in zip(theta, *stack)]
+    pairs[half] = pairs[half][0], (math.pi, stack[1, half])
+    return tuple(zip(modes, momenta, operators, pairs))
 
 
 def eigenvalue_groups(
     n_sites: int, q: QubitState, site: int = 0
-) -> tuple[EigenvalueGroup, ...]:
+) -> tuple[tuple, ...]:
     """Group the spectral projections of the initial state by eigenvalue.
+
+    One ``(phase, members, amplitude)`` tuple per eigenvalue of the cycle
+    operator, in ascending phase: ``members`` lists the contributing (mode,
+    branch) labels, and ``amplitude`` is the ``ChiralVector`` sum of their
+    projected site amplitudes.
 
     The initial state sits at site 0, so every momentum block receives the
     same internal vector; the projected amplitude of block m at the target
@@ -128,14 +101,13 @@ def eigenvalue_groups(
     """
     n_sites = _cycle_size(n_sites)
     site = operator.index(site) % n_sites
-    blocks = momentum_blocks(n_sites)
+    _, momenta, _, pairs = zip(*momentum_blocks(n_sites))
     half = n_sites // 2
     # Every pair is a view into the blocks' one projector stack, so one
     # batched product projects the state on every (branch, mode) at once;
     # amp[branch, half + m] is the amplitude of mode m at the site.
-    stack = blocks[0].pairs[0][1].base
-    momenta = np.array([block.momentum for block in blocks])
-    wave = np.exp(1j * momenta * site) / n_sites
+    stack = pairs[0][0][1].base
+    wave = np.exp(1j * np.array(momenta) * site) / n_sites
     amp = wave[:, None] * (stack @ q.as_array())
     # One row per group in phase order: the stationary sum, modes -m and +m for
     # m = half..1, mode 0's pair, and modes -m and +m for m = 1..half. cumsum
@@ -148,7 +120,7 @@ def eigenvalue_groups(
         amp[1, half : half + 1],
         amp[2, half - 1 :: -1] + amp[2, half + 1 :],
     )).ravel().tolist()
-    theta = [block.pairs[1][0] for block in blocks[half + 1 :]]
+    theta = [pair[1][0] for pair in pairs[half + 1 :]]
     phases = [0.0, *reversed(theta), math.pi, *(2.0 * math.pi - phase for phase in theta)]
     members = [
         tuple((m, 1) for m in range(-half, half + 1)),
@@ -157,10 +129,7 @@ def eigenvalue_groups(
         *(((-m, 3), (m, 3)) for m in range(1, half + 1)),
     ]
     values = iter(amplitudes)
-    return tuple(
-        EigenvalueGroup(phase, labels, ChiralVector(l, z, r))
-        for phase, labels, l, z, r in zip(phases, members, values, values, values)
-    )
+    return tuple(zip(phases, members, map(ChiralVector, values, values, values)))
 
 
 def cycle_time_average(n_sites: int, q: QubitState, site: int = 0) -> float:
@@ -171,8 +140,8 @@ def cycle_time_average(n_sites: int, q: QubitState, site: int = 0) -> float:
     ``site`` is taken modulo ``n_sites``.
     """
     total = 0.0
-    for group in eigenvalue_groups(n_sites, q, site):
-        total += group.amplitude.probability()
+    for _, _, amplitude in eigenvalue_groups(n_sites, q, site):
+        total += amplitude.probability()
     return total
 
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import triwalk
+from calls import record_calls
 from triwalk import _svg, cli, spectral, stationary, walk
 from triwalk import (
     DEFAULT_GRID_SIZE,
@@ -86,6 +87,20 @@ class TestEvolve:
             n = int(row[0])
             assert float(row[1]) == dist.total(n)
             assert [float(v) for v in row[2:]] == dist.probabilities[n - dist.first_site].tolist()
+
+    def test_steps_and_observers_as_the_tracer_pins_them(self, tmp_path, monkeypatch):
+        # The benchmark's tracer test pins these call shapes of ``evolve --steps
+        # 3``; the wrappers rebind the names in walk's module globals, as it does.
+        walk._coin.cache_clear()
+        log = record_calls(monkeypatch, walk, "step_line", "distribution", "projector_matrices")
+        assert main(["evolve", "--qubit=1,0,0", "--steps", "3", "--out", str(tmp_path)]) == 0
+        names = [name for name, _, _ in log]
+        steps = [i for i, name in enumerate(names) if name == "step_line"]
+        assert [log[i][2].amplitudes.shape[0] for i in steps] == [3, 5, 7]
+        assert names.count("distribution") == 1 + 3 + 1
+        # The first step_line builds the coin through walk's projector_matrices.
+        coins = [parent for name, parent, _ in log if name == "projector_matrices"]
+        assert coins == [steps[0]]
 
     def test_cycle_evolution(self, tmp_path):
         code = main(

@@ -211,8 +211,6 @@ ROWS = {
     "total_mass": (Q,),
     "stationary_profile": (Q, count(2, least=1)),
     # timeavg
-    "MomentumBlock": Record((0, 0.0, np.eye(3), ())),
-    "EigenvalueGroup": Record((0.0, (), ChiralVector(0.0, 0.0, 0.0))),
     "momentum_blocks": (CYCLE,),
     "eigenvalue_groups": (CYCLE, Q, site()),
     "cycle_time_average": (CYCLE, Q, site()),
@@ -351,7 +349,6 @@ CYCLES = (3, 5, 101)
 #: Each library call that builds its records without their constructors, with
 #: every result it gives on the cycles of CYCLES and the 13 test states.
 BUILT = {
-    "momentum_blocks": lambda: [momentum_blocks(n) for n in CYCLES],
     "eigenvalue_groups": lambda: [
         eigenvalue_groups(n, q, site) for n in CYCLES for q in TEST_STATES for site in (0, n // 2)
     ],
@@ -381,3 +378,51 @@ def test_records_equal_their_public_rebuild(name):
                 assert _same(mine, theirs), field
         assert not any(a.flags.writeable for a in _arrays(result))
     assert seen  # each call's results hold records
+
+
+def _plain_block(block) -> bool:
+    mode, momentum, operator, pairs = block
+    return (
+        type(mode) is int
+        and type(momentum) is float
+        and type(operator) is np.ndarray
+        and (operator.dtype, operator.shape) == (np.complex128, (3, 3))
+        and type(pairs) is tuple
+        and len(pairs) == (3 if mode else 2)
+        and all(type(pair) is tuple and len(pair) == 2 and type(pair[0]) is float for pair in pairs)
+        and all(type(p) is np.ndarray and (p.dtype, p.shape) == (np.complex128, (3, 3)) for _, p in pairs)
+    )
+
+
+def _plain_group(group) -> bool:
+    phase, members, amplitude = group
+    return (
+        type(phase) is float
+        and type(members) is tuple
+        and all(type(member) is tuple and list(map(type, member)) == [int, int] for member in members)
+        and type(amplitude) is ChiralVector
+    )
+
+
+#: Each library call that returns plain tuples, how each of its tuples must
+#: look, and every result it gives on the cycles of CYCLES and the 13 test states.
+PLAIN = {
+    "momentum_blocks": (_plain_block, lambda: [momentum_blocks(n) for n in CYCLES]),
+    "eigenvalue_groups": (
+        _plain_group,
+        lambda: [eigenvalue_groups(n, q, site) for n in CYCLES for q in TEST_STATES for site in (0, n // 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PLAIN)
+def test_plain_results_hold_plain_numbers_and_read_only_arrays(name):
+    # A block holds (int mode, float momentum, complex operator, (float phase,
+    # complex projector) pairs), a group (float phase, (int, int) labels,
+    # ChiralVector); no numpy scalar stands in for a number, and no array of
+    # either is writable. eigenvalue_groups' ChiralVectors are rebuilt in BUILT.
+    plain, results = PLAIN[name]
+    for result in results():
+        assert type(result) is tuple and result
+        assert all(type(item) is tuple and plain(item) for item in result)
+        assert not any(a.flags.writeable for a in _arrays(result))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from states import (
     FIGURE_STATE,
@@ -27,7 +27,7 @@ from triwalk import (
     stationary_profile,
     total_mass,
 )
-from triwalk.stationary import _sequence_value
+from triwalk.stationary import _limit_amplitudes, _sequence_value
 
 SQRT6 = math.sqrt(6.0)
 
@@ -169,6 +169,36 @@ class TestProfile:
         # The window misses only the tail beyond |n| = 4, below c^10 ~ 1e-10.
         assert sum(profile.totals.tolist()) < total_mass(FIGURE_STATE)
         assert sum(profile.totals.tolist()) == pytest.approx(total_mass(FIGURE_STATE), abs=1e-8)
+
+
+    @pytest.mark.parametrize("window", [1, 162, 164, 5000])
+    def test_every_square_is_pythons(self, window):
+        # The profile squares in Python only where |z| >= 2^-538 (|n| up to
+        # about 163); every other square rounds to +0.0 anyway. So the table is
+        # Python's abs(z) ** 2 at every site, the sign of each zero included.
+        for q in (*TEST_STATES, ZERO_LOCALIZATION_STATE):
+            columns = _limit_amplitudes(np.arange(-window, window + 1), q)
+            reference = np.array([[abs(z) ** 2 for z in column.tolist()] for column in columns]).T
+            assert stationary_profile(q, window).probabilities.tobytes() == reference.tobytes()
+
+    def test_the_exact_cut_lies_above_the_profiles(self):
+        # A modulus squares to 0 up to 2^-537.5, a factor sqrt(2) above the
+        # profile's cut: 2^-538 squares to 0, and 2^-537 to the least subnormal.
+        assert (2.0**-538) ** 2 == 0.0
+        assert (2.0**-537) ** 2 == 2.0**-1074 > 0.0
+
+    @given(
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        st.floats(min_value=0.0, max_value=2.0**-538, exclude_max=True),
+    )
+    @example(0.0, float(np.nextafter(2.0**-538, 0.0)))
+    @example(math.pi / 4.0, float(np.nextafter(2.0**-538, 0.0)))
+    @example(1.0, 5e-324)
+    def test_a_modulus_below_the_cut_squares_to_plus_zero(self, angle, modulus):
+        z = complex(modulus * math.cos(angle), modulus * math.sin(angle))
+        if np.abs(z) < 2.0**-538:
+            square = abs(z) ** 2
+            assert square == 0.0 and math.copysign(1.0, square) == 1.0
 
 
 class TestConvergenceOfSimulation:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from calls import record_calls
 from states import (
     FIGURE_STATE,
     TEST_STATES,
@@ -30,6 +31,7 @@ from triwalk import (
     momentum_blocks,
     step_cycle,
 )
+from triwalk import timeavg
 from triwalk.spectral import _branches, eigensystem
 
 SQRT6 = math.sqrt(6.0)
@@ -38,45 +40,93 @@ SQRT6 = math.sqrt(6.0)
 class TestMomentumBlocks:
     def test_block_count_and_momenta(self):
         blocks = momentum_blocks(7)
-        assert [b.mode for b in blocks] == list(range(-3, 4))
-        for b in blocks:
-            assert b.momentum == pytest.approx(2.0 * math.pi * b.mode / 7.0)
+        assert type(blocks) is tuple
+        assert all(type(block) is tuple and len(block) == 4 for block in blocks)
+        assert [mode for mode, _, _, _ in blocks] == list(range(-3, 4))
+        for mode, momentum, _, _ in blocks:
+            assert type(mode) is int and type(momentum) is float
+            assert momentum == 2.0 * math.pi * mode / 7.0
 
     def test_rejects_even_cycle(self):
         with pytest.raises(ValueError):
             momentum_blocks(8)
 
     def test_projectors_resolve_identity_and_operator(self):
-        for block in momentum_blocks(9):
-            total = sum(p for _, p in block.pairs)
+        for _, momentum, operator, pairs in momentum_blocks(9):
+            assert np.array_equal(operator, fourier_operator(momentum))
+            total = sum(p for _, p in pairs)
             assert np.allclose(total, np.eye(3), atol=1e-13)
-            rebuilt = sum(np.exp(1j * phase) * p for phase, p in block.pairs)
-            assert np.allclose(rebuilt, block.operator, atol=1e-13)
-            for _, p in block.pairs:
+            rebuilt = sum(np.exp(1j * phase) * p for phase, p in pairs)
+            assert np.allclose(rebuilt, operator, atol=1e-13)
+            for _, p in pairs:
                 assert np.allclose(p @ p, p, atol=1e-13)
 
     def test_projectors_are_read_only_views_into_one_stack(self):
         blocks = momentum_blocks(9)
-        stack = blocks[0].pairs[0][1].base
+        stack = blocks[0][3][0][1].base
         assert stack.shape == (3, 9, 3, 3)
-        for block in blocks:
-            for _, p in block.pairs:
-                assert p.base is stack
+        for _, _, operator, pairs in blocks:
+            assert type(pairs) is tuple
+            with pytest.raises(ValueError):
+                operator[0, 0] = 1.0
+            for pair in pairs:
+                assert type(pair) is tuple and type(pair[0]) is float
+                assert pair[1].base is stack
                 with pytest.raises(ValueError):
-                    p[0, 0] = 1.0
+                    pair[1][0, 0] = 1.0
+
+    @pytest.mark.parametrize("n_sites", [3, 5, 9, 101])
+    def test_pairs_are_the_per_mode_loop_bit_for_bit(self, n_sites):
+        reference = per_mode_pairs(n_sites)
+        blocks = momentum_blocks(n_sites)
+        assert [mode for mode, _, _, _ in blocks] == list(reference)
+        for mode, momentum, _, pairs in blocks:
+            expected_momentum, expected = reference[mode]
+            assert momentum == expected_momentum
+            assert [phase for phase, _ in pairs] == [phase for phase, _ in expected]
+            for (_, p), (_, e) in zip(pairs, expected, strict=True):
+                assert p.tobytes() == e.tobytes()
 
     def test_mode_zero_pairs_are_rank_one_and_two(self):
-        block = next(b for b in momentum_blocks(5) if b.mode == 0)
-        phases = [phase for phase, _ in block.pairs]
+        mode, _, _, pairs = momentum_blocks(5)[2]
+        assert mode == 0
+        phases = [phase for phase, _ in pairs]
         assert phases == [0.0, math.pi]
-        ranks = [round(float(np.trace(p).real)) for _, p in block.pairs]
+        ranks = [round(float(np.trace(p).real)) for _, p in pairs]
         assert ranks == [1, 2]
         # The mode-0 operator is the bare coin; its spectral form is
         # 2 P - I with P projecting on the uniform vector.
-        p_stationary = block.pairs[0][1]
+        p_stationary = pairs[0][1]
         assert np.allclose(
             2.0 * p_stationary - np.eye(3), fourier_operator(0.0), atol=1e-13
         )
+
+
+class TestPerModeCalls:
+    # The benchmark's tracer test pins these call shapes of ``timeavg --sites
+    # 5``; the wrappers rebind the names in timeavg's module globals, as it does.
+    def test_each_block_makes_its_own_calls(self, monkeypatch):
+        log = record_calls(monkeypatch, timeavg, "momentum_blocks", "fourier_operator", "dispersion")
+        blocks = timeavg.momentum_blocks(5)
+        assert len(blocks) == 5
+        assert log[0] == ("momentum_blocks", None, blocks)
+        inside = [name for name, parent, _ in log[1:] if parent == 0]
+        assert len(inside) == len(log) - 1
+        assert inside.count("fourier_operator") == 5 and inside.count("dispersion") == 4
+
+    def test_the_average_groups_once(self, monkeypatch):
+        names = ("eigenvalue_groups", "momentum_blocks", "fourier_operator", "dispersion")
+        log = record_calls(monkeypatch, timeavg, *names)
+        timeavg.cycle_time_average(5, FIGURE_STATE)
+        calls = [(name, parent) for name, parent, _ in log]
+        assert [i for i, (name, _) in enumerate(calls) if name == "eigenvalue_groups"] == [0]
+        assert calls[0][1] is None and len(log[0][2]) == 6
+        blocks = [i for i, (name, _) in enumerate(calls) if name == "momentum_blocks"]
+        assert len(blocks) == 1 and calls[blocks[0]][1] == 0 and len(log[blocks[0]][2]) == 5
+        inside = [name for name, parent in calls if parent == blocks[0]]
+        assert sorted(inside) == ["dispersion"] * 4 + ["fourier_operator"] * 5
+        assert len(calls) == 2 + 4 + 5
+        assert len(eigenvalue_groups(5, FIGURE_STATE)) == 6
 
 
 def eig_reference_average(n_sites: int, q: QubitState, site: int) -> float:
@@ -163,8 +213,11 @@ class TestEigenvalueGroups:
             for site in sorted({0, 1, n_sites // 3}):
                 reference = per_mode_groups(n_sites, q, site)
                 groups = eigenvalue_groups(n_sites, q, site)
-                assert [g.phase for g in groups] == [phase for phase, _ in reference]
-                assert [g.amplitude for g in groups] == [
+                assert type(groups) is tuple
+                assert all(type(group) is tuple and len(group) == 3 for group in groups)
+                assert [phase for phase, _, _ in groups] == [phase for phase, _ in reference]
+                assert all(type(phase) is float for phase, _, _ in groups)
+                assert [amplitude for _, _, amplitude in groups] == [
                     ChiralVector.from_array(a) for _, a in reference
                 ]
                 total = 0.0
@@ -176,34 +229,37 @@ class TestEigenvalueGroups:
         for n_sites in (9, 101):
             groups = eigenvalue_groups(n_sites, FIGURE_STATE)
             assert len(groups) == n_sites + 1
-            stationary = [g for g in groups if g.phase < 1e-9]
+            for _, members, amplitude in groups:
+                assert type(members) is tuple and type(amplitude) is ChiralVector
+                assert all(type(member) is tuple and list(map(type, member)) == [int, int] for member in members)
+            stationary = [members for phase, members, _ in groups if phase < 1e-9]
             assert len(stationary) == 1
-            assert len(stationary[0].members) == n_sites
-            assert all(branch == 1 for _, branch in stationary[0].members)
-            flipped = [g for g in groups if abs(g.phase - math.pi) < 1e-9]
+            assert len(stationary[0]) == n_sites
+            assert all(branch == 1 for _, branch in stationary[0])
+            flipped = [members for phase, members, _ in groups if abs(phase - math.pi) < 1e-9]
             assert len(flipped) == 1
-            assert sorted(flipped[0].members) == [(0, 2), (0, 3)]
-            for g in groups:
-                if g is stationary[0] or g is flipped[0]:
+            assert sorted(flipped[0]) == [(0, 2), (0, 3)]
+            for _, members, _ in groups:
+                if members is stationary[0] or members is flipped[0]:
                     continue
-                modes = sorted(m for m, _ in g.members)
+                modes = sorted(m for m, _ in members)
                 assert len(modes) == 2 and modes[0] == -modes[1] != 0
-                assert len({branch for _, branch in g.members}) == 1
+                assert len({branch for _, branch in members}) == 1
             # Every (mode, branch) label lands in exactly one group, at its
             # own block eigenphase taken into [0, 2 pi); mode 0's rank-2 pair
             # is labelled (0, 2) and (0, 3).
-            labels = [member for g in groups for member in g.members]
+            labels = [member for _, members, _ in groups for member in members]
             assert len(labels) == len(set(labels)) == 3 * n_sites
-            phase_of = {member: g.phase for g in groups for member in g.members}
-            for block in momentum_blocks(n_sites):
-                for branch, (phase, _) in enumerate(block.pairs, start=1):
-                    assert phase_of[block.mode, branch] == pytest.approx(
+            phase_of = {member: phase for phase, members, _ in groups for member in members}
+            for mode, _, _, pairs in momentum_blocks(n_sites):
+                for branch, (phase, _) in enumerate(pairs, start=1):
+                    assert phase_of[mode, branch] == pytest.approx(
                         phase % (2.0 * math.pi), abs=1e-15
                     )
 
     def test_phases_sorted_and_distinct(self):
         for n_sites in (7, 101):
-            phases = [g.phase for g in eigenvalue_groups(n_sites, FIGURE_STATE)]
+            phases = [phase for phase, _, _ in eigenvalue_groups(n_sites, FIGURE_STATE)]
             assert phases == sorted(phases)
             assert min(np.diff(phases)) > 1e-6
             assert phases[0] == 0.0 and phases[-1] < 2.0 * math.pi
@@ -247,7 +303,7 @@ class TestCycleTimeAverage:
         # site 1 + 5 * 10^15, where k * site had lost its last bits.
         def values(site):
             groups = eigenvalue_groups(n_sites, FIGURE_STATE, site)
-            amplitudes = np.array([g.amplitude.as_array() for g in groups])
+            amplitudes = np.array([amplitude.as_array() for _, _, amplitude in groups])
             return cycle_time_average(n_sites, FIGURE_STATE, site), amplitudes.tobytes()
 
         for site in range(n_sites) if n_sites < 10 else (0, 1, n_sites // 2, n_sites - 1):

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 import triwalk
-from records import fields, is_record, parameters
+from records import arrays, fields, is_record, parameters
 from states import FIGURE_STATE, TEST_STATES
 from triwalk import (
     ChiralVector,
@@ -325,18 +325,6 @@ def _records(value):
             yield from _records(item)
 
 
-def _arrays(value):
-    """Each array a result holds, in its records and their tuples."""
-    if isinstance(value, np.ndarray):
-        yield value
-    elif is_record(value):
-        for name in fields(value):
-            yield from _arrays(getattr(value, name))
-    elif isinstance(value, tuple):
-        for item in value:
-            yield from _arrays(item)
-
-
 def _rebuilt(record):
     """``record`` built again by its public constructor, from copies of its fields."""
     if isinstance(record, ChiralVector):  # its components as the array constructor stores them
@@ -376,7 +364,7 @@ def test_records_equal_their_public_rebuild(name):
                 mine, theirs = getattr(record, field), getattr(rebuilt, field)
                 assert type(mine) is type(theirs), field
                 assert _same(mine, theirs), field
-        assert not any(a.flags.writeable for a in _arrays(result))
+        assert not any(a.flags.writeable for a in arrays(result))
     assert seen  # each call's results hold records
 
 
@@ -425,4 +413,4 @@ def test_plain_results_hold_plain_numbers_and_read_only_arrays(name):
     for result in results():
         assert type(result) is tuple and result
         assert all(type(item) is tuple and plain(item) for item in result)
-        assert not any(a.flags.writeable for a in _arrays(result))
+        assert not any(a.flags.writeable for a in arrays(result))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import triwalk
-from records import fields, is_record
+from records import arrays, fields, is_record
 from states import FIGURE_STATE, TEST_STATES
 from triwalk import (
     ChiralVector,
@@ -108,24 +108,12 @@ COPIES = {
 }
 
 
-def _arrays(value):
-    """Each array that a record or a tuple holds, nested ones included, in order."""
-    if isinstance(value, np.ndarray):
-        yield value
-    elif is_record(value):
-        for name in fields(value):
-            yield from _arrays(getattr(value, name))
-    elif isinstance(value, tuple):
-        for item in value:
-            yield from _arrays(item)
-
-
 def _check_copies(value) -> None:
-    arrays = list(_arrays(value))
+    held = list(arrays(value))
     for how, make in COPIES.items():
         again = make(value)
         assert _same(again, value), how
-        for mine, theirs in zip(arrays, _arrays(again), strict=True):
+        for mine, theirs in zip(held, arrays(again), strict=True):
             # The types that check their fields copy a caller's arrays and freeze
             # them, and so do their copies; a tuple's copies are NumPy's.
             if isinstance(value, CHECKED):

@@ -30,8 +30,8 @@ from triwalk import (
     limit_component,
     momentum_blocks,
     step_cycle,
+    timeavg,
 )
-from triwalk import timeavg
 from triwalk.spectral import _branches, eigensystem
 
 SQRT6 = math.sqrt(6.0)

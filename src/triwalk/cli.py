@@ -107,7 +107,7 @@ def _output_dir(args: argparse.Namespace, *names: str) -> Path:
     ``names`` are the files written in ``--out`` besides ``manifest.json``; the
     plots asked for by ``--svg`` and ``--heatmap`` are outputs too.
     """
-    plots = [(f"--{option}", getattr(args, option)) for option in ("svg", "heatmap") if getattr(args, option, None)]
+    plots = [(f"--{o}", path) for o in ("svg", "heatmap") if (path := getattr(args, o, None)) is not None]
     files = [("--out", os.path.join(args.out, name)) for name in (*names, "manifest.json")] + plots
     owners: dict[str, str] = {}
     for option, path in files:
@@ -115,13 +115,13 @@ def _output_dir(args: argparse.Namespace, *names: str) -> Path:
         if real in owners:
             raise UsageError(f"{owners[real]} and {option} both write {path}")
         owners[real] = option
-    out = os.path.realpath(args.out)
+    # mkdir below makes --out and its missing parents: a plot cannot be one of them, but can lie in one.
+    out = os.path.realpath(args.out) + os.sep
     for option, path in plots:
-        if os.path.basename(path) in ("", os.curdir, os.pardir) or os.path.isdir(path):
+        real, folder = os.path.realpath(path), os.path.realpath(os.path.dirname(path) or os.curdir)
+        if os.path.basename(path) in ("", os.curdir, os.pardir) or os.path.isdir(path) or out.startswith(real + os.sep):
             raise UsageError(f"{option} names a directory: {path}")
-        folder = os.path.realpath(os.path.dirname(path) or os.curdir)
-        # mkdir below makes --out and its missing parents.
-        if not (os.path.isdir(folder) or folder == out or out.startswith(folder + os.sep)):
+        if not (os.path.isdir(folder) or out.startswith(folder + os.sep)):
             raise UsageError(f"{option} names a file in a missing directory: {path}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,9 +218,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-#: Widest ``stationary --window``. Time and memory grow linearly in the window,
-#: and the profile underflows to exactly 0 beyond |n| of about 163; at 200000
-#: the command with --svg takes 0.46-0.74 s and peaks at 175 MiB on 2 CPUs.
+#: Widest ``stationary --window``. The profile is 0 beyond ``stationary._CORE_HALF_WIDTH``, but the
+#: CSV writes every row: at 200000 the command with --svg takes 0.37-0.59 s and peaks at 162 MiB on 2 CPUs.
 _MAX_STATIONARY_WINDOW = 200000
 
 

@@ -31,6 +31,12 @@ __all__ = [
 #: sqrt(6) so identities like ratio^2 + 10 ratio + 1 = 0 hold to full precision.
 GEOMETRIC_RATIO = -5.0 + 2.0 * math.sqrt(6.0)
 
+# The core half-width: beyond it no normalized state's amplitude reaches 2^-538, whose square is
+# under half the least subnormal and rounds to +0.0. For |n| >= 1, amp(n) weighs s(n - 1), s(n) and
+# s(n + 1), |s(m)| = 2 |c|^(|m| + 1) / (1 - c^2), by moduli summing to at most 6: |amp(n)| <= 12.12
+# |c|^|n|, 2^-538.8 at |n| = 164, room for a norm off by NORM_TOLERANCE. (1, 0, 0) reaches 2^-538 at 163.
+_CORE_HALF_WIDTH = math.floor((538 + math.log2(12.0 / (1.0 - GEOMETRIC_RATIO**2))) / -math.log2(-GEOMETRIC_RATIO))
+
 
 def _sequence_value(n: int) -> float:
     """The base geometric sequence value at site n: 2 c^(|n|+1) / (c^2 - 1)."""
@@ -95,15 +101,10 @@ def stationary_profile(q: QubitState, window: int) -> Distribution:
     The all-site total of the profile is ``total_mass(q)``.
     """
     window = _count(window, 1, "window")
-    # Python's abs(z) ** 2, as in limit_component: np.abs(z) ** 2 is 1 ulp off at
-    # some tiny values (weaklimit keeps math.atan per value for the same reason).
-    # Below |z| = 2^-538 the square is below 2^-1076, less than half of the least
-    # subnormal 2^-1074, so it rounds to +0.0. The cut lies a factor sqrt(2)
-    # inside the exact one, far more than np.abs and abs can differ. So only the
-    # core (|n| up to about 163) is squared in Python; the rest stays 0.0.
-    columns = _limit_amplitudes(np.arange(-window, window + 1), q)
+    # Python's abs(z) ** 2, as in limit_component: np.abs(z) ** 2 is 1 ulp off at some
+    # tiny values. Beyond the core every square would be +0.0, as np.zeros leaves it.
+    core = min(window, _CORE_HALF_WIDTH)
     table = np.zeros((2 * window + 1, 3))
-    for l, column in enumerate(columns):
-        live = np.abs(column) >= 2.0**-538
-        table[live, l] = [abs(z) ** 2 for z in column[live].tolist()]
+    for l, column in enumerate(_limit_amplitudes(np.arange(-core, core + 1), q)):
+        table[window - core : window + core + 1, l] = [abs(z) ** 2 for z in column.tolist()]
     return _own(Distribution, first_site=-window, probabilities=table, totals=_totals(table))

@@ -39,10 +39,10 @@ dropped, then in probabilities only: the drops moved amplitudes by at most
 2^-990 on the line at t = 1000, 2000 and 4000 and on a ring of 2001 sites at
 t = 1001 and 2000 (tests pin these), and 2^-821 on the line at t = 12000.
 
-The records here, and those of ``timeavg`` and ``weaklimit``, are frozen
-slotted classes on one private base, each built by its own constructor,
-which sets every field once; triwalk's own builds of the states and
-distributions skip the constructor through ``_own``.
+The records here, and that of ``weaklimit``, are frozen slotted classes on
+one private base, each built by its own constructor, which sets every field
+once; triwalk's own builds of the states and distributions skip the
+constructor through ``_own``.
 """
 
 from __future__ import annotations

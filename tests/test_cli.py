@@ -994,9 +994,15 @@ class TestOutputPaths:
              "--svg names a file in a missing directory: o/sub/p.svg"),
             (["weaklimit", "--steps", "100", "--out", "o", "--svg", "link/sub/../../o/x/p.svg"],
              "--svg names a file in a missing directory: link/sub/../../o/x/p.svg"),
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--out", "o9", "--svg", "o9"], "--svg names a directory: o9"),
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--out", "a/b", "--heatmap", "a"],
+             "--heatmap names a directory: a"),
+            (["stationary", "--qubit", "1,0,0", "--out", "o", "--svg", ""], "--svg names a directory: "),
+            (["evolve", "--qubit", "1,0,0", "--steps", "3", "--out", "o", "--heatmap", ""], "--heatmap names a directory: "),
         ],
         ids=["existing directory", "symlinked directory", "directory inside --out", "trailing separator",
-             "parent entry", "missing directory", "missing directory inside --out", "missing directory through a symlink"],
+             "parent entry", "missing directory", "missing directory inside --out", "missing directory through a symlink",
+             "--out itself", "a parent that --out makes", "empty --svg", "empty --heatmap"],
     )
     def test_a_plot_path_that_cannot_be_a_file_exits_2_before_any_work(self, argv, message, tmp_path, capsys, monkeypatch):
         # real holds the directory sub, and link is a symlink to real.
@@ -1150,7 +1156,7 @@ def sized_argvs(draw):
 
 #: Output paths, relative to a fresh directory holding a file named ``taken``.
 OUTS = st.sampled_from([[], ["--out", "out"], ["--out", "taken"], ["--out", "taken/sub"]])
-PLOTS = st.sampled_from([None, "plot.svg", "missing/plot.svg", "taken"])
+PLOTS = st.sampled_from([None, "plot.svg", "missing/plot.svg", "taken", "out", ""])
 
 
 @st.composite

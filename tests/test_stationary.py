@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from calls import record_calls
 from states import (
     FIGURE_STATE,
     TEST_STATES,
@@ -27,7 +28,9 @@ from triwalk import (
     stationary_profile,
     total_mass,
 )
-from triwalk.stationary import _limit_amplitudes, _sequence_value
+from triwalk import stationary
+from triwalk.stationary import _CORE_HALF_WIDTH, _limit_amplitudes, _sequence_value
+from triwalk.walk import NORM_TOLERANCE
 
 SQRT6 = math.sqrt(6.0)
 
@@ -170,16 +173,28 @@ class TestProfile:
         assert sum(profile.totals.tolist()) < total_mass(FIGURE_STATE)
         assert sum(profile.totals.tolist()) == pytest.approx(total_mass(FIGURE_STATE), abs=1e-8)
 
-
-    @pytest.mark.parametrize("window", [1, 162, 164, 5000])
-    def test_every_square_is_pythons(self, window):
-        # The profile squares in Python only where |z| >= 2^-538 (|n| up to
-        # about 163); every other square rounds to +0.0 anyway. So the table is
-        # Python's abs(z) ** 2 at every site, the sign of each zero included.
-        for q in (*TEST_STATES, ZERO_LOCALIZATION_STATE):
+    @pytest.mark.parametrize(
+        "window, states",
+        [pytest.param(w, (*TEST_STATES, ZERO_LOCALIZATION_STATE), id=str(w)) for w in (1, 162, 163, 164, 165, 5000)]
+        + [pytest.param(200000, (TEST_STATES[1], TEST_STATES[3]), id="200000")],
+    )
+    def test_every_square_is_pythons(self, window, states):
+        # The profile squares in Python only on the core, |n| <= _CORE_HALF_WIDTH;
+        # every square beyond it rounds to +0.0 anyway. So the table is Python's
+        # abs(z) ** 2 at every site of the window, the sign of each zero included.
+        # At 200000 the two states are the ones whose squares reach the core's ends.
+        for q in states:
             columns = _limit_amplitudes(np.arange(-window, window + 1), q)
             reference = np.array([[abs(z) ** 2 for z in column.tolist()] for column in columns]).T
             assert stationary_profile(q, window).probabilities.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("window", [1, 163, 164, 200000])
+    def test_the_closed_form_runs_once_on_the_core(self, window, monkeypatch):
+        log = record_calls(monkeypatch, stationary, "_limit_amplitudes")
+        stationary_profile(FIGURE_STATE, window)
+        assert [(name, parent, [len(column) for column in columns]) for name, parent, columns in log] == [
+            ("_limit_amplitudes", None, [2 * min(window, 163) + 1] * 3)
+        ]
 
     def test_the_exact_cut_lies_above_the_profiles(self):
         # A modulus squares to 0 up to 2^-537.5, a factor sqrt(2) above the
@@ -199,6 +214,35 @@ class TestProfile:
         if np.abs(z) < 2.0**-538:
             square = abs(z) ** 2
             assert square == 0.0 and math.copysign(1.0, square) == 1.0
+
+
+class TestCore:
+    # Beyond the core half-width no admitted state has an amplitude of 2^-538,
+    # the largest modulus whose square rounds to +0.0.
+
+    def test_the_half_width_is_163(self):
+        assert _CORE_HALF_WIDTH == 163
+
+    def test_the_half_width_is_tight(self):
+        # (1, 0, 0)'s right mover and (0, 0, 1)'s left mover reach the cut at
+        # the core's two ends, so their squares there are nonzero.
+        for q, n, l in ((QubitState(1.0, 0.0, 0.0), 163, 3), (QubitState(0.0, 0.0, 1.0), -163, 1)):
+            assert abs(_limit_amplitudes(n, q)[l - 1]) >= 2.0**-538
+            assert limit_component(n, l, q) > 0.0
+
+    @given(qubit_states(), st.floats(min_value=-NORM_TOLERANCE, max_value=NORM_TOLERANCE))
+    @example(QubitState(1.0, 0.0, 0.0), 0.999999 * NORM_TOLERANCE)
+    @example(QubitState(0.0, 0.0, 1.0), 0.999999 * NORM_TOLERANCE)
+    def test_no_amplitude_beyond_the_core_reaches_the_cut(self, q, off):
+        # The state is scaled off unit norm by up to what the constructor admits.
+        scale = math.sqrt(1.0 + off)
+        try:
+            q = QubitState(scale * q.alpha, scale * q.beta, scale * q.gamma)
+        except ValueError:  # rounded just past NORM_TOLERANCE
+            assume(False)
+        sites = np.arange(_CORE_HALF_WIDTH + 1, 201)
+        for n in (sites, -sites):
+            assert max(np.abs(column).max() for column in _limit_amplitudes(n, q)) < 2.0**-538
 
 
 class TestConvergenceOfSimulation:

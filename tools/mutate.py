@@ -1,6 +1,6 @@
 """Run the mutation registry and print a kill table.
 
-    python tools/mutate.py [MUTATION_ID ...]
+    python tools/mutate.py
 
 Each mutation is applied to its own temporary copy of ``src/``; only the
 tests the registry lists for it run, with ``PYTHONPATH`` set to that copy.
@@ -36,24 +36,19 @@ def _passed_tests(src: Path, tests: list[str]) -> set[str]:
     return {line.removeprefix("PASSED ") for line in run.stdout.splitlines() if line.startswith("PASSED ")}
 
 
-def main(ids: list[str]) -> int:
-    chosen = [m for m in MUTATIONS if not ids or m.id in ids]
-    unknown = set(ids) - {m.id for m in MUTATIONS}
-    if unknown:
-        print(f"unknown mutation ids: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
+def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
         clean = scratch / "clean" / "src"
         shutil.copytree(ROOT / "src", clean, ignore=shutil.ignore_patterns("__pycache__"))
-        listed = sorted({t for m in chosen for t in m.tests})
+        listed = sorted({t for m in MUTATIONS for t in m.tests})
         broken = set(listed) - _passed_tests(clean, listed)
         if broken:
             print("listed tests that fail without a mutation:", *sorted(broken), sep="\n  ", file=sys.stderr)
             return 1
         unexpected = 0
         print(f"{'mutation':<32} {'outcome':<9} {'time':>6}  test")
-        for m in chosen:
+        for m in MUTATIONS:
             copy = scratch / m.id / "src"
             shutil.copytree(clean, copy)
             target = copy / Path(m.file).relative_to("src")
@@ -74,9 +69,9 @@ def main(ids: list[str]) -> int:
                 print(f"{m.id:<32} {outcome:<9} {seconds:>5.1f}s  {test}{mark}")
             if m.survives is not None:
                 print(f"{'':<32} expected survivor: {m.survives}")
-    print(f"{len(chosen)} mutations, {unexpected} unexpected outcomes")
+    print(f"{len(MUTATIONS)} mutations, {unexpected} unexpected outcomes")
     return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

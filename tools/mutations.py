@@ -7,6 +7,10 @@ mutation, unless ``survives`` gives the reason they all pass. ``change`` is
 the subject of the commit that brought the mutated code or its guarding
 tests. ``tools/mutate.py`` runs the registry; ``tests/test_mutations.py``
 checks it, so a change that moves mutated code must update it here.
+
+A mutation belongs here only if its outcome does not depend on the heap:
+``np.empty`` for the stationary table's ``np.zeros`` is caught only when the
+allocator hands back dirty memory, so it is left out.
 """
 
 from __future__ import annotations
@@ -128,14 +132,6 @@ MUTATIONS: tuple[Mutation, ...] = (
         _STATIONARY,
         "(538 + math.log2(",
         "(535 + math.log2(",
-        (_PROFILE + "test_window_contents",),
-        _TUPLES,
-    ),
-    Mutation(
-        "table-from-np-empty",
-        _STATIONARY,
-        "    table = np.zeros((2 * window + 1, 3))\n",
-        "    table = np.empty((2 * window + 1, 3))\n",
         (_PROFILE + "test_window_contents",),
         _TUPLES,
     ),
